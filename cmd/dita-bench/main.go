@@ -71,19 +71,9 @@
 //
 // -simbench runs a streaming day twice — rebuilding the online phase
 // cold every instant vs. the warm incremental session — and records the
-// per-instant influence-preparation and feasible-pair latency into the
-// same JSON report (merging with an existing -rrrbench file),
-// demonstrating what the session cache skips for carried-over tasks and
-// workers. It also measures pair maintenance alone at production-scale
-// pools (pair_bench): the cold FeasiblePairs rescan vs. the tiled cold
-// scan vs. the incremental assign.PairIndex over a 100-instant churn at
-// ~12k standing workers.
-//
-// -pairbench runs the same pair-maintenance churn as a standalone scale
-// sweep: one point per -pair-scale pool size (50k and 100k by default,
-// up to 1m), each recording the cold, tiled-cold and incremental-index
-// totals plus the tile count, written as the pair_bench_scale array of
-// the same JSON report.
+// per-instant influence-preparation latency into the same JSON report
+// (merging with an existing -rrrbench file), demonstrating what the
+// session cache skips for carried-over tasks and workers.
 package main
 
 import (
@@ -111,7 +101,6 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/experiments"
 	"dita/internal/fwio"
-	"dita/internal/geo"
 	"dita/internal/lda"
 	"dita/internal/mobility"
 	"dita/internal/model"
@@ -134,8 +123,6 @@ func main() {
 		par          = flag.Int("parallel", 0, "worker pool bound for sampling and sweeps (0 = all cores)")
 		rrrBench     = flag.String("rrrbench", "", "write an rrr.Build scaling report to this JSON file and exit")
 		simBench     = flag.String("simbench", "", "record per-instant online-phase latency (cold vs warm session) into this JSON file and exit")
-		pairBench    = flag.String("pairbench", "", "record the pair-maintenance scale sweep (cold vs tiled vs incremental) into this JSON file and exit")
-		pairScale    = flag.String("pair-scale", "50000,100000", "comma-separated steady-state worker-pool sizes for -pairbench")
 		trainOut     = flag.String("train-out", "", "train the framework(s) and write sealed artifacts to these paths (one per -datasets entry), then exit")
 		framework    = flag.String("framework", "", "load pre-trained framework artifacts from these paths (one per -datasets entry) instead of training")
 		shardFlag    = flag.String("shard", "", "run as worker k of an N-way sharded sweep (k/N); requires -shard-out")
@@ -179,9 +166,9 @@ func main() {
 		return
 	}
 
-	if *rrrBench != "" || *simBench != "" || *pairBench != "" {
+	if *rrrBench != "" || *simBench != "" {
 		if *shardFlag != "" || *shardOut != "" || *mergeFlag != "" || *orchestrate != 0 {
-			log.Fatal("-rrrbench/-simbench/-pairbench are standalone modes; they cannot be combined with -shard/-shard-out/-merge/-orchestrate")
+			log.Fatal("-rrrbench/-simbench are standalone modes; they cannot be combined with -shard/-shard-out/-merge/-orchestrate")
 		}
 	}
 	if *trainOut != "" && *framework != "" {
@@ -215,16 +202,6 @@ func main() {
 	if *simBench != "" {
 		if err := writeSimBench(*simBench, *par, *framework, *trainOut); err != nil {
 			log.Fatalf("simbench: %v", err)
-		}
-		return
-	}
-	if *pairBench != "" {
-		scales, err := parseScales(*pairScale)
-		if err != nil {
-			log.Fatalf("pairbench: %v", err)
-		}
-		if err := writePairBench(*pairBench, scales, *par); err != nil {
-			log.Fatalf("pairbench: %v", err)
 		}
 		return
 	}
@@ -510,30 +487,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseScales parses the -pair-scale list: positive integers, with an
-// optional k/m suffix (50k, 1m) since the values are pool sizes.
-func parseScales(s string) ([]int, error) {
-	var out []int
-	for _, tok := range splitList(s) {
-		mult := 1
-		switch {
-		case strings.HasSuffix(tok, "k"), strings.HasSuffix(tok, "K"):
-			mult, tok = 1000, tok[:len(tok)-1]
-		case strings.HasSuffix(tok, "m"), strings.HasSuffix(tok, "M"):
-			mult, tok = 1000000, tok[:len(tok)-1]
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -pair-scale entry %q (want a positive pool size, e.g. 50000 or 50k)", tok)
-		}
-		out = append(out, n*mult)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-pair-scale lists no sizes")
-	}
-	return out, nil
-}
-
 // datasetPreset maps a -datasets entry to its generator parameters.
 func datasetPreset(name string) (dataset.Params, error) {
 	switch strings.ToLower(name) {
@@ -785,27 +738,20 @@ type rrrBenchReport struct {
 	// preparation latency with a cold rebuild per instant vs. the warm
 	// incremental session (-simbench).
 	Sim *simBenchReport `json:"sim,omitempty"`
-	// PairBenchScale records the -pairbench scale sweep: the pair
-	// maintenance churn at each -pair-scale steady-state pool size.
-	PairBenchScale []*pairBenchReport `json:"pair_bench_scale,omitempty"`
 }
 
 // simInstantPoint is one assignment instant of the -simbench run: the
 // same instant measured with a cold (full rebuild) and a warm (cached
 // session) online phase. The two runs make identical assignments, so the
 // pools — and therefore the work the instant asks for — are identical
-// point for point. ColdMs/WarmMs time the influence preparation;
-// ColdPairsMs/WarmPairsMs time the feasible-pair side (full
-// workers×tasks rescan vs. incremental pair-index maintenance).
+// point for point. ColdMs/WarmMs time the influence preparation.
 type simInstantPoint struct {
-	Instant     int     `json:"instant"`
-	At          float64 `json:"at_hours"`
-	Workers     int     `json:"workers"`
-	Tasks       int     `json:"tasks"`
-	ColdMs      float64 `json:"cold_ms"`
-	WarmMs      float64 `json:"warm_ms"`
-	ColdPairsMs float64 `json:"cold_pairs_ms"`
-	WarmPairsMs float64 `json:"warm_pairs_ms"`
+	Instant int     `json:"instant"`
+	At      float64 `json:"at_hours"`
+	Workers int     `json:"workers"`
+	Tasks   int     `json:"tasks"`
+	ColdMs  float64 `json:"cold_ms"`
+	WarmMs  float64 `json:"warm_ms"`
 }
 
 // simBenchReport is the streaming online-phase trajectory: how much the
@@ -820,234 +766,6 @@ type simBenchReport struct {
 	// WarmSpeedup = ColdTotalMs / WarmTotalMs over instants after the
 	// first (the first warm instant is itself cold by definition).
 	WarmSpeedup float64 `json:"warm_speedup"`
-	// ColdPairsTotalMs/WarmPairsTotalMs total the feasible-pair block:
-	// the per-instant full rescan vs. incremental maintenance of the
-	// carried-over pair set.
-	ColdPairsTotalMs float64 `json:"cold_pairs_total_ms"`
-	WarmPairsTotalMs float64 `json:"warm_pairs_total_ms"`
-	// PairSpeedup = ColdPairsTotalMs / WarmPairsTotalMs over every
-	// instant after the first busy one (the warm index's first instant
-	// admits everything, so it is a cold scan by definition). Empty
-	// instants count: the warm index pays to stay in sync on them while
-	// the cold strategy pays nothing.
-	PairSpeedup float64 `json:"pair_speedup"`
-	// PairBench measures pair maintenance alone at production-scale
-	// pools, where the incremental index is the right tool; the
-	// streaming instants above run at a few hundred entities, a scale
-	// where the cold CSR rescan's constants still win and the per-pair
-	// numbers mostly record index overhead.
-	PairBench *pairBenchReport `json:"pair_bench,omitempty"`
-}
-
-// pairBenchReport is the pair-maintenance scaling record: the same
-// synthetic churn measured with the cold per-instant FeasiblePairs
-// rescan, the cold tiled scan (assign.TiledFeasiblePairs) and the warm
-// incremental PairIndex. No influence machinery is involved — the
-// timings isolate exactly the feasible-pair block of an instant.
-type pairBenchReport struct {
-	// TargetWorkers is the requested steady-state scale of a -pair-scale
-	// sweep point; the default simbench point leaves it zero.
-	TargetWorkers      int     `json:"target_workers,omitempty"`
-	ExtentKm           float64 `json:"extent_km"` // world edge; grows as sqrt(scale) to hold density constant
-	Workers            int     `json:"workers"`   // steady-state pool sizes
-	Tasks              int     `json:"tasks"`
-	Instants           int     `json:"instants"` // measured (post-warmup) instants
-	ArrivalsPerInstant int     `json:"arrivals_per_instant"`
-	LivePairs          int     `json:"live_pairs"` // feasible pairs at the final instant
-	Tiles              int     `json:"tiles"`      // spatial tiles of the final tiled cold scan
-	ColdTotalMs        float64 `json:"cold_total_ms"`
-	TiledColdTotalMs   float64 `json:"tiled_cold_total_ms"`
-	WarmTotalMs        float64 `json:"warm_total_ms"`
-	Speedup            float64 `json:"speedup"` // cold / warm
-	// TiledSpeedup = ColdTotalMs / TiledColdTotalMs: what spatial
-	// partitioning alone buys a cold scan (independent of carry-over).
-	TiledSpeedup float64 `json:"tiled_speedup"`
-}
-
-// measurePairBench is the default simbench point: the production-scale
-// churn at ~12k standing workers the BENCH trajectory has always
-// tracked.
-func measurePairBench(par int) (*pairBenchReport, error) {
-	return measurePairBenchAt(12000, 100, par)
-}
-
-// measurePairBenchAt churns synthetic pools at a chosen scale — tens of
-// thousands to a million standing entities, a few percent turnover per
-// instant — and times the cold full rescan against the cold tiled scan
-// and the warm incremental index on identical pools (one loop computes
-// all three, then retires a matched subset, so every instant's inputs
-// are bit-identical). The world edge grows as sqrt(scale) so spatial
-// density — and with it the per-worker candidate count — stays fixed
-// while the pool size moves. The three pair lists are compared every
-// instant; a mismatch is a bug, not a measurement.
-func measurePairBenchAt(targetWorkers, measured, par int) (*pairBenchReport, error) {
-	const (
-		baseExtent = 300.0 // km at the 12k-worker baseline
-		baseScale  = 12000
-		radiusKm   = 6
-		lifetime   = 20.0
-		warmup     = 40
-	)
-	arrivals := targetWorkers / warmup // workers and tasks admitted per instant
-	if arrivals < 1 {
-		arrivals = 1
-	}
-	extentKm := baseExtent * math.Sqrt(float64(targetWorkers)/baseScale)
-	rng := randx.New(31)
-	var (
-		workers []model.Worker
-		tasks   []model.Task
-		nextW   model.WorkerID
-		nextT   model.TaskID
-	)
-	ix := assign.NewPairIndexParallel(5, par)
-	rep := &pairBenchReport{
-		Instants: measured, ArrivalsPerInstant: arrivals, ExtentKm: extentKm,
-	}
-	if targetWorkers != baseScale {
-		rep.TargetWorkers = targetWorkers
-	}
-	for i := 0; i < warmup+measured; i++ {
-		now := float64(i)
-		for n := 0; n < arrivals; n++ {
-			workers = append(workers, model.Worker{
-				ID: nextW, User: nextW,
-				Loc:    geo.Point{X: rng.Float64() * extentKm, Y: rng.Float64() * extentKm},
-				Radius: radiusKm,
-			})
-			nextW++
-			tasks = append(tasks, model.Task{
-				ID:  nextT,
-				Loc: geo.Point{X: rng.Float64() * extentKm, Y: rng.Float64() * extentKm},
-				// A generous deadline decouples pool size from matching:
-				// tasks leave by retirement below, with a tail of expiries.
-				Publish: now, Valid: lifetime,
-			})
-			nextT++
-		}
-		keptT := tasks[:0]
-		for _, t := range tasks {
-			if t.Expiry() >= now {
-				keptT = append(keptT, t)
-			}
-		}
-		tasks = keptT
-
-		inst := &model.Instance{Now: now, Workers: workers, Tasks: tasks}
-		start := time.Now() //dita:wallclock
-		cold := assign.FeasiblePairs(inst, 5)
-		coldMs := float64(time.Since(start).Microseconds()) / 1000 //dita:wallclock
-		start = time.Now()                                         //dita:wallclock
-		tiled, tiles := assign.TiledFeasiblePairs(inst, 5, par)
-		tiledMs := float64(time.Since(start).Microseconds()) / 1000 //dita:wallclock
-		start = time.Now()                                          //dita:wallclock
-		warm := ix.Update(inst)
-		warmMs := float64(time.Since(start).Microseconds()) / 1000 //dita:wallclock
-		if len(cold) != len(warm) {
-			return nil, fmt.Errorf("pairbench instant %d: cold %d pairs, warm %d", i, len(cold), len(warm))
-		}
-		for k := range cold {
-			if cold[k] != warm[k] {
-				return nil, fmt.Errorf("pairbench instant %d: pair %d diverged (%+v vs %+v)", i, k, cold[k], warm[k])
-			}
-		}
-		if !slices.Equal(cold, tiled) {
-			return nil, fmt.Errorf("pairbench instant %d: tiled scan diverged from global (%d vs %d pairs)",
-				i, len(tiled), len(cold))
-		}
-		if i >= warmup {
-			rep.ColdTotalMs += coldMs
-			rep.TiledColdTotalMs += tiledMs
-			rep.WarmTotalMs += warmMs
-		}
-		rep.Workers, rep.Tasks, rep.LivePairs, rep.Tiles = len(workers), len(tasks), len(cold), tiles
-
-		// The warmup phase only accumulates arrivals, building the pools
-		// to production scale; measured instants then retire a matched
-		// subset — up to `arrivals` disjoint pairs, taken greedily in
-		// pair order — so the pools hold steady while churning.
-		if i < warmup {
-			continue
-		}
-		usedW := make([]bool, len(workers))
-		usedT := make([]bool, len(tasks))
-		retired := 0
-		for _, pr := range cold {
-			if retired == arrivals {
-				break
-			}
-			if usedW[pr.W] || usedT[pr.T] {
-				continue
-			}
-			usedW[pr.W], usedT[pr.T] = true, true
-			retired++
-		}
-		keptW := workers[:0]
-		for k, w := range workers {
-			if !usedW[k] {
-				keptW = append(keptW, w)
-			}
-		}
-		workers = keptW
-		keptT = tasks[:0]
-		for k, t := range tasks {
-			if !usedT[k] {
-				keptT = append(keptT, t)
-			}
-		}
-		tasks = keptT
-	}
-	if rep.WarmTotalMs > 0 {
-		rep.Speedup = rep.ColdTotalMs / rep.WarmTotalMs
-	}
-	if rep.TiledColdTotalMs > 0 {
-		rep.TiledSpeedup = rep.ColdTotalMs / rep.TiledColdTotalMs
-	}
-	return rep, nil
-}
-
-// writePairBench runs the pair-maintenance churn at each requested
-// steady-state scale (-pair-scale) and records the points as the
-// pair_bench_scale array of the JSON report, merging with an existing
-// file like the other bench modes. Larger scales run fewer measured
-// instants so a sweep to a million entities stays tractable on one box;
-// the per-instant regime is steady either way.
-func writePairBench(path string, scales []int, par int) error {
-	var points []*pairBenchReport
-	for _, scale := range scales {
-		measured := 100
-		if scale > 200000 {
-			measured = 25
-		}
-		fmt.Printf("pair churn at %d standing workers (%d measured instants)...\n", scale, measured)
-		rep, err := measurePairBenchAt(scale, measured, par)
-		if err != nil {
-			return err
-		}
-		printPairBench(rep)
-		points = append(points, rep)
-	}
-	var report rrrBenchReport
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &report); err != nil {
-			return fmt.Errorf("existing report %s is not mergeable: %w", path, err)
-		}
-	}
-	report.GoVersion = runtime.Version()
-	report.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	report.PairBenchScale = points
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func printPairBench(pb *pairBenchReport) {
-	fmt.Printf("pair maintenance at %dW x %dS (%d instants, %d arrivals/instant, %d live pairs, %d tiles):\n",
-		pb.Workers, pb.Tasks, pb.Instants, pb.ArrivalsPerInstant, pb.LivePairs, pb.Tiles)
-	fmt.Printf("  cold full scan %.1fms, tiled cold scan %.1fms (%.2fx), incremental index %.1fms (%.1fx)\n",
-		pb.ColdTotalMs, pb.TiledColdTotalMs, pb.TiledSpeedup, pb.WarmTotalMs, pb.Speedup)
 }
 
 // writeRRRBench measures rrr.Build on a paper-scale graph at
@@ -1182,9 +900,9 @@ func writeSimBench(path string, par int, fwPath, trainOut string) error {
 	// One evaluation day of arrivals: workers join from their homes,
 	// tasks spawn at venues, both spread over the first 20 hours. The
 	// count is sized so the standing pools reach the high hundreds — the
-	// regime the incremental structures exist for; at toy pool sizes a
-	// flat rescan wins on constant factors and the comparison would
-	// measure overhead, not the algorithm.
+	// regime the incremental session exists for; at toy pool sizes a cold
+	// rebuild wins on constant factors and the comparison would measure
+	// overhead, not the algorithm.
 	const arrivals = 3000
 	rng := randx.New(7)
 	ws := make([]simulate.ArrivingWorker, arrivals)
@@ -1194,7 +912,7 @@ func writeSimBench(path string, par int, fwPath, trainOut string) error {
 		// Radius 8 km (vs the sweeps' 25) keeps feasibility sparse on the
 		// 300 km BK geography, so most workers and tasks genuinely carry
 		// over between instants — the protocol regime the incremental
-		// session and pair index are built for.
+		// session is built for.
 		ws[i] = simulate.ArrivingWorker{
 			User: u, Loc: data.Homes[u], Radius: 8, At: cutoff + rng.Float64()*20,
 		}
@@ -1226,7 +944,7 @@ func writeSimBench(path string, par int, fwPath, trainOut string) error {
 	run := func(cold bool) (*simulate.Result, error) {
 		p, err := simulate.New(fw, simulate.Config{
 			Algorithm: assign.IA, Step: 1, Start: cutoff, Horizon: 24,
-			Seed: 9, Parallelism: par, ColdPrepare: cold, ColdPairs: cold,
+			Seed: 9, Parallelism: par, ColdPrepare: cold,
 		})
 		if err != nil {
 			return nil, err
@@ -1252,59 +970,32 @@ func writeSimBench(path string, par int, fwPath, trainOut string) error {
 		Assigned:    warmRes.TotalAssigned,
 	}
 	warmAfterFirst, coldAfterFirst := 0.0, 0.0
-	warmPairsAfterFirst, coldPairsAfterFirst := 0.0, 0.0
 	seen := 0
 	for i, ci := range coldRes.Instants {
 		wi := warmRes.Instants[i]
 		coldMs := float64(ci.Prepare.Microseconds()) / 1000
 		warmMs := float64(wi.Prepare.Microseconds()) / 1000
-		coldPairsMs := float64(ci.PairMaint.Microseconds()) / 1000
-		warmPairsMs := float64(wi.PairMaint.Microseconds()) / 1000
 		sim.Instants = append(sim.Instants, simInstantPoint{
 			Instant: i, At: ci.At, Workers: ci.OnlineWorkers, Tasks: ci.OpenTasks,
 			ColdMs: coldMs, WarmMs: warmMs,
-			ColdPairsMs: coldPairsMs, WarmPairsMs: warmPairsMs,
 		})
 		sim.ColdTotalMs += coldMs
 		sim.WarmTotalMs += warmMs
-		sim.ColdPairsTotalMs += coldPairsMs
-		sim.WarmPairsTotalMs += warmPairsMs
-		busy := ci.OnlineWorkers > 0 && ci.OpenTasks > 0
-		afterFirstBusy := seen > 0
-		if busy {
-			if afterFirstBusy {
+		if ci.OnlineWorkers > 0 && ci.OpenTasks > 0 {
+			if seen > 0 {
 				coldAfterFirst += coldMs
 				warmAfterFirst += warmMs
 			}
 			seen++
 		}
-		// The pair ratio counts every instant after the first busy one —
-		// including empty instants, where the warm index still pays to
-		// stay in sync while the cold strategy genuinely pays nothing.
-		if afterFirstBusy {
-			coldPairsAfterFirst += coldPairsMs
-			warmPairsAfterFirst += warmPairsMs
-		}
-		fmt.Printf("instant %2d (t=%.0fh, %3dW x %3dS): cold %7.1fms  warm %7.1fms  pairs cold %6.2fms  warm %6.2fms\n",
-			i, ci.At, ci.OnlineWorkers, ci.OpenTasks, coldMs, warmMs, coldPairsMs, warmPairsMs)
+		fmt.Printf("instant %2d (t=%.0fh, %3dW x %3dS): cold %7.1fms  warm %7.1fms\n",
+			i, ci.At, ci.OnlineWorkers, ci.OpenTasks, coldMs, warmMs)
 	}
 	if warmAfterFirst > 0 {
 		sim.WarmSpeedup = coldAfterFirst / warmAfterFirst
 	}
-	if warmPairsAfterFirst > 0 {
-		sim.PairSpeedup = coldPairsAfterFirst / warmPairsAfterFirst
-	}
 	fmt.Printf("online phase totals: cold %.1fms, warm %.1fms (%.1fx on carried-over instants)\n",
 		sim.ColdTotalMs, sim.WarmTotalMs, sim.WarmSpeedup)
-	fmt.Printf("feasible-pair totals: cold %.2fms, warm %.2fms (%.1fx on carried-over instants)\n",
-		sim.ColdPairsTotalMs, sim.WarmPairsTotalMs, sim.PairSpeedup)
-
-	pb, err := measurePairBench(par)
-	if err != nil {
-		return err
-	}
-	sim.PairBench = pb
-	printPairBench(pb)
 
 	// Merge into an existing rrrbench report when one is present, so one
 	// JSON file tracks the whole perf trajectory. The environment fields

@@ -193,6 +193,39 @@ func TestServeRoundTrips(t *testing.T) {
 	}
 }
 
+// TestServeTinyRadiusInstant: workers whose radius is tiny next to the
+// pool's extent make the instant's tiling ask for more tiles than an int
+// holds. The instant must still answer 200 with the co-located pairs,
+// and the region must stay unlocked, so GET /metrics answers after it.
+func TestServeTinyRadiusInstant(t *testing.T) {
+	fw, _ := testFramework(t)
+	_, ts := testServer(t, fw, serverConfig{engine: engine.Config{Trigger: engine.ManualTrigger{}}})
+	for i, x := range []float64{0, 1000} {
+		w := workerReq{User: int32(i), X: x, Y: x, Radius: 1e-9}
+		if code := do(t, "POST", ts.URL+"/v1/default/workers", w, nil); code != 200 {
+			t.Fatalf("worker arrival %d: status %d", i, code)
+		}
+		task := taskReq{X: x, Y: x, Valid: 1, Categories: []int32{0}}
+		if code := do(t, "POST", ts.URL+"/v1/default/tasks", task, nil); code != 200 {
+			t.Fatalf("task arrival %d: status %d", i, code)
+		}
+	}
+	var ir instantResp
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 0}, &ir); code != 200 {
+		t.Fatalf("instant: status %d", code)
+	}
+	if len(ir.Assigned) != 2 {
+		t.Fatalf("instant assigned %d pairs, want the 2 co-located ones", len(ir.Assigned))
+	}
+	var m metricsResp
+	if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 {
+		t.Fatalf("metrics: status %d", code)
+	}
+	if m.Totals.Instants != 1 || m.Totals.Assigned != 2 {
+		t.Fatalf("metrics totals %+v, want 1 instant / 2 assigned", m.Totals)
+	}
+}
+
 func TestServeMalformedPayloadsRejected(t *testing.T) {
 	fw, _ := testFramework(t)
 	_, ts := testServer(t, fw, serverConfig{engine: engine.Config{Trigger: engine.ManualTrigger{}}})

@@ -17,7 +17,7 @@
 //
 //	dita-sim -preset bk -day 25 -tasks 500 -workers 400 -alg IA
 //	dita-sim -data ./data/bk -day 25 -alg EIA -mask IA-AW -v
-//	dita-sim -preset bk -alg MI -pairs tiled -assign-csv /tmp/tiled.csv
+//	dita-sim -preset bk -alg MI -parallel 4 -assign-csv /tmp/mi.csv
 //	dita-sim -stream -train-out /tmp/fw.json -assign-csv /tmp/stream.csv
 package main
 
@@ -54,8 +54,7 @@ func main() {
 		algName = flag.String("alg", "IA", "algorithm: MTA, IA, EIA, DIA, MI or MIX (exact max-influence ablation)")
 		mask    = flag.String("mask", "IA", "influence components: IA (all), IA-WP, IA-AP or IA-AW")
 		seed    = flag.Uint64("seed", 1, "instance sampling seed")
-		par     = flag.Int("parallel", 0, "worker pool bound for the online phase (0 = all cores)")
-		pairs   = flag.String("pairs", "global", "feasibility scan: global (one grid pass) or tiled (spatial partitioning); outputs are bit-identical")
+		par     = flag.Int("parallel", 0, "worker pool bound for the online phase, feasibility scan and solve (0 = all cores); outputs are bit-identical")
 		csvPath = flag.String("assign-csv", "", "write the assignment as CSV to this path (deterministic; for diffing runs)")
 		verbose = flag.Bool("v", false, "print every assigned pair")
 
@@ -166,18 +165,9 @@ func main() {
 	ev := sess.Prepare(inst)
 	fmt.Printf("influence model (%s) prepared in %.1fs\n", comps, time.Since(start).Seconds()) //dita:wallclock
 
-	var feas []assign.Pair
-	scanTiles := 0
-	switch *pairs {
-	case "global":
-		feas = assign.FeasiblePairs(inst, fw.Speed())
-	case "tiled":
-		feas, scanTiles = assign.TiledFeasiblePairs(inst, fw.Speed(), *par)
-	default:
-		log.Fatalf("unknown -pairs mode %q (want global or tiled)", *pairs)
-	}
+	feas, tiles := assign.TiledFeasiblePairs(inst, fw.Speed(), *par)
 	set, m, ts := fw.AssignPreparedPairsTiled(inst, ev, alg, feas, *par)
-	ts.Tiles = scanTiles
+	ts.Tiles = tiles
 	if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
 		log.Fatalf("invalid assignment: %v", err)
 	}
@@ -186,9 +176,7 @@ func main() {
 		alg, *day, *tasks, *workers, *valid, *radius)
 	fmt.Printf("  assigned tasks       %d\n", m.Assigned)
 	fmt.Printf("  feasible pairs       %d\n", m.Feasible)
-	if ts.Tiles > 0 {
-		fmt.Printf("  spatial tiles        %d\n", ts.Tiles)
-	}
+	fmt.Printf("  spatial tiles        %d\n", ts.Tiles)
 	fmt.Printf("  graph components     %d (largest %d pairs)\n", ts.Components, ts.LargestComponent)
 	fmt.Printf("  average influence    %.4f\n", m.AI)
 	fmt.Printf("  average propagation  %.4f\n", m.AP)
@@ -289,7 +277,8 @@ func frameworkSource(dp dataset.Params, cutoffHours float64) string {
 // writeAssignCSV dumps the assignment in a fully deterministic text
 // form: floats print as the shortest decimal that parses back exactly,
 // so two runs that are bit-identical produce byte-identical files — the
-// property the tiled-vs-global CI smoke diffs on. The write goes
+// property the CI smoke that diffs runs at different -parallel values
+// relies on. The write goes
 // through atomicio like every other artifact write, so a run killed
 // mid-dump can never leave a torn CSV where the smoke's cmp (or any
 // other consumer) would read it.

@@ -163,40 +163,18 @@ func FeasiblePairs(inst *Instance, speedKmH float64) []assign.Pair {
 	return assign.FeasiblePairs(inst, speedKmH)
 }
 
-// TileStats reports the shape of a tiled solve: spatial tile count of a
-// tiled feasibility scan, and the component structure of the
+// TileStats reports the shape of a tiled instant: the occupied tile
+// count of its feasibility scan, and the component structure of the
 // feasibility graph the solver decomposed over.
 type TileStats = assign.TileStats
 
-// TiledFeasiblePairs is FeasiblePairs through spatial partitioning: the
-// world is cut into reachability-sized tiles scanned independently on up
-// to parallelism pool workers (<=0 means all cores). The pair list is
-// bit-identical to FeasiblePairs at any parallelism; the extra return is
-// the tile count. Meant for the 100k–1M-entity regime — at small pools
-// the global scan's constants win.
+// TiledFeasiblePairs is FeasiblePairs on up to parallelism pool workers
+// (<=0 means all cores): the world is cut into reachability-sized tiles
+// scanned independently. The pair list is bit-identical to
+// FeasiblePairs — which is this scan on one worker — at any
+// parallelism; the extra return is the occupied tile count.
 func TiledFeasiblePairs(inst *Instance, speedKmH float64, parallelism int) ([]assign.Pair, int) {
 	return assign.TiledFeasiblePairs(inst, speedKmH, parallelism)
-}
-
-// PairIndex carries the feasible-pair set across the instants of a
-// streaming run, paying only for arrivals, retirements and deadline
-// decay; its output is bit-identical to FeasiblePairs on each instant.
-// Sessions maintain one automatically (Session.Pairs / Session.Assign);
-// the type is exported for callers that run their own instant loop.
-type PairIndex = assign.PairIndex
-
-// NewPairIndex returns an empty incremental feasible-pair index for the
-// given travel speed (km/h; <=0 means 5). See assign.PairIndex for the
-// identity preconditions streaming callers must uphold.
-func NewPairIndex(speedKmH float64) *PairIndex {
-	return assign.NewPairIndex(speedKmH)
-}
-
-// NewPairIndexParallel is NewPairIndex with a worker-pool bound for the
-// admission scans of large arrival bursts (<=0 means all cores); the
-// emitted pairs are bit-identical at any setting.
-func NewPairIndexParallel(speedKmH float64, parallelism int) *PairIndex {
-	return assign.NewPairIndexParallel(speedKmH, parallelism)
 }
 
 // Streaming simulation: a platform loop with carry-over state, where a

@@ -40,19 +40,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Ablation masks through the facade.
-	for _, mask := range []dita.Components{dita.All, dita.WP, dita.AP, dita.AW} {
-		ev := fw.Prepare(inst, mask, 2)
-		set, _ := fw.AssignPrepared(inst, ev, dita.IA, nil)
-		if set.Len() == 0 {
-			t.Errorf("mask %v assigned nothing", mask)
-		}
-	}
-
 	// Feasible pairs helper.
 	pairs := dita.FeasiblePairs(inst, 5)
 	if len(pairs) == 0 {
 		t.Error("no feasible pairs on a generous instance")
+	}
+
+	// Ablation masks through the facade, sharing one feasibility scan.
+	for _, mask := range []dita.Components{dita.All, dita.WP, dita.AP, dita.AW} {
+		ev := fw.Prepare(inst, mask, 2)
+		set, _, _ := fw.AssignPreparedPairsTiled(inst, ev, dita.IA, pairs, 1)
+		if set.Len() == 0 {
+			t.Errorf("mask %v assigned nothing", mask)
+		}
 	}
 }
 

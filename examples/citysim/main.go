@@ -82,7 +82,7 @@ func main() {
 		fmt.Printf("  %-5s %9s %9s %9s %11s %10s\n",
 			"alg", "assigned", "AI", "AP", "travel(km)", "cpu")
 		for _, alg := range algorithms {
-			set, m := fw.AssignPrepared(inst, ev, alg, pairs)
+			set, m, _ := fw.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 			if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
 				log.Fatalf("%v produced an invalid assignment: %v", alg, err)
 			}

@@ -140,7 +140,7 @@ func main() {
 	reportPairs(inst, ev, greedy)
 
 	fmt.Println("\nInfluence-aware (IA):")
-	set, _ := fw.AssignPrepared(inst, ev, assign.IA, nil)
+	set, _, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, assign.FeasiblePairs(inst, fw.Speed()), 1)
 	var iaPairs [][2]int
 	for _, pr := range set.Pairs {
 		iaPairs = append(iaPairs, [2]int{int(pr.Worker), int(pr.Task)})

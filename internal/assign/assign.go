@@ -19,10 +19,7 @@ package assign
 
 import (
 	"fmt"
-	"sort"
 
-	"dita/internal/flow"
-	"dita/internal/geo"
 	"dita/internal/model"
 )
 
@@ -103,25 +100,12 @@ type Problem struct {
 	// Entropy returns the location entropy of task index t. Only EIA
 	// reads it; nil is treated as zero entropy everywhere.
 	Entropy func(t int) float64
-	// SpeedKmH converts distance to travel time for the deadline check;
-	// non-positive values default to 5 km/h (the paper's setting).
-	SpeedKmH float64
-	// Pairs optionally carries precomputed feasible pairs so several
-	// algorithms can share one feasibility computation; when nil and
-	// HasPairs is false, Solve computes them.
+	// Pairs are the instance's feasible worker-task pairs, as
+	// FeasiblePairs or TiledFeasiblePairs return them. They are
+	// authoritative: the solver never scans the instance itself, so nil
+	// or empty Pairs assign nothing, and several algorithms can share one
+	// feasibility computation.
 	Pairs []Pair
-	// HasPairs marks Pairs as authoritative even when nil: a precomputed
-	// zero-feasibility pair set (built with `var pairs []Pair`) is nil,
-	// and without this flag Solve could not tell it from "not computed"
-	// and would silently rescan the instance.
-	HasPairs bool
-}
-
-func (p *Problem) speed() float64 {
-	if p.SpeedKmH > 0 {
-		return p.SpeedKmH
-	}
-	return 5
 }
 
 func (p *Problem) influence(w, t int) float64 {
@@ -132,76 +116,28 @@ func (p *Problem) influence(w, t int) float64 {
 }
 
 // FeasiblePairs computes the available assignments w.A for every worker:
-// all (w, s) with d(w.l, s.l) ≤ w.r and now + d/speed ≤ s.p + s.ϕ. It
-// uses a uniform grid over task locations so the cost is near-linear in
-// the output size. Pairs are ordered by (worker, task) index.
+// all (w, s) with d(w.l, s.l) ≤ w.r and now + d/speed ≤ s.p + s.ϕ.
+// Pairs are ordered by (worker, task) index. It is the sequential form
+// of TiledFeasiblePairs, the same way Solve is the sequential form of
+// SolveTiled.
 func FeasiblePairs(inst *model.Instance, speedKmH float64) []Pair {
-	if speedKmH <= 0 {
-		speedKmH = 5
-	}
-	taskLocs := make([]geo.Point, len(inst.Tasks))
-	for i, t := range inst.Tasks {
-		taskLocs[i] = t.Loc
-	}
-	grid := geo.BuildGrid(taskLocs, 8)
-	var pairs []Pair
-	var buf []int
-	for wi, w := range inst.Workers {
-		buf = grid.Within(w.Loc, w.Radius, buf[:0])
-		for _, ti := range buf {
-			s := inst.Tasks[ti]
-			d := geo.Dist(w.Loc, s.Loc)
-			if inst.Now+d/speedKmH <= s.Expiry() {
-				pairs = append(pairs, Pair{W: int32(wi), T: int32(ti), Dist: d})
-			}
-		}
-	}
+	pairs, _ := TiledFeasiblePairs(inst, speedKmH, 1)
 	return pairs
 }
 
-// Solve runs the selected algorithm and returns the assignment set with
-// per-pair influence and travel distance filled in. Since the tiled
-// pipeline landed, Solve is the sequential form of the canonical
-// component-decomposed solver (see solveComponents in tiled.go):
-// SolveTiled at any parallelism returns a bit-identical assignment set.
+// Solve runs the selected algorithm over p.Pairs and returns the
+// assignment set with per-pair influence and travel distance filled in.
+// It is the sequential form of SolveTiled: SolveTiled at any
+// parallelism returns a bit-identical assignment set.
 func Solve(alg Algorithm, p *Problem) *model.AssignmentSet {
-	pairs := p.Pairs
-	if pairs == nil && !p.HasPairs {
-		pairs = FeasiblePairs(p.Inst, p.speed())
-	}
-	set, _ := solveComponents(alg, p, pairs, 1)
+	set, _ := SolveTiled(alg, p, 1)
 	return set
 }
 
-// solveMonolithic is the pre-decomposition solver — one flow network
-// (or one greedy pass) over the whole instance. It is retained as the
-// reference implementation the objective-equivalence tests check the
-// decomposed solver against: decomposition must preserve cardinality
-// for every algorithm, total cost for the min-cost family and the exact
-// matching for the greedy.
-func solveMonolithic(alg Algorithm, p *Problem, pairs []Pair) *model.AssignmentSet {
-	switch alg {
-	case MTA:
-		return solveMaxFlow(p, pairs)
-	case MI:
-		return solveGreedyInfluence(p, pairs)
-	case IA, EIA, DIA:
-		return solveMinCost(alg, p, pairs)
-	default:
-		panic(fmt.Sprintf("assign: no monolithic solver for algorithm %d", int(alg)))
-	}
-}
-
-// edgeCost prices a worker→task edge for the three flow-based
-// influence-aware algorithms.
-func edgeCost(alg Algorithm, p *Problem, pr Pair) float64 {
-	return edgeCostFromInfluence(alg, p, pr, p.influence(int(pr.W), int(pr.T)))
-}
-
-// edgeCostFromInfluence is edgeCost with the influence value already
-// evaluated, so the decomposed solver can price edges from its
-// sequential influence pre-pass; the float expressions are identical.
-func edgeCostFromInfluence(alg Algorithm, p *Problem, pr Pair, inf float64) float64 {
+// edgeCost prices a worker→task edge for the flow-based algorithms from
+// the pair's already evaluated influence, so the decomposed solver can
+// price edges from its sequential influence pre-pass.
+func edgeCost(alg Algorithm, p *Problem, pr Pair, inf float64) float64 {
 	switch alg {
 	case IA:
 		return 1 / (inf + 1)
@@ -227,97 +163,4 @@ func edgeCostFromInfluence(alg Algorithm, p *Problem, pr Pair, inf float64) floa
 	default:
 		return 0
 	}
-}
-
-// buildNetwork constructs the Figure-4 flow network. Node layout:
-// 0 = source, 1..nW = workers, nW+1..nW+nT = tasks, nW+nT+1 = sink.
-// It returns the network, the source/sink ids and the edge id of every
-// worker→task pair (aligned with pairs).
-func buildNetwork(p *Problem, pairs []Pair, alg Algorithm) (g *flow.Network, s, t int, pairEdges []int) {
-	nW, nT := len(p.Inst.Workers), len(p.Inst.Tasks)
-	g = flow.NewNetwork(nW + nT + 2)
-	s, t = 0, nW+nT+1
-	for w := 0; w < nW; w++ {
-		g.AddEdge(s, 1+w, 1, 0)
-	}
-	for j := 0; j < nT; j++ {
-		g.AddEdge(1+nW+j, t, 1, 0)
-	}
-	pairEdges = make([]int, len(pairs))
-	for i, pr := range pairs {
-		cost := 0.0
-		if alg != MTA {
-			cost = edgeCost(alg, p, pr)
-		}
-		pairEdges[i] = g.AddEdge(1+int(pr.W), 1+nW+int(pr.T), 1, cost)
-	}
-	return g, s, t, pairEdges
-}
-
-func collect(p *Problem, pairs []Pair, taken func(i int) bool) *model.AssignmentSet {
-	out := &model.AssignmentSet{}
-	for i, pr := range pairs {
-		if !taken(i) {
-			continue
-		}
-		// Pairs reference the instance by position, not by the entities'
-		// ID fields: streaming callers keep platform-stable (non-dense)
-		// IDs in their instances, and every metrics consumer indexes
-		// Inst.Workers/Inst.Tasks with these values.
-		out.Pairs = append(out.Pairs, model.Assignment{
-			Task:   model.TaskID(pr.T),
-			Worker: model.WorkerID(pr.W),
-		})
-		out.Influence = append(out.Influence, p.influence(int(pr.W), int(pr.T)))
-		out.TravelKm = append(out.TravelKm, pr.Dist)
-	}
-	return out
-}
-
-func solveMaxFlow(p *Problem, pairs []Pair) *model.AssignmentSet {
-	g, s, t, pairEdges := buildNetwork(p, pairs, MTA)
-	g.MaxFlow(s, t)
-	return collect(p, pairs, func(i int) bool { return g.Flow(pairEdges[i]) > 0 })
-}
-
-func solveMinCost(alg Algorithm, p *Problem, pairs []Pair) *model.AssignmentSet {
-	g, s, t, pairEdges := buildNetwork(p, pairs, alg)
-	g.MinCostMaxFlow(s, t)
-	return collect(p, pairs, func(i int) bool { return g.Flow(pairEdges[i]) > 0 })
-}
-
-// solveGreedyInfluence implements MI: for each task the feasible workers
-// are its candidates (step 1); pairs are then taken in descending
-// influence order, skipping used workers and tasks (step 2). Ties break
-// on (worker, task) index so the result is deterministic.
-func solveGreedyInfluence(p *Problem, pairs []Pair) *model.AssignmentSet {
-	order := make([]int, len(pairs))
-	infl := make([]float64, len(pairs))
-	for i := range pairs {
-		order[i] = i
-		infl[i] = p.influence(int(pairs[i].W), int(pairs[i].T))
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if infl[ia] != infl[ib] {
-			return infl[ia] > infl[ib]
-		}
-		if pairs[ia].W != pairs[ib].W {
-			return pairs[ia].W < pairs[ib].W
-		}
-		return pairs[ia].T < pairs[ib].T
-	})
-	usedW := make([]bool, len(p.Inst.Workers))
-	usedT := make([]bool, len(p.Inst.Tasks))
-	taken := make([]bool, len(pairs))
-	for _, i := range order {
-		pr := pairs[i]
-		if usedW[pr.W] || usedT[pr.T] {
-			continue
-		}
-		usedW[pr.W] = true
-		usedT[pr.T] = true
-		taken[i] = true
-	}
-	return collect(p, pairs, func(i int) bool { return taken[i] })
 }

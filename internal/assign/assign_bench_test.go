@@ -28,8 +28,7 @@ func benchInstance(nW, nT int, seed uint64) *model.Instance {
 	return inst
 }
 
-// BenchmarkFeasiblePairs measures the grid-accelerated feasibility
-// computation at the paper's default instance size.
+// BenchmarkFeasiblePairs measures the sequential tiled feasibility scan at the paper's default instance size.
 func BenchmarkFeasiblePairs(b *testing.B) {
 	inst := benchInstance(1200, 1500, 1)
 	b.ResetTimer()
@@ -53,7 +52,7 @@ func BenchmarkSolve(b *testing.B) {
 	for _, alg := range Algorithms {
 		b.Run(alg.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				prob := &Problem{Inst: inst, Influence: infl, Entropy: entropy, SpeedKmH: 5, Pairs: pairs}
+				prob := &Problem{Inst: inst, Influence: infl, Entropy: entropy, Pairs: pairs}
 				Solve(alg, prob)
 			}
 		})

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dita/internal/geo"
@@ -49,29 +50,49 @@ func syntheticInfluence(seed uint64) func(w, t int) float64 {
 func TestFeasiblePairsMatchBruteForce(t *testing.T) {
 	inst := randomInstance(40, 60, 1)
 	got := FeasiblePairs(inst, 5)
-	seen := map[[2]int32]float64{}
-	for _, p := range got {
-		seen[[2]int32{p.W, p.T}] = p.Dist
+	if len(got) == 0 {
+		t.Fatal("instance has no feasible pairs; the comparison is vacuous")
 	}
-	count := 0
-	for wi, w := range inst.Workers {
-		for ti, s := range inst.Tasks {
-			feasible := model.Feasible(w, s, inst.Now, 5)
-			d, ok := seen[[2]int32{int32(wi), int32(ti)}]
-			if feasible != ok {
-				t.Fatalf("pair (%d,%d): feasible=%v, reported=%v", wi, ti, feasible, ok)
-			}
-			if ok {
-				count++
-				want := geo.Dist(w.Loc, s.Loc)
-				if math.Abs(d-want) > 1e-9 {
-					t.Fatalf("pair (%d,%d) distance %v, want %v", wi, ti, d, want)
-				}
+	if want := bruteFeasiblePairs(inst, 5); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FeasiblePairs returned %d pairs, brute force %d", len(got), len(want))
+	}
+}
+
+// TestFeasiblePairsTinyRadiusAndFarCoordinates covers instances whose
+// reach is tiny next to their extent: a radius of 1e-9 km over a
+// 1000 km box, and moderate radii at coordinates near 1e19 km. The tile
+// count the reach asks for overflows int, so the tiling must clamp it
+// before converting; the scan must still match the definition.
+func TestFeasiblePairsTinyRadiusAndFarCoordinates(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		lo, hi float64
+		radius float64
+	}{
+		{"tiny radius", 0, 1000, 1e-9},
+		{"far coordinates", -1e19, 1e19, 25},
+		{"far corner", 0, 1e19, 1e-9},
+	} {
+		inst := &model.Instance{Now: 0}
+		for i, x := range []float64{tc.lo, tc.hi} {
+			loc := geo.Point{X: x, Y: x}
+			inst.Workers = append(inst.Workers, model.Worker{
+				ID: model.WorkerID(i), User: model.WorkerID(i), Loc: loc, Radius: tc.radius,
+			})
+			inst.Tasks = append(inst.Tasks, model.Task{ID: model.TaskID(i), Loc: loc, Valid: 1})
+		}
+		want := bruteFeasiblePairs(inst, 5)
+		if len(want) != 2 {
+			t.Fatalf("%s: brute force found %d pairs, want the 2 co-located ones", tc.name, len(want))
+		}
+		if got := FeasiblePairs(inst, 5); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: FeasiblePairs %v, brute force %v", tc.name, got, want)
+		}
+		for _, par := range []int{1, 2, 8} {
+			if got, _ := TiledFeasiblePairs(inst, 5, par); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s par %d: TiledFeasiblePairs %v, brute force %v", tc.name, par, got, want)
 			}
 		}
-	}
-	if count != len(got) {
-		t.Fatalf("duplicate pairs: %d reported, %d distinct", len(got), count)
 	}
 }
 
@@ -96,43 +117,20 @@ func TestFeasiblePairsDeadline(t *testing.T) {
 	}
 }
 
-// TestSolveHasPairsAuthoritative: a precomputed-but-empty pair set must
-// not trigger a silent feasibility rescan. A zero-feasibility instance
-// yields a nil pair slice from FeasiblePairs; with HasPairs set, Solve
-// must take it at face value — observable on a well-connected instance,
-// where a rescan would assign tasks and the authoritative empty set must
-// assign none.
-func TestSolveHasPairsAuthoritative(t *testing.T) {
-	// Zero-feasibility instance: the precomputed set is legitimately nil.
-	sparse := &model.Instance{
-		Now:     0,
-		Workers: []model.Worker{{ID: 0, Loc: geo.Point{}, Radius: 1}},
-		Tasks:   []model.Task{{ID: 0, Loc: geo.Point{X: 50}, Publish: 0, Valid: 1}},
-	}
-	var precomputed []Pair
-	precomputed = FeasiblePairs(sparse, 5)
-	if precomputed != nil {
-		t.Fatalf("instance is not zero-feasibility: %v", precomputed)
-	}
-	for _, alg := range Algorithms {
-		prob := &Problem{Inst: sparse, Influence: syntheticInfluence(1),
-			SpeedKmH: 5, Pairs: precomputed, HasPairs: true}
-		if got := Solve(alg, prob).Len(); got != 0 {
-			t.Errorf("%v assigned %d on an authoritative empty pair set", alg, got)
-		}
-	}
-
-	// Dense instance: FeasiblePairs would find plenty, so any assignment
-	// proves Solve re-entered it behind the caller's back.
+// TestSolvePairsAuthoritative: Problem.Pairs is the only feasibility
+// input the solver reads. On a well-connected instance, where a rescan
+// would assign tasks, nil or empty Pairs must assign nothing.
+func TestSolvePairsAuthoritative(t *testing.T) {
 	dense := randomInstance(12, 12, 3)
 	if len(FeasiblePairs(dense, 5)) == 0 {
 		t.Fatal("dense instance has no feasible pairs; the probe cannot detect a rescan")
 	}
-	for _, alg := range Algorithms {
-		prob := &Problem{Inst: dense, Influence: syntheticInfluence(1),
-			SpeedKmH: 5, Pairs: nil, HasPairs: true}
-		if got := Solve(alg, prob).Len(); got != 0 {
-			t.Errorf("%v recomputed feasibility despite HasPairs (assigned %d)", alg, got)
+	for _, pairs := range [][]Pair{nil, {}} {
+		for _, alg := range append(append([]Algorithm(nil), Algorithms...), MIX) {
+			prob := &Problem{Inst: dense, Influence: syntheticInfluence(1), Pairs: pairs}
+			if got := Solve(alg, prob).Len(); got != 0 {
+				t.Errorf("%v assigned %d without feasible pairs", alg, got)
+			}
 		}
 	}
 }
@@ -154,7 +152,7 @@ func validate(t *testing.T, set *model.AssignmentSet, inst *model.Instance) {
 
 func TestAllAlgorithmsProduceValidAssignments(t *testing.T) {
 	inst := randomInstance(30, 40, 2)
-	prob := &Problem{Inst: inst, Influence: syntheticInfluence(3), SpeedKmH: 5}
+	prob := &Problem{Inst: inst, Influence: syntheticInfluence(3), Pairs: FeasiblePairs(inst, 5)}
 	for _, alg := range Algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			set := Solve(alg, prob)
@@ -171,7 +169,7 @@ func TestFlowAlgorithmsAchieveMaximumCardinality(t *testing.T) {
 	// the assignment size (the max matching) on any instance.
 	for seed := uint64(0); seed < 5; seed++ {
 		inst := randomInstance(25, 25, 10+seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
 		want := Solve(MTA, prob).Len()
 		for _, alg := range []Algorithm{IA, EIA, DIA} {
 			if got := Solve(alg, prob).Len(); got != want {
@@ -184,7 +182,7 @@ func TestFlowAlgorithmsAchieveMaximumCardinality(t *testing.T) {
 func TestMICannotExceedFlowCardinality(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		inst := randomInstance(25, 25, 20+seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
 		mta := Solve(MTA, prob).Len()
 		mi := Solve(MI, prob).Len()
 		if mi > mta {
@@ -218,7 +216,7 @@ func TestIAMinimizesPaperCostAmongMaxAssignments(t *testing.T) {
 	prob := &Problem{
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return infl[[2]int{w, t}] },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
 	set := Solve(IA, prob)
 	if set.Len() != 2 {
@@ -257,7 +255,7 @@ func TestMIPrefersInfluenceOverCardinality(t *testing.T) {
 	prob := &Problem{
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return infl[[2]int{w, t}] },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
 	// Greedy takes (0,0) with influence 10 first; task 0 is then used, so
 	// (1,0) is blocked, and worker 0 being used blocks (0,1). MI strands
@@ -284,7 +282,7 @@ func TestInfluenceOrderingAcrossAlgorithms(t *testing.T) {
 	const seeds = 8
 	for seed := uint64(0); seed < seeds; seed++ {
 		inst := randomInstance(30, 30, 30+seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed * 7), SpeedKmH: 5}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed * 7), Pairs: FeasiblePairs(inst, 5)}
 		aiMTA += Solve(MTA, prob).AverageInfluence()
 		aiIA += Solve(IA, prob).AverageInfluence()
 		aiMI += Solve(MI, prob).AverageInfluence()
@@ -311,7 +309,7 @@ func TestDIAFavorsCloserWorkers(t *testing.T) {
 	prob := &Problem{
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return 3 },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
 	set := Solve(DIA, prob)
 	if set.Len() != 1 || set.Pairs[0].Worker != 1 {
@@ -338,7 +336,7 @@ func TestEIAPrioritizesLowEntropyTasks(t *testing.T) {
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return 1 },
 		Entropy:   func(t int) float64 { return entropies[t] },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
 	set := Solve(EIA, prob)
 	if set.Len() != 1 || set.Pairs[0].Task != 1 {
@@ -374,7 +372,7 @@ func TestPrecomputedPairsRespected(t *testing.T) {
 		t.Skip("instance too sparse for the test")
 	}
 	// Restrict to a single pair: algorithms may only use it.
-	prob := &Problem{Inst: inst, Influence: syntheticInfluence(1), Pairs: all[:1], SpeedKmH: 5}
+	prob := &Problem{Inst: inst, Influence: syntheticInfluence(1), Pairs: all[:1]}
 	for _, alg := range Algorithms {
 		set := Solve(alg, prob)
 		if set.Len() > 1 {
@@ -397,7 +395,7 @@ func TestParseAlgorithm(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	inst := randomInstance(20, 20, 5)
-	prob := &Problem{Inst: inst, Influence: syntheticInfluence(9), SpeedKmH: 5}
+	prob := &Problem{Inst: inst, Influence: syntheticInfluence(9), Pairs: FeasiblePairs(inst, 5)}
 	for _, alg := range Algorithms {
 		a := Solve(alg, prob)
 		b := Solve(alg, prob)

@@ -41,7 +41,7 @@ func quickInstance(seed uint64) *model.Instance {
 func TestPropertyAllAlgorithmsValid(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
 		for _, alg := range Algorithms {
 			set := Solve(alg, prob)
 			if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
@@ -68,7 +68,7 @@ func TestPropertyAllAlgorithmsValid(t *testing.T) {
 func TestPropertyFlowCardinalityAgreement(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
 		want := Solve(MTA, prob).Len()
 		for _, alg := range []Algorithm{IA, EIA, DIA} {
 			if Solve(alg, prob).Len() != want {
@@ -82,26 +82,41 @@ func TestPropertyFlowCardinalityAgreement(t *testing.T) {
 	}
 }
 
-// TestPropertyFeasiblePairsSortedAndComplete: on arbitrary instances the
-// grid-accelerated FeasiblePairs equals the brute-force O(nW·nT) scan —
-// same pairs, same distances — and is exactly sorted by (worker, task),
-// as its doc comment promises. The mutable-grid incremental path is
-// gated against FeasiblePairs, so this property transitively anchors it
-// to the definition.
+// bruteFeasiblePairs is the definition of the feasible pair set: every
+// (worker, task) combination checked in (worker, task) order with the
+// production predicate — a negative radius admits nothing, then
+// geo.Dist2 ≤ r², then the travel-time deadline on geo.Dist. It does not
+// use model.Feasible, which compares d > r and can disagree with the
+// squared form at exact boundaries.
+func bruteFeasiblePairs(inst *model.Instance, speedKmH float64) []Pair {
+	var out []Pair
+	for wi, w := range inst.Workers {
+		if w.Radius < 0 {
+			continue
+		}
+		r2 := w.Radius * w.Radius
+		for ti, s := range inst.Tasks {
+			if geo.Dist2(s.Loc, w.Loc) > r2 {
+				continue
+			}
+			d := geo.Dist(w.Loc, s.Loc)
+			if inst.Now+d/speedKmH <= s.Expiry() {
+				out = append(out, Pair{W: int32(wi), T: int32(ti), Dist: d})
+			}
+		}
+	}
+	return out
+}
+
+// TestPropertyFeasiblePairsSortedAndComplete: on arbitrary instances
+// FeasiblePairs equals the brute-force O(nW·nT) scan — same pairs, same
+// distances — and is exactly sorted by (worker, task), as its doc
+// comment promises.
 func TestPropertyFeasiblePairsSortedAndComplete(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
 		got := FeasiblePairs(inst, 5)
-		var want []Pair
-		for wi, w := range inst.Workers {
-			for ti, s := range inst.Tasks {
-				if model.Feasible(w, s, inst.Now, 5) {
-					want = append(want, Pair{
-						W: int32(wi), T: int32(ti), Dist: geo.Dist(w.Loc, s.Loc),
-					})
-				}
-			}
-		}
+		want := bruteFeasiblePairs(inst, 5)
 		if len(got) != len(want) {
 			t.Logf("seed %d: %d pairs, brute force %d", seed, len(got), len(want))
 			return false
@@ -130,7 +145,7 @@ func TestPropertyAssignmentBoundedByFeasiblePairs(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
 		pairs := FeasiblePairs(inst, 5)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5, Pairs: pairs}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: pairs}
 		for _, alg := range Algorithms {
 			n := Solve(alg, prob).Len()
 			if n > len(pairs) || n > len(inst.Workers) || n > len(inst.Tasks) {

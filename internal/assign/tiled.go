@@ -14,7 +14,7 @@ import (
 
 // This file is the tiled instant pipeline: feasibility scanned per geo
 // tile and matching solved per connected component, both on the shared
-// worker pool, both bit-identical to the global pass.
+// worker pool, both bit-identical at any worker count.
 //
 // Tiling rule: tiles are squares whose edge is the instant's
 // reachability bound — the largest distance any feasible pair can span,
@@ -36,8 +36,9 @@ import (
 
 // TileStats describes the spatial decomposition of one instant.
 type TileStats struct {
-	// Tiles is the number of occupied tiles of the feasibility scan
-	// (zero when pairs were precomputed and no scan ran).
+	// Tiles is the number of occupied tiles of the feasibility scan.
+	// The solver never scans, so SolveTiled leaves it zero; callers that
+	// ran TiledFeasiblePairs record its tile count here.
 	Tiles int `json:"tiles,omitempty"`
 	// Components is the number of connected components of the
 	// feasibility graph, i.e. the matching's parallelism budget.
@@ -55,11 +56,11 @@ type TileStats struct {
 // fall outside the halo by a final ulp.
 const haloInflate = 1 + 1e-7
 
-// TiledFeasiblePairs computes exactly the pairs FeasiblePairs computes —
-// bit-identical, same (worker, task) positional order — by scanning
-// per-tile candidate sets on up to `parallelism` pool workers (<= 0
-// means all cores; the output is identical at any setting). The second
-// result is the number of occupied tiles.
+// TiledFeasiblePairs computes the instance's feasible pairs, ordered by
+// (worker, task) position, by scanning per-tile candidate sets on up to
+// `parallelism` pool workers (<= 0 means all cores; the output is
+// bit-identical at any setting). The second result is the number of
+// occupied tiles.
 func TiledFeasiblePairs(inst *model.Instance, speedKmH float64, parallelism int) ([]Pair, int) {
 	if speedKmH <= 0 {
 		speedKmH = 5
@@ -178,7 +179,7 @@ func tiledFeasiblePairs(inst *model.Instance, speedKmH float64, parallelism int,
 		tx, ty := tl.Coords(tile)
 		// One candidate list per tile, shared by all its workers: every
 		// task of the 3×3 halo, sorted ascending so each worker's output
-		// comes out in task-position order like the cold grid scan's.
+		// comes out in task-position order.
 		cand := cands[worker][:0]
 		for yy := ty - 1; yy <= ty+1; yy++ {
 			if yy < 0 || yy >= tl.NY {
@@ -198,10 +199,10 @@ func tiledFeasiblePairs(inst *model.Instance, speedKmH float64, parallelism int,
 		for _, wi := range wItems[wStart[tile]:wStart[tile+1]] {
 			w := inst.Workers[wi]
 			lo := int32(len(buf))
-			// Negative radii admit nothing, as in Grid.Within; the range
-			// and deadline checks reuse the exact FeasiblePairs float
-			// expressions (squared-distance predicate first, then the
-			// travel-time deadline on the true distance).
+			// Negative radii admit nothing; the range check is the
+			// squared-distance predicate, then the travel-time deadline on
+			// the true distance. These float expressions define
+			// feasibility for the whole pipeline.
 			if w.Radius >= 0 {
 				r2 := w.Radius * w.Radius
 				for _, ti := range cand {
@@ -221,8 +222,7 @@ func tiledFeasiblePairs(inst *model.Instance, speedKmH float64, parallelism int,
 	})
 
 	// Deterministic merge: walk workers in pool order and splice each
-	// worker's span out of its tile's buffer. Identical to the cold
-	// scan's worker-major emission order.
+	// worker's span out of its tile's buffer, in worker-major order.
 	total := 0
 	for _, b := range tileBufs {
 		total += len(b)
@@ -242,30 +242,17 @@ func tiledFeasiblePairs(inst *model.Instance, speedKmH float64, parallelism int,
 	return out, occupied
 }
 
-// SolveTiled is Solve with the tiled instant pipeline: feasibility (when
-// not precomputed) via TiledFeasiblePairs and matching solved
-// per-component on up to `parallelism` pool workers. The assignment set
-// is bit-identical to Solve's at any parallelism; the returned TileStats
-// describe the decomposition.
+// SolveTiled runs the selected algorithm over p.Pairs with the matching
+// solved per connected component of the feasibility graph on up to
+// `parallelism` pool workers: decompose, solve each component on a
+// compact network (or greedy pass), and merge by walking the pair list.
+// Influence and edge costs are evaluated sequentially up front — Problem
+// callbacks are not required to be safe for concurrent use — so the
+// parallel phase touches only plain, component-disjoint data. The
+// assignment set is bit-identical at any parallelism; the returned
+// TileStats describe the decomposition.
 func SolveTiled(alg Algorithm, p *Problem, parallelism int) (*model.AssignmentSet, TileStats) {
 	pairs := p.Pairs
-	tiles := 0
-	if pairs == nil && !p.HasPairs {
-		pairs, tiles = TiledFeasiblePairs(p.Inst, p.speed(), parallelism)
-	}
-	set, stats := solveComponents(alg, p, pairs, parallelism)
-	stats.Tiles = tiles
-	return set, stats
-}
-
-// solveComponents is the canonical solver behind Solve and SolveTiled:
-// decompose the feasibility graph into connected components, solve each
-// on a compact per-component network (or greedy pass), and merge by
-// walking the global pair list. Influence and edge costs are evaluated
-// sequentially up front — Problem callbacks are not required to be safe
-// for concurrent use — so the parallel phase touches only plain,
-// component-disjoint data.
-func solveComponents(alg Algorithm, p *Problem, pairs []Pair, parallelism int) (*model.AssignmentSet, TileStats) {
 	var stats TileStats
 	if len(pairs) == 0 {
 		return &model.AssignmentSet{}, stats
@@ -281,7 +268,7 @@ func solveComponents(alg Algorithm, p *Problem, pairs []Pair, parallelism int) (
 	case IA, EIA, DIA, MIX:
 		cost = make([]float64, len(pairs))
 		for i, pr := range pairs {
-			cost[i] = edgeCostFromInfluence(alg, p, pr, infl[i])
+			cost[i] = edgeCost(alg, p, pr, infl[i])
 		}
 	case MTA, MI:
 	default:
@@ -310,7 +297,7 @@ func solveComponents(alg Algorithm, p *Problem, pairs []Pair, parallelism int) (
 		idx := compPairs[compStart[c]:compStart[c+1]]
 		solveComponent(alg, p, pairs, infl, cost, idx, localW, localT, usedW, usedT, &scratch[worker], taken)
 	})
-	return collectTaken(p, pairs, infl, taken), stats
+	return collectTaken(pairs, infl, taken), stats
 }
 
 // components groups the pair list by connected component of the
@@ -475,10 +462,13 @@ func solveComponent(alg Algorithm, p *Problem, pairs []Pair, infl, cost []float6
 	sc.wIDs, sc.tIDs, sc.edges = wIDs, tIDs, edges
 }
 
-// collectTaken is collect with the influence values already evaluated:
-// the assignment set is emitted in global pair-position order, so the
-// output is independent of how components were scheduled.
-func collectTaken(p *Problem, pairs []Pair, infl []float64, taken []bool) *model.AssignmentSet {
+// collectTaken emits the taken pairs with their evaluated influence in
+// global pair-position order, so the output is independent of how
+// components were scheduled. Pairs reference the instance by position,
+// not by the entities' ID fields: streaming callers keep
+// platform-stable IDs in their instances, and every metrics consumer
+// indexes Inst.Workers/Inst.Tasks with these values.
+func collectTaken(pairs []Pair, infl []float64, taken []bool) *model.AssignmentSet {
 	out := &model.AssignmentSet{}
 	for i, pr := range pairs {
 		if !taken[i] {

@@ -50,11 +50,11 @@ func TestTiledFeasiblePairsMatchesGlobal(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		inst := scatteredInstance(cfg.nW, cfg.nT, cfg.radius, cfg.seed)
-		want := FeasiblePairs(inst, 5)
+		want := bruteFeasiblePairs(inst, 5)
 		for _, par := range []int{1, 2, 8} {
 			got, tiles := TiledFeasiblePairs(inst, 5, par)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cfg %+v par %d: tiled pairs diverge from global (%d vs %d pairs)",
+				t.Fatalf("cfg %+v par %d: tiled pairs diverge from brute force (%d vs %d pairs)",
 					cfg, par, len(got), len(want))
 			}
 			if tiles < 1 {
@@ -82,7 +82,7 @@ func TestTiledFeasiblePairsEmptyPools(t *testing.T) {
 // pairs straddle tiles at exactly the reachability limit, and the scan
 // runs under adversarial explicit tilings — including the 1×1
 // degenerate tiling — at several worker counts. The tiled output must
-// be bit-identical to the global scan every time.
+// be bit-identical to the brute-force scan every time.
 func TestTiledBoundaryProperty(t *testing.T) {
 	const size = 4.0 // power of two: snapped coordinates are exact
 	for seed := uint64(0); seed < 8; seed++ {
@@ -110,7 +110,7 @@ func TestTiledBoundaryProperty(t *testing.T) {
 				Publish: 0, Valid: 10,
 			})
 		}
-		want := FeasiblePairs(inst, 5)
+		want := bruteFeasiblePairs(inst, 5)
 		bounds := geo.Rect{Min: inst.Workers[0].Loc, Max: inst.Workers[0].Loc}
 		for _, w := range inst.Workers {
 			bounds = bounds.Extend(w.Loc)
@@ -153,7 +153,8 @@ func TestSolveTiledMatchesSolve(t *testing.T) {
 		{50, 50, 40, 13}, // nearly one dense component
 	} {
 		inst := scatteredInstance(cfg.nW, cfg.nT, cfg.radius, cfg.seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(cfg.seed), Entropy: ent}
+		pairs := FeasiblePairs(inst, 5)
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(cfg.seed), Entropy: ent, Pairs: pairs}
 		algs := append(append([]Algorithm(nil), Algorithms...), MIX)
 		for _, alg := range algs {
 			want := Solve(alg, prob)
@@ -166,7 +167,7 @@ func TestSolveTiledMatchesSolve(t *testing.T) {
 				if want.Len() > 0 && stats.Components < 1 {
 					t.Fatalf("cfg %+v alg %v par %d: no components reported", cfg, alg, par)
 				}
-				if stats.LargestComponent > len(FeasiblePairs(inst, 5)) {
+				if stats.LargestComponent > len(pairs) {
 					t.Fatalf("cfg %+v: largest component %d exceeds pair count", cfg, stats.LargestComponent)
 				}
 			}
@@ -178,7 +179,7 @@ func TestSolveTiledMatchesSolve(t *testing.T) {
 func paperCost(alg Algorithm, p *Problem, pairs []Pair, set *model.AssignmentSet) float64 {
 	cost := map[[2]int32]float64{}
 	for _, pr := range pairs {
-		cost[[2]int32{pr.W, pr.T}] = edgeCost(alg, p, pr)
+		cost[[2]int32{pr.W, pr.T}] = edgeCost(alg, p, pr, p.influence(int(pr.W), int(pr.T)))
 	}
 	sum := 0.0
 	for _, a := range set.Pairs {
@@ -197,11 +198,11 @@ func TestSolveComponentsPreservesObjectives(t *testing.T) {
 	ent := func(ti int) float64 { return float64(ti%5) / 2 }
 	for seed := uint64(20); seed < 26; seed++ {
 		inst := scatteredInstance(60, 70, 5, seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Entropy: ent}
 		pairs := FeasiblePairs(inst, 5)
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Entropy: ent, Pairs: pairs}
 		for _, alg := range Algorithms {
 			mono := solveMonolithic(alg, prob, pairs)
-			dec, _ := solveComponents(alg, prob, pairs, 4)
+			dec, _ := SolveTiled(alg, prob, 4)
 			if dec.Len() != mono.Len() {
 				t.Fatalf("seed %d alg %v: decomposed cardinality %d, monolithic %d",
 					seed, alg, dec.Len(), mono.Len())
@@ -262,8 +263,8 @@ func TestMIXExactMaxInfluence(t *testing.T) {
 	for seed := uint64(30); seed < 40; seed++ {
 		inst := scatteredInstance(7, 8, 12, seed)
 		infl := syntheticInfluence(seed)
-		prob := &Problem{Inst: inst, Influence: infl}
 		pairs := FeasiblePairs(inst, 5)
+		prob := &Problem{Inst: inst, Influence: infl, Pairs: pairs}
 		want := bruteMaxInfluence(len(inst.Tasks), pairs, infl)
 		mix := Solve(MIX, prob)
 		if got := mix.TotalInfluence(); math.Abs(got-want) > 1e-9 {
@@ -301,7 +302,7 @@ func TestMIXBeatsGreedyWhenGreedyTrapped(t *testing.T) {
 		}
 		return 0
 	}
-	prob := &Problem{Inst: inst, Influence: infl}
+	prob := &Problem{Inst: inst, Influence: infl, Pairs: FeasiblePairs(inst, 5)}
 	mi := Solve(MI, prob)
 	mix := Solve(MIX, prob)
 	if got := mi.TotalInfluence(); math.Abs(got-3) > 1e-12 {

@@ -262,18 +262,7 @@ func (f *Framework) Prepare(inst *model.Instance, comps influence.Components, se
 // and workers; state for entities that left the pool is evicted. The
 // evaluators are bit-identical to cold Prepare ones for the same seed.
 type Session struct {
-	fw *Framework
 	is *influence.Session
-	// par is the session's worker-pool bound, shared by the influence
-	// cache, the pair index's admission scans and the component-decomposed
-	// solver; every consumer follows the determinism contract, so outputs
-	// are bit-identical at any setting.
-	par int
-	// px is the incremental feasible-pair index (lazily created by
-	// Pairs): like the influence cache it carries per-entity state across
-	// instants, here the spatial match structure instead of the influence
-	// rows.
-	px *assign.PairIndex
 }
 
 // PrepareSession opens an incremental online-phase session under the
@@ -281,39 +270,13 @@ type Session struct {
 // fresh per-entity state is computed on (<= 0 means all cores); results
 // are bit-identical at any setting.
 func (f *Framework) PrepareSession(comps influence.Components, seed uint64, parallelism int) *Session {
-	return &Session{fw: f, is: f.engine.NewSession(comps, seed, parallelism), par: parallelism}
+	return &Session{is: f.engine.NewSession(comps, seed, parallelism)}
 }
 
 // Prepare returns the evaluator for one instant, reusing cached state
 // for carried-over tasks and workers.
 func (s *Session) Prepare(inst *model.Instance) *influence.Evaluator {
 	return s.is.Evaluate(inst)
-}
-
-// Pairs maintains the session's incremental feasible-pair index for one
-// instant and returns the instant's feasible pairs — positional, sorted
-// by (worker, task), bit-identical to assign.FeasiblePairs on the same
-// instance. On top of the session's identity requirements, the index
-// needs task IDs monotone in pool order and fresh on admission (see
-// assign.PairIndex); the streaming platform and dataset snapshots both
-// provide this. The returned slice is reused by the next call.
-func (s *Session) Pairs(inst *model.Instance) []assign.Pair {
-	if s.px == nil {
-		s.px = assign.NewPairIndexParallel(s.fw.Speed(), s.par)
-	}
-	return s.px.Update(inst)
-}
-
-// Assign is the session-aware one-call path for an instant: prepare the
-// evaluator through the session cache, then run the algorithm. A non-nil
-// pairs is used as-is; nil routes through the session's incremental pair
-// index (Pairs), so repeated instants pay only for pool changes.
-func (s *Session) Assign(inst *model.Instance, alg assign.Algorithm, pairs []assign.Pair) (*model.AssignmentSet, Metrics) {
-	if pairs == nil {
-		pairs = s.Pairs(inst)
-	}
-	set, m, _ := s.fw.AssignPreparedPairsTiled(inst, s.is.Evaluate(inst), alg, pairs, s.par)
-	return set, m
 }
 
 // Sync maintains the session cache for an instant that runs no
@@ -332,60 +295,25 @@ func (s *Session) SetCapacity(n int) { s.is.SetCapacity(n) }
 // introspection for tests and benchmarks).
 func (s *Session) Influence() *influence.Session { return s.is }
 
-// PairIndex exposes the incremental feasible-pair index (cache
-// introspection for tests and benchmarks); nil until the first Pairs
-// call.
-func (s *Session) PairIndex() *assign.PairIndex { return s.px }
-
-// AssignPrepared runs one algorithm against a prepared evaluator and
-// returns the assignment with its metrics. pairs may be nil, in which
-// case feasible pairs are computed (and charged to CPU time, as edge
-// construction is part of assignment in the paper's measurement).
-// Callers that precompute pairs themselves should use
-// AssignPreparedPairs, which takes the set as authoritative even when a
-// zero-feasibility instance made it empty.
-func (f *Framework) AssignPrepared(inst *model.Instance, ev *influence.Evaluator, alg assign.Algorithm, pairs []assign.Pair) (*model.AssignmentSet, Metrics) {
-	set, m, _ := f.assignPrepared(inst, ev, alg, pairs, pairs != nil, 1)
-	return set, m
-}
-
-// AssignPreparedPairs is AssignPrepared with an authoritative
-// precomputed pair set: pairs is used as-is even when nil or empty, so a
-// caller that computed feasibility once — and found nothing — cannot
-// trigger a silent per-algorithm rescan.
-func (f *Framework) AssignPreparedPairs(inst *model.Instance, ev *influence.Evaluator, alg assign.Algorithm, pairs []assign.Pair) (*model.AssignmentSet, Metrics) {
-	set, m, _ := f.assignPrepared(inst, ev, alg, pairs, true, 1)
-	return set, m
-}
-
-// AssignPreparedPairsTiled is AssignPreparedPairs on the tiled pipeline:
-// the solve runs component-decomposed on up to parallelism pool workers
-// (<= 0 means all cores) and the instant's tiling statistics come back
-// alongside the metrics. The assignment set and metrics are bit-identical
-// to AssignPreparedPairs at any parallelism — the sequential path is the
-// same decomposed solver (see assign.Solve).
+// AssignPreparedPairsTiled runs one algorithm against a prepared
+// evaluator over the instance's feasible pairs and returns the
+// assignment with its metrics and the solve's component statistics.
+// pairs is authoritative — as FeasiblePairs or TiledFeasiblePairs
+// computed it, used as-is even when nil or empty — so several algorithms
+// can share one feasibility scan. The solve runs component-decomposed on
+// up to parallelism pool workers (<= 0 means all cores); the assignment
+// set and metrics are bit-identical at any setting.
 func (f *Framework) AssignPreparedPairsTiled(inst *model.Instance, ev *influence.Evaluator, alg assign.Algorithm, pairs []assign.Pair, parallelism int) (*model.AssignmentSet, Metrics, assign.TileStats) {
-	return f.assignPrepared(inst, ev, alg, pairs, true, parallelism)
-}
-
-func (f *Framework) assignPrepared(inst *model.Instance, ev *influence.Evaluator, alg assign.Algorithm, pairs []assign.Pair, hasPairs bool, parallelism int) (*model.AssignmentSet, Metrics, assign.TileStats) {
 	start := time.Now() //dita:wallclock
-	scanTiles := 0
-	if !hasPairs {
-		pairs, scanTiles = assign.TiledFeasiblePairs(inst, f.cfg.SpeedKmH, parallelism)
-	}
 	prob := &assign.Problem{
 		Inst:      inst,
 		Influence: ev.Influence,
 		Entropy: func(t int) float64 {
 			return f.entropy.Lookup(inst.Tasks[t].Venue)
 		},
-		SpeedKmH: f.cfg.SpeedKmH,
-		Pairs:    pairs,
-		HasPairs: true,
+		Pairs: pairs,
 	}
 	set, stats := assign.SolveTiled(alg, prob, parallelism)
-	stats.Tiles = scanTiles
 	cpu := time.Since(start) //dita:wallclock
 
 	m := Metrics{
@@ -409,8 +337,15 @@ func (f *Framework) assignPrepared(inst *model.Instance, ev *influence.Evaluator
 }
 
 // Assign is the one-call path: prepare the evaluator with the full
-// influence model and run the algorithm.
+// influence model, scan the feasible pairs (charged to CPU time, as edge
+// construction is part of assignment in the paper's measurement) and run
+// the algorithm on one pool worker.
 func (f *Framework) Assign(inst *model.Instance, alg assign.Algorithm, seed uint64) (*model.AssignmentSet, Metrics) {
 	ev := f.Prepare(inst, influence.All, seed)
-	return f.AssignPrepared(inst, ev, alg, nil)
+	start := time.Now() //dita:wallclock
+	pairs := assign.FeasiblePairs(inst, f.cfg.SpeedKmH)
+	scan := time.Since(start) //dita:wallclock
+	set, m, _ := f.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
+	m.CPU += scan
+	return set, m
 }

@@ -106,8 +106,9 @@ func TestAssignAllAlgorithmsValid(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
 	ev := fw.Prepare(inst, influence.All, 1)
+	pairs := assign.FeasiblePairs(inst, fw.Speed())
 	for _, alg := range assign.Algorithms {
-		set, m := fw.AssignPrepared(inst, ev, alg, nil)
+		set, m, _ := fw.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 		if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -152,9 +153,9 @@ func TestFlowAlgorithmsAgreeOnCardinality(t *testing.T) {
 	inst := testInstance(t, data)
 	ev := fw.Prepare(inst, influence.All, 1)
 	pairs := assign.FeasiblePairs(inst, fw.Speed())
-	_, mta := fw.AssignPrepared(inst, ev, assign.MTA, pairs)
+	_, mta, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.MTA, pairs, 1)
 	for _, alg := range []assign.Algorithm{assign.IA, assign.EIA, assign.DIA} {
-		_, m := fw.AssignPrepared(inst, ev, alg, pairs)
+		_, m, _ := fw.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 		if m.Assigned != mta.Assigned {
 			t.Errorf("%v assigned %d, MTA %d", alg, m.Assigned, mta.Assigned)
 		}
@@ -180,7 +181,7 @@ func TestQualitativeOrderingOnRealPipeline(t *testing.T) {
 		ev := fw.Prepare(inst, influence.All, uint64(day))
 		pairs := assign.FeasiblePairs(inst, fw.Speed())
 		for _, alg := range assign.Algorithms {
-			_, m := fw.AssignPrepared(inst, ev, alg, pairs)
+			_, m, _ := fw.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 			sum[alg].AI += m.AI
 			sum[alg].AP += m.AP
 			sum[alg].TravelKm += m.TravelKm
@@ -208,7 +209,7 @@ func TestAblationMasksChangeAssignments(t *testing.T) {
 	ais := map[influence.Components]float64{}
 	for _, mask := range []influence.Components{influence.All, influence.WP, influence.AP, influence.AW} {
 		ev := fw.Prepare(inst, mask, 1)
-		_, m := fw.AssignPrepared(inst, ev, assign.IA, pairs)
+		_, m, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, pairs, 1)
 		ais[mask] = m.AI
 		if m.Assigned == 0 {
 			t.Fatalf("mask %v assigned nothing", mask)
@@ -237,16 +238,18 @@ func TestAssignDeterministic(t *testing.T) {
 }
 
 func TestSessionAssignMatchesColdPath(t *testing.T) {
-	// The session plumbing must be a pure caching layer: session Assign
-	// on an instance equals Prepare + AssignPrepared, and repeating the
-	// same instance through the warm cache changes nothing.
+	// The session plumbing must be a pure caching layer: assigning
+	// through a session's evaluator at any parallelism equals the
+	// one-call cold path, and repeating the same instance through the
+	// warm cache changes nothing.
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
 	const seed = 3
-	wantSet, wantM := fw.AssignPrepared(inst, fw.Prepare(inst, influence.All, seed), assign.IA, nil)
+	wantSet, wantM := fw.Assign(inst, assign.IA, seed)
+	pairs := assign.FeasiblePairs(inst, fw.Speed())
 	sess := fw.PrepareSession(influence.All, seed, 2)
 	for round := 0; round < 2; round++ {
-		set, m := sess.Assign(inst, assign.IA, nil)
+		set, m, _ := fw.AssignPreparedPairsTiled(inst, sess.Prepare(inst), assign.IA, pairs, 2)
 		if !reflect.DeepEqual(set, wantSet) {
 			t.Fatalf("round %d: session assignment diverged from the cold path", round)
 		}
@@ -260,66 +263,30 @@ func TestSessionAssignMatchesColdPath(t *testing.T) {
 	}
 }
 
-// TestAssignPreparedPairsAuthoritative: the explicit precomputed-pairs
-// entry point must never rescan — an empty set on a well-connected
-// instance assigns nothing — while a genuinely precomputed set matches
-// the compute-for-me path exactly.
+// TestAssignPreparedPairsAuthoritative: the solver entry point takes its
+// pairs as authoritative and never rescans — nil pairs on a
+// well-connected instance assign nothing — while a scanned set matches
+// the one-call path exactly.
 func TestAssignPreparedPairsAuthoritative(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
 	ev := fw.Prepare(inst, influence.All, 1)
 
-	set, m := fw.AssignPreparedPairs(inst, ev, assign.IA, nil)
+	set, m, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, nil, 1)
 	if set.Len() != 0 || m.Feasible != 0 {
 		t.Fatalf("authoritative empty pair set assigned %d over %d feasible — a rescan happened",
 			set.Len(), m.Feasible)
 	}
 
 	pairs := assign.FeasiblePairs(inst, fw.Speed())
-	gotSet, gotM := fw.AssignPreparedPairs(inst, ev, assign.IA, pairs)
-	wantSet, wantM := fw.AssignPrepared(inst, ev, assign.IA, nil)
+	gotSet, gotM, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, pairs, 1)
+	wantSet, wantM := fw.Assign(inst, assign.IA, 1)
 	if !reflect.DeepEqual(gotSet, wantSet) {
-		t.Fatal("precomputed pairs diverged from the compute-for-me path")
+		t.Fatal("precomputed pairs diverged from the one-call path")
 	}
 	gotM.CPU, wantM.CPU = 0, 0
 	if gotM != wantM {
 		t.Fatalf("metrics %+v, want %+v", gotM, wantM)
-	}
-}
-
-// TestIncrementalSessionPairsMatchColdScan: Session.Pairs must equal
-// assign.FeasiblePairs on every instant it serves — the first (all
-// fresh), a repeat (all carried over), and a shrunken pool (eviction
-// plus deadline decay at a later Now).
-func TestIncrementalSessionPairsMatchColdScan(t *testing.T) {
-	fw, data := testFramework(t)
-	inst := testInstance(t, data)
-	sess := fw.PrepareSession(influence.All, 1, 2)
-	for round := 0; round < 2; round++ {
-		got := append([]assign.Pair(nil), sess.Pairs(inst)...)
-		want := assign.FeasiblePairs(inst, fw.Speed())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: session pairs diverged from the cold scan", round)
-		}
-		if len(want) == 0 {
-			t.Fatal("test instance has no feasible pairs; nothing gated")
-		}
-	}
-	// Retire every other task and advance the clock: the index must
-	// evict, revalidate deadlines and still match the cold scan.
-	later := &model.Instance{Now: inst.Now + 2, Workers: inst.Workers}
-	for j, task := range inst.Tasks {
-		if j%2 == 0 {
-			later.Tasks = append(later.Tasks, task)
-		}
-	}
-	got := sess.Pairs(later)
-	want := assign.FeasiblePairs(later, fw.Speed())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("session pairs diverged after eviction and deadline decay")
-	}
-	if ix := sess.PairIndex(); ix.CachedTasks() != len(later.Tasks) {
-		t.Errorf("index carries %d tasks, pool holds %d", ix.CachedTasks(), len(later.Tasks))
 	}
 }
 

@@ -11,8 +11,9 @@
 // snapshot the pools, run the online phase through the session caches,
 // solve the assignment and retire the matched pairs. Entities keep
 // platform-stable identities for their whole lifetime, which is the
-// contract the influence session (per-entity cache keys) and the pair
-// index (arrival-ordered admission) both rely on.
+// contract the influence session's per-entity cache keys rely on. The
+// feasible pairs are scanned afresh every instant (tiled, on the
+// engine's worker pool): nothing spatial is carried across instants.
 //
 // Determinism: the engine core never reads the wall clock or any other
 // ambient state. Simulation time arrives on the events themselves
@@ -124,9 +125,7 @@ type Event struct {
 }
 
 // Config parameterizes an engine. The zero Components means the full
-// influence model; the cold knobs mirror simulate.Config (they exist for
-// equivalence testing and benchmarking — outputs are bit-identical
-// either way).
+// influence model.
 type Config struct {
 	// Algorithm used at every instant.
 	Algorithm assign.Algorithm
@@ -136,20 +135,15 @@ type Config struct {
 	// derived from it and the task's stable identity.
 	Seed uint64
 	// Parallelism bounds the worker pool for fresh per-entity influence
-	// state, pair admission and the component-decomposed solve (<= 0
-	// means all cores). Results are bit-identical at any setting.
+	// state, the tiled feasibility scan and the component-decomposed
+	// solve (<= 0 means all cores). Results are bit-identical at any
+	// setting.
 	Parallelism int
 	// ColdPrepare disables the incremental session and rebuilds the full
-	// influence state every instant. It implies cold feasible pairs too:
-	// without a session there is nowhere to carry the pair index.
+	// influence state every instant. It is the cold reference the
+	// session is gated and benchmarked against; outputs are
+	// bit-identical either way.
 	ColdPrepare bool
-	// ColdPairs disables the incremental feasible-pair index and rescans
-	// the full workers×tasks feasibility every instant.
-	ColdPairs bool
-	// TiledColdPairs routes the ColdPairs rescan through the tiled
-	// scanner, recording the instant's tile count in InstantResult.Tiles.
-	// Ignored unless ColdPairs is in effect.
-	TiledColdPairs bool
 	// SessionCapacity bounds the influence session's per-entity caches:
 	// after each instant, at most this many cached task states and this
 	// many cached user states are retained, evicting the
@@ -211,14 +205,15 @@ type InstantResult struct {
 	// Assignment time is in Metrics.CPU, matching the paper's phase
 	// split. Zero on a clockless engine.
 	Prepare time.Duration
-	// PairMaint is the feasible-pair latency of the instant: maintaining
-	// the incremental pair index (or, under cold pairs, rescanning the
-	// full workers×tasks feasibility). Excluded from Metrics.CPU.
+	// PairMaint is the feasible-pair latency of the instant: the tiled
+	// scan of the instant's workers×tasks feasibility. Zero on an
+	// instant with an empty pool side, which scans nothing. Excluded
+	// from Metrics.CPU.
 	PairMaint time.Duration
 	Metrics   core.Metrics
-	// Tiles reports the instant's tiled-pipeline shape: feasibility-graph
-	// component stats for every busy instant, plus the spatial tile count
-	// when the instant's pairs came from a tiled cold scan.
+	// Tiles reports the instant's tiled-pipeline shape. Every busy
+	// instant sets it: the scan's occupied tile count, plus the
+	// feasibility graph's component stats when any pair is feasible.
 	Tiles assign.TileStats
 	// Expired counts tasks the instant's deadline sweep dropped.
 	Expired int
@@ -255,8 +250,8 @@ var (
 )
 
 // Engine is the carry-over state between instants: the live pools, the
-// stable-id counters, and the incremental session (influence cache +
-// pair index) the instants are served through.
+// stable-id counters, and the incremental influence session the
+// instants are served through.
 type Engine struct {
 	fw      *core.Framework
 	cfg     Config
@@ -384,11 +379,11 @@ func (e *Engine) clock() time.Duration {
 
 // Fire runs one assignment instant at simulation time now: sweep overdue
 // tasks, snapshot the pools, prepare the influence evaluator through the
-// session (or cold), maintain the feasible pairs, solve, and retire the
+// session (or cold), scan the feasible pairs, solve, and retire the
 // matched pairs. An instant with an empty pool side runs no assignment
 // but still syncs the session caches — admitting arrivals ahead of the
 // next busy instant and evicting departures — with that maintenance cost
-// timed into Prepare/PairMaint exactly as a busy instant's would be.
+// timed into Prepare exactly as a busy instant's would be.
 func (e *Engine) Fire(now float64) InstantResult {
 	e.pending = 0
 	e.totals.Instants++
@@ -408,21 +403,16 @@ func (e *Engine) Fire(now float64) InstantResult {
 	e.totals.Expired += expired
 
 	if len(e.workers) == 0 || len(e.tasks) == 0 {
-		var prep, pairMaint time.Duration
+		var prep time.Duration
 		if e.sess != nil {
 			inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
 			t0 := e.clock()
 			e.sess.Sync(inst)
 			prep = e.clock() - t0
-			if !e.cfg.ColdPairs {
-				t1 := e.clock()
-				e.sess.Pairs(inst)
-				pairMaint = e.clock() - t1
-			}
 		}
 		return InstantResult{
 			At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
-			Prepare: prep, PairMaint: pairMaint, Expired: expired,
+			Prepare: prep, Expired: expired,
 		}
 	}
 
@@ -436,20 +426,10 @@ func (e *Engine) Fire(now float64) InstantResult {
 	}
 	prep := e.clock() - t0
 	t1 := e.clock()
-	var pairs []assign.Pair
-	scanTiles := 0
-	if e.cfg.ColdPairs || e.sess == nil {
-		if e.cfg.TiledColdPairs {
-			pairs, scanTiles = assign.TiledFeasiblePairs(inst, e.fw.Speed(), e.cfg.Parallelism)
-		} else {
-			pairs = assign.FeasiblePairs(inst, e.fw.Speed())
-		}
-	} else {
-		pairs = e.sess.Pairs(inst)
-	}
+	pairs, tiles := assign.TiledFeasiblePairs(inst, e.fw.Speed(), e.cfg.Parallelism)
 	pairMaint := e.clock() - t1
 	set, m, ts := e.fw.AssignPreparedPairsTiled(inst, ev, e.cfg.Algorithm, pairs, e.cfg.Parallelism)
-	ts.Tiles = scanTiles
+	ts.Tiles = tiles
 	ir := InstantResult{
 		At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
 		Prepare: prep, PairMaint: pairMaint, Metrics: m, Tiles: ts,

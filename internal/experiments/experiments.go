@@ -368,10 +368,8 @@ func (r *Runner) snapshot(day, numTasks, numWorkers int, valid, radius float64) 
 }
 
 // feasiblePairs computes a sweep point's feasibility exactly once; every
-// algorithm and ablation mask of the point shares the result through the
-// authoritative Problem.Pairs path (AssignPreparedPairs), so a
-// zero-feasibility point — whose precomputed slice is nil — cannot
-// trigger silent per-algorithm rescans.
+// algorithm and ablation mask of the point shares the result, since the
+// solver takes its pairs as authoritative.
 func (r *Runner) feasiblePairs(inst *model.Instance) []assign.Pair {
 	return assign.FeasiblePairs(inst, r.FW.Speed())
 }
@@ -514,7 +512,7 @@ func (r *Runner) runComparison(fig int, xlabel string, xs []float64, makeInst fu
 		pairs := r.feasiblePairs(inst)
 		ms := make([]core.Metrics, len(assign.Algorithms))
 		for ai, alg := range assign.Algorithms {
-			_, m := r.FW.AssignPreparedPairs(inst, ev, alg, pairs)
+			_, m, _ := r.FW.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 			ms[ai] = m
 		}
 		return ms, nil
@@ -552,7 +550,7 @@ func (r *Runner) runAblation(fig int, xlabel string, xs []float64, makeInst func
 			if mk != influence.All {
 				ev = r.FW.PrepareSession(mk, daySeed, 1).Prepare(inst)
 			}
-			set, m := r.FW.AssignPreparedPairs(inst, ev, assign.IA, pairs)
+			set, m, _ := r.FW.AssignPreparedPairsTiled(inst, ev, assign.IA, pairs, 1)
 			// Rescore the realized assignment under the full model.
 			if set.Len() > 0 {
 				sum := 0.0

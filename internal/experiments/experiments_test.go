@@ -88,8 +88,8 @@ func TestSweepValuesMatchPaper(t *testing.T) {
 
 // TestSharedPairsMatchPerAlgorithmRecompute: routing one precomputed
 // feasibility set through every algorithm of a sweep point must be
-// indistinguishable from each algorithm rescanning for itself — the
-// shared Problem.Pairs path changes the work, never the figures.
+// indistinguishable from each algorithm scanning for itself — sharing
+// the pairs changes the work, never the figures.
 func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 	r := testRunner(t)
 	inst, err := r.snapshot(r.P.Days[0], r.P.NumTasks, r.P.NumWorkers, r.P.ValidHours, r.P.RadiusKm)
@@ -102,8 +102,9 @@ func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 		t.Fatal("sweep point has no feasible pairs; the comparison gates nothing")
 	}
 	for _, alg := range assign.Algorithms {
-		gotSet, gotM := r.FW.AssignPreparedPairs(inst, ev, alg, shared)
-		wantSet, wantM := r.FW.AssignPrepared(inst, ev, alg, nil)
+		gotSet, gotM, _ := r.FW.AssignPreparedPairsTiled(inst, ev, alg, shared, 1)
+		own := assign.FeasiblePairs(inst, r.FW.Speed())
+		wantSet, wantM, _ := r.FW.AssignPreparedPairsTiled(inst, ev, alg, own, 1)
 		if !reflect.DeepEqual(gotSet, wantSet) {
 			t.Errorf("%v: shared-pairs assignment diverged from per-algorithm recomputation", alg)
 		}

@@ -7,6 +7,74 @@ import (
 	"dita/internal/randx"
 )
 
+// MinCostMaxFlowSPFA computes the same minimum-cost maximum flow as
+// MinCostMaxFlow but finds each augmenting path with SPFA (queue-based
+// Bellman-Ford) instead of Dijkstra with potentials. SPFA tolerates
+// negative edge costs, which makes it the cost reference the tests
+// cross-check the Dijkstra variant against, on general networks as well
+// as assignment graphs.
+func (g *Network) MinCostMaxFlowSPFA(s, t int) (flow int, cost float64) {
+	if s == t {
+		return 0, 0
+	}
+	n := g.n
+	dist := make([]float64, n)
+	inQueue := make([]bool, n)
+	prevEdge := make([]int32, n)
+	queue := make([]int32, 0, n)
+
+	for {
+		for i := range dist {
+			dist[i] = math.Inf(1)
+			inQueue[i] = false
+			prevEdge[i] = -1
+		}
+		dist[s] = 0
+		queue = append(queue[:0], int32(s))
+		inQueue[s] = true
+		for len(queue) > 0 {
+			u := int(queue[0])
+			queue = queue[1:]
+			inQueue[u] = false
+			du := dist[u]
+			for _, id := range g.head[u] {
+				e := &g.edges[id]
+				if e.cap <= 0 {
+					continue
+				}
+				v := int(e.to)
+				if nd := du + e.cost; nd < dist[v]-1e-15 {
+					dist[v] = nd
+					prevEdge[v] = id
+					if !inQueue[v] {
+						inQueue[v] = true
+						queue = append(queue, e.to)
+					}
+				}
+			}
+		}
+		if math.IsInf(dist[t], 1) {
+			return flow, cost
+		}
+		bottleneck := int32(math.MaxInt32)
+		for v := t; v != s; {
+			id := prevEdge[v]
+			if g.edges[id].cap < bottleneck {
+				bottleneck = g.edges[id].cap
+			}
+			v = int(g.edges[id^1].to)
+		}
+		for v := t; v != s; {
+			id := prevEdge[v]
+			g.edges[id].cap -= bottleneck
+			g.edges[id^1].cap += bottleneck
+			cost += float64(bottleneck) * g.edges[id].cost
+			v = int(g.edges[id^1].to)
+		}
+		flow += int(bottleneck)
+	}
+}
+
 // TestSPFAMatchesDijkstraMCMF cross-checks the two MCMF implementations
 // on random bipartite assignment graphs: identical flow values and
 // identical optimal costs (the chosen assignments may differ when

@@ -3,8 +3,8 @@ package flow
 import "math"
 
 // MinCostFlowNonPositive augments along successive cheapest s→t paths —
-// the same SPFA search as MinCostMaxFlowSPFA, tolerant of negative edge
-// costs — but stops as soon as the cheapest augmenting path has
+// found with SPFA (queue-based Bellman-Ford), which tolerates negative
+// edge costs — but stops as soon as the cheapest augmenting path has
 // strictly positive cost instead of driving the flow to its maximum
 // value.
 //

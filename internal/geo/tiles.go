@@ -28,7 +28,9 @@ type Tiling struct {
 // size is only ever grown, never shrunk: when the requested size would
 // produce more than maxTiles tiles it is doubled until the grid fits,
 // so a caller's "one tile ≥ one reachability radius" guarantee is
-// preserved under the clamp. A non-positive (or NaN) size degenerates
+// preserved under the clamp. The tile count is bounded in float64
+// before any conversion to int, so a reach that is tiny next to the
+// extent cannot overflow it. A non-positive (or NaN) size degenerates
 // to a single tile covering the whole rectangle.
 func NewTiling(bounds Rect, size float64, maxTiles int) Tiling {
 	w, h := bounds.Width(), bounds.Height()
@@ -45,18 +47,20 @@ func NewTiling(bounds Rect, size float64, maxTiles int) Tiling {
 		size = math.Max(w, h)
 	}
 	nx, ny := tilesAcross(w, size), tilesAcross(h, size)
-	for nx*ny > maxTiles {
+	for nx*ny > float64(maxTiles) {
 		size *= 2
 		nx, ny = tilesAcross(w, size), tilesAcross(h, size)
 	}
-	return Tiling{Min: bounds.Min, Size: size, NX: nx, NY: ny}
+	return Tiling{Min: bounds.Min, Size: size, NX: int(nx), NY: int(ny)}
 }
 
 // tilesAcross returns how many size-wide tiles cover an extent, with at
-// least one tile so degenerate rectangles stay addressable.
-func tilesAcross(extent, size float64) int {
-	n := int(math.Floor(extent/size)) + 1
-	if n < 1 {
+// least one tile so degenerate rectangles stay addressable. The count
+// stays a float64 so callers can bound it before converting; a NaN
+// count (an infinite extent over an infinite size) is one tile.
+func tilesAcross(extent, size float64) float64 {
+	n := math.Floor(extent/size) + 1
+	if !(n >= 1) {
 		n = 1
 	}
 	return n

@@ -108,3 +108,34 @@ func abs(v int) int {
 	}
 	return v
 }
+
+// TestTilingTinySizeHugeExtent: when the requested size is tiny next to
+// the extent, the unclamped tile count exceeds the int range. The clamp
+// must still bound it — positive dimensions, at most maxTiles tiles, a
+// size no smaller than requested — and every point must map to a valid
+// tile.
+func TestTilingTinySizeHugeExtent(t *testing.T) {
+	for _, tc := range []struct {
+		b    Rect
+		size float64
+	}{
+		{Rect{Min: Point{0, 0}, Max: Point{1000, 1000}}, 1e-9},
+		{Rect{Min: Point{-1e19, -1e19}, Max: Point{1e19, 1e19}}, 25},
+		{Rect{Min: Point{0, 0}, Max: Point{1e19, 1e19}}, 1e-9},
+		{Rect{Min: Point{0, 0}, Max: Point{1e300, 1}}, 1e-300},
+	} {
+		const maxTiles = 256
+		tl := NewTiling(tc.b, tc.size, maxTiles)
+		if tl.NX < 1 || tl.NY < 1 || tl.Tiles() < 1 || tl.Tiles() > maxTiles {
+			t.Fatalf("bounds %v size %v: %d×%d tiles, want 1..%d", tc.b, tc.size, tl.NX, tl.NY, maxTiles)
+		}
+		if tl.Size < tc.size {
+			t.Fatalf("bounds %v: clamp shrank the tile size to %v", tc.b, tl.Size)
+		}
+		for _, p := range []Point{tc.b.Min, tc.b.Max, {X: tc.b.Min.X, Y: tc.b.Max.Y}} {
+			if tile := tl.TileOf(p); tile < 0 || tile >= tl.Tiles() {
+				t.Fatalf("bounds %v: TileOf(%v) = %d out of [0, %d)", tc.b, p, tile, tl.Tiles())
+			}
+		}
+	}
+}

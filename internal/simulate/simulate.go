@@ -63,23 +63,8 @@ type Config struct {
 	// influence state every instant (a single-use session per round). It
 	// exists for equivalence testing and for benchmarking the cached
 	// online phase against the cold one; results are identical either
-	// way. It implies cold feasible pairs too: without a session there is
-	// nowhere to carry the pair index.
+	// way.
 	ColdPrepare bool
-	// ColdPairs disables the incremental feasible-pair index and rescans
-	// the full workers×tasks feasibility every instant
-	// (assign.FeasiblePairs). Like ColdPrepare it exists for equivalence
-	// testing and benchmarking; the emitted pairs are bit-identical
-	// either way.
-	ColdPairs bool
-	// TiledColdPairs routes the ColdPairs rescan through the tiled
-	// scanner (assign.TiledFeasiblePairs) on Parallelism pool workers
-	// instead of the global grid scan, recording the instant's tile count
-	// in InstantResult.Tiles. Pairs are bit-identical to the global scan;
-	// the knob exists so the tiled pipeline can be driven (and diffed
-	// against the global reference) end to end. Ignored unless ColdPairs
-	// is in effect.
-	TiledColdPairs bool
 	// SessionCapacity bounds the influence session's per-entity caches
 	// with deterministic FIFO eviction (0: unbounded). Memory-only;
 	// results are bit-identical at any capacity. See
@@ -123,8 +108,6 @@ func New(fw *core.Framework, cfg Config) (*Platform, error) {
 		Seed:            cfg.Seed,
 		Parallelism:     cfg.Parallelism,
 		ColdPrepare:     cfg.ColdPrepare,
-		ColdPairs:       cfg.ColdPairs,
-		TiledColdPairs:  cfg.TiledColdPairs,
 		SessionCapacity: cfg.SessionCapacity,
 		Clock:           monotonicClock(),
 	})

@@ -248,6 +248,147 @@ func TestSessionMatchesColdPrepareStreaming(t *testing.T) {
 	}
 }
 
+// TestIncrementalPairsStreamingEquivalence gates the online phase under
+// heavy churn: over a 200+-instant run (staggered arrivals, short task
+// lifetimes, retirements at every matching instant), the warm session
+// with its per-instant tiled pair scan must produce results identical to
+// the cold reference at Parallelism 1, 2 and 8. Empty-pool instants must
+// still time the session's cache Sync, and the session's carry-over
+// state must stay bounded by the live pool.
+func TestIncrementalPairsStreamingEquivalence(t *testing.T) {
+	fw, data := testFramework(t)
+	rng := randx.New(17)
+	var ws []ArrivingWorker
+	var ts []ArrivingTask
+	const days = 4
+	for d := 0; d < days; d++ {
+		base := 120.0 + float64(d)*24
+		for i := 0; i < 25; i++ {
+			u := model.WorkerID(rng.Intn(data.Params.NumUsers))
+			ws = append(ws, ArrivingWorker{
+				User: u, Loc: data.Homes[u], Radius: 25, At: base + rng.Float64()*20,
+			})
+			v := data.Venues[rng.Intn(len(data.Venues))]
+			ts = append(ts, ArrivingTask{
+				Loc: v.Loc, Publish: base + rng.Float64()*20, Valid: 1 + rng.Float64()*4,
+				Categories: v.Categories, Venue: v.ID,
+			})
+		}
+	}
+	sortByAt(ws)
+	sortByPublish(ts)
+	run := func(cold bool, par int) (*Result, *Platform) {
+		p, err := New(fw, Config{
+			Algorithm: assign.IA, Step: 0.5, Start: 120, Horizon: float64(days)*24 + 6,
+			Seed: 23, Parallelism: par, ColdPrepare: cold,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(ws, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, p
+	}
+	wantRaw, _ := run(true, 1)
+	want := normalize(wantRaw)
+	if got := len(want.Instants); got < 200 {
+		t.Fatalf("churn run covers %d instants, the gate needs >= 200", got)
+	}
+	if want.TotalAssigned == 0 || want.ExpiredTasks == 0 {
+		t.Fatalf("churn run saw %d assigned, %d expired — the gate needs arrivals, retirements and expiries",
+			want.TotalAssigned, want.ExpiredTasks)
+	}
+	for _, par := range paralleltest.WorkerCounts {
+		gotRaw, p := run(false, par)
+		checkInstantShape(t, gotRaw, true, par)
+		if got := normalize(gotRaw); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: warm churn run diverged from the cold reference", par)
+		}
+		sess := p.Session().Influence()
+		if sess.CachedWorkers() > p.Online() || sess.CachedTasks() > p.Open() {
+			t.Errorf("parallelism %d: session carries %d workers / %d tasks, pool holds %d / %d",
+				par, sess.CachedWorkers(), sess.CachedTasks(), p.Online(), p.Open())
+		}
+	}
+}
+
+// TestTiledColdPairsStreamingEquivalence is the streaming gate of the
+// tiled pipeline: every instant scans feasibility through the spatial
+// tiling, and the run must be bit-identical — assignments, metrics,
+// completion accounting — at Parallelism 1, 2 and 8, while actually
+// reporting a live tiling (tile counts on busy instants, component stats
+// whenever a pair is feasible).
+func TestTiledColdPairsStreamingEquivalence(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 60, 29)
+	run := func(par int) *Result {
+		p, err := New(fw, Config{
+			Algorithm: assign.DIA, Step: 1, Start: 120, Horizon: 18,
+			Seed: 31, Parallelism: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(ws, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInstantShape(t, res, false, par)
+		return normalize(res)
+	}
+	want := run(1)
+	if want.TotalAssigned == 0 {
+		t.Fatal("equivalence run assigned nothing; streams too sparse to gate anything")
+	}
+	for _, par := range paralleltest.WorkerCounts[1:] {
+		if got := run(par); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: tiled run diverged from the sequential scan", par)
+		}
+	}
+}
+
+// checkInstantShape asserts what a run's instants report beyond their
+// assignments. Every busy instant scanned its pairs through the tiling,
+// so it reports an occupied tile count, and component stats whenever a
+// pair is feasible. With a session, instants with an empty pool side run
+// no assignment but still sync the caches; that work must land in
+// Prepare, or the warm online phase would be under-reported on sparse
+// streams.
+func checkInstantShape(t *testing.T, res *Result, session bool, par int) {
+	t.Helper()
+	busy, withTiles, empty := 0, 0, 0
+	var emptySync time.Duration
+	for _, in := range res.Instants {
+		if in.Metrics.Algorithm == "" {
+			empty++
+			emptySync += in.Prepare
+			continue
+		}
+		busy++
+		if in.Tiles.Tiles > 0 {
+			withTiles++
+		}
+		if in.Metrics.Feasible > 0 && in.Tiles.Components <= 0 {
+			t.Fatalf("parallelism %d: busy instant at %v has %d feasible pairs but no component stats",
+				par, in.At, in.Metrics.Feasible)
+		}
+	}
+	if busy == 0 || withTiles != busy {
+		t.Fatalf("parallelism %d: %d of %d busy instants report a tiling", par, withTiles, busy)
+	}
+	if !session {
+		return
+	}
+	if empty == 0 {
+		t.Fatal("run has no empty-pool instants; the Sync-accounting gate needs some")
+	}
+	if emptySync == 0 {
+		t.Errorf("parallelism %d: empty-pool instants recorded zero Prepare: Session.Sync ran untimed", par)
+	}
+}
+
 // TestRunParallelismInvariant registers the streaming loop with the
 // shared determinism harness.
 func TestRunParallelismInvariant(t *testing.T) {
@@ -366,155 +507,6 @@ func TestHorizonExactMultipleKeepsFinalInstant(t *testing.T) {
 		}
 		if got := len(res.Instants); got != c.want {
 			t.Errorf("step %v horizon %v: %d instants, want %d", c.step, c.horizon, got, c.want)
-		}
-	}
-}
-
-// TestIncrementalPairsStreamingEquivalence is the tentpole's acceptance
-// gate at the platform layer: over a 200+-instant churn run (staggered
-// arrivals, short task lifetimes, retirements at every matching
-// instant), the incremental pair index must produce results identical to
-// rescanning feasibility cold every instant — at Parallelism 1, 2 and 8
-// — and its carry-over state must stay bounded by the live pool.
-func TestIncrementalPairsStreamingEquivalence(t *testing.T) {
-	fw, data := testFramework(t)
-	rng := randx.New(17)
-	var ws []ArrivingWorker
-	var ts []ArrivingTask
-	const days = 4
-	for d := 0; d < days; d++ {
-		base := 120.0 + float64(d)*24
-		for i := 0; i < 25; i++ {
-			u := model.WorkerID(rng.Intn(data.Params.NumUsers))
-			ws = append(ws, ArrivingWorker{
-				User: u, Loc: data.Homes[u], Radius: 25, At: base + rng.Float64()*20,
-			})
-			v := data.Venues[rng.Intn(len(data.Venues))]
-			ts = append(ts, ArrivingTask{
-				Loc: v.Loc, Publish: base + rng.Float64()*20, Valid: 1 + rng.Float64()*4,
-				Categories: v.Categories, Venue: v.ID,
-			})
-		}
-	}
-	sortByAt(ws)
-	sortByPublish(ts)
-	run := func(coldPairs bool, par int) (*Result, *Platform) {
-		p, err := New(fw, Config{
-			Algorithm: assign.IA, Step: 0.5, Start: 120, Horizon: float64(days)*24 + 6,
-			Seed: 23, Parallelism: par, ColdPairs: coldPairs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, p
-	}
-	wantRaw, _ := run(true, 1)
-	want := normalize(wantRaw)
-	if got := len(want.Instants); got < 200 {
-		t.Fatalf("churn run covers %d instants, the acceptance gate needs >= 200", got)
-	}
-	if want.TotalAssigned == 0 || want.ExpiredTasks == 0 {
-		t.Fatalf("churn run saw %d assigned, %d expired — the gate needs arrivals, retirements and expiries",
-			want.TotalAssigned, want.ExpiredTasks)
-	}
-	for pi, par := range paralleltest.WorkerCounts {
-		gotRaw, p := run(false, par)
-		if pi == 0 {
-			// Instants with an empty pool side run no assignment but the
-			// warm session still syncs its caches; that work must land in
-			// Prepare — untimed, -simbench would under-report the warm
-			// online phase on sparse streams.
-			emptyInstants, emptySync := 0, time.Duration(0)
-			for _, in := range gotRaw.Instants {
-				if in.Metrics.Algorithm == "" {
-					emptyInstants++
-					emptySync += in.Prepare
-				}
-			}
-			if emptyInstants == 0 {
-				t.Fatal("churn run has no empty-pool instants; the Sync-accounting gate needs some")
-			}
-			if emptySync == 0 {
-				t.Error("empty-pool instants recorded zero Prepare: Session.Sync ran untimed")
-			}
-		}
-		got := normalize(gotRaw)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallelism %d: incremental pair index diverged from cold FeasiblePairs rescans", par)
-		}
-		ix := p.Session().PairIndex()
-		if ix == nil {
-			t.Fatal("warm run never touched the pair index")
-		}
-		if ix.CachedWorkers() != p.Online() || ix.CachedTasks() != p.Open() {
-			t.Errorf("parallelism %d: index carries %d workers / %d tasks, pool holds %d / %d",
-				par, ix.CachedWorkers(), ix.CachedTasks(), p.Online(), p.Open())
-		}
-	}
-}
-
-// TestTiledColdPairsStreamingEquivalence is the streaming acceptance
-// gate of the tiled pipeline: a run whose every instant rescans
-// feasibility through the spatial tiling must match the global-scan
-// reference bit for bit — assignments, metrics, completion accounting —
-// at Parallelism 1, 2 and 8, while actually reporting a live tiling
-// (tile counts on busy instants, component stats everywhere).
-func TestTiledColdPairsStreamingEquivalence(t *testing.T) {
-	fw, data := testFramework(t)
-	ws, ts := streams(data, 60, 29)
-	run := func(tiled bool, par int) *Result {
-		p, err := New(fw, Config{
-			Algorithm: assign.DIA, Step: 1, Start: 120, Horizon: 18,
-			Seed: 31, Parallelism: par, ColdPairs: true, TiledColdPairs: tiled,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return normalize(res)
-	}
-	// The tile count is the one legitimate difference between the two
-	// modes: the global scan has no tiling to report.
-	stripTileCount := func(res *Result) *Result {
-		out := *res
-		out.Instants = append([]InstantResult(nil), res.Instants...)
-		for i := range out.Instants {
-			out.Instants[i].Tiles.Tiles = 0
-		}
-		return &out
-	}
-	want := run(false, 1)
-	if want.TotalAssigned == 0 {
-		t.Fatal("equivalence run assigned nothing; streams too sparse to gate anything")
-	}
-	for _, par := range paralleltest.WorkerCounts {
-		got := run(true, par)
-		busy, withTiles := 0, 0
-		for _, in := range got.Instants {
-			if in.Metrics.Algorithm == "" {
-				continue
-			}
-			busy++
-			if in.Tiles.Tiles > 0 {
-				withTiles++
-			}
-			if in.Metrics.Feasible > 0 && in.Tiles.Components <= 0 {
-				t.Fatalf("parallelism %d: busy instant at %v has %d feasible pairs but no component stats",
-					par, in.At, in.Metrics.Feasible)
-			}
-		}
-		if busy == 0 || withTiles != busy {
-			t.Fatalf("parallelism %d: %d of %d busy instants report a tiling", par, withTiles, busy)
-		}
-		if !reflect.DeepEqual(want, stripTileCount(got)) {
-			t.Fatalf("parallelism %d: tiled cold scans diverged from the global reference", par)
 		}
 	}
 }
