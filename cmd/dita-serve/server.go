@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -244,6 +245,7 @@ type instantResp struct {
 	Open        int                   `json:"open"`
 	Expired     int                   `json:"expired"`
 	Assigned    []engine.AssignedPair `json:"assigned"`
+	WilEntries  int                   `json:"wil_entries"`
 	PrepareMs   float64               `json:"prepare_ms"`
 	PairMaintMs float64               `json:"pair_maint_ms"`
 	AssignMs    float64               `json:"assign_ms"`
@@ -252,7 +254,7 @@ type instantResp struct {
 func toInstantResp(ir engine.InstantResult) instantResp {
 	return instantResp{
 		At: ir.At, Online: ir.OnlineWorkers, Open: ir.OpenTasks,
-		Expired: ir.Expired, Assigned: ir.Assigned,
+		Expired: ir.Expired, Assigned: ir.Assigned, WilEntries: ir.WilEntries,
 		PrepareMs:   durMs(ir.Prepare),
 		PairMaintMs: durMs(ir.PairMaint),
 		AssignMs:    durMs(ir.Metrics.CPU),
@@ -291,7 +293,7 @@ func (s *Server) handleWorkerArrive(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		writeErr(w, arrivalStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -331,10 +333,20 @@ func (s *Server) handleTaskArrive(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		writeErr(w, arrivalStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// arrivalStatus maps an arrival's engine error to its HTTP status: an
+// arrival the trained model cannot index is the client's fault (400),
+// anything else the server's (500).
+func arrivalStatus(err error) int {
+	if errors.Is(err, engine.ErrInvalidArrival) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleWorkerDepart(w http.ResponseWriter, req *http.Request) {

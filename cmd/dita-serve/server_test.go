@@ -21,7 +21,7 @@ import (
 	"dita/internal/trace"
 )
 
-func testFramework(t *testing.T) (*core.Framework, *dataset.Data) {
+func testFramework(t testing.TB) (*core.Framework, *dataset.Data) {
 	t.Helper()
 	p := dataset.BrightkiteLike()
 	p.NumUsers = 120
@@ -238,6 +238,8 @@ func TestServeMalformedPayloadsRejected(t *testing.T) {
 		{"wrong type", "POST", "/v1/default/tasks", `{"publish":"noon"}`, 400},
 		{"negative radius", "POST", "/v1/default/workers", `{"user":1,"radius":-2}`, 400},
 		{"zero validity", "POST", "/v1/default/tasks", `{"x":1,"y":1}`, 400},
+		{"user outside the graph", "POST", "/v1/default/workers", `{"user":1073741824,"radius":5}`, 400},
+		{"category outside the vocabulary", "POST", "/v1/default/tasks", `{"x":1,"y":1,"valid":2,"categories":[1073741824]}`, 400},
 		{"instant junk", "POST", "/v1/default/instant", `nope`, 400},
 		{"unknown region", "POST", "/v1/mars/workers", `{"user":1}`, 404},
 		{"unknown region metrics", "GET", "/v1/mars/metrics", "", 404},
@@ -414,7 +416,8 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 // TestServeMatchesSimulateReplay is the in-process form of the CI serve
 // smoke: the same trace replayed once through simulate.Platform and once
 // through the HTTP endpoints (grid admissions + explicit instants) must
-// drain a byte-identical assignment CSV.
+// report the same willingness-entry count at every instant and drain a
+// byte-identical assignment CSV.
 func TestServeMatchesSimulateReplay(t *testing.T) {
 	fw, data := testFramework(t)
 	tp := trace.Params{Arrivals: 60, Seed: 13, Start: 96, Spread: 12, RadiusKm: 25, ValidMin: 3, ValidSpan: 3}
@@ -444,7 +447,7 @@ func TestServeMatchesSimulateReplay(t *testing.T) {
 		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
 		csvPath: csvPath,
 	})
-	wi, ti := 0, 0
+	wi, ti, wilTotal := 0, 0, 0
 	count := int(math.Floor(horizon/step + 1e-9))
 	for i := 0; i <= count; i++ {
 		now := start + float64(i)*step
@@ -468,9 +471,17 @@ func TestServeMatchesSimulateReplay(t *testing.T) {
 			}
 			ti++
 		}
-		if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: now}, nil); code != 200 {
+		var ir instantResp
+		if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: now}, &ir); code != 200 {
 			t.Fatal("instant failed")
 		}
+		if want := res.Instants[i].WilEntries; ir.WilEntries != want {
+			t.Fatalf("instant %d: served wil_entries %d, replay computed %d", i, ir.WilEntries, want)
+		}
+		wilTotal += ir.WilEntries
+	}
+	if wilTotal == 0 {
+		t.Fatal("no instant computed willingness entries; the wil_entries check is never exercised")
 	}
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)

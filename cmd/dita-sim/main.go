@@ -160,12 +160,11 @@ func main() {
 		log.Fatalf("snapshot: %v", err)
 	}
 
+	feas, tiles := assign.TiledFeasiblePairs(inst, fw.Speed(), *par)
 	start := time.Now() //dita:wallclock
-	sess := fw.PrepareSession(comps, *seed, *par)
-	ev := sess.Prepare(inst)
+	ev := fw.PrepareSession(comps, *seed, *par).PreparePairs(inst, feas)
 	fmt.Printf("influence model (%s) prepared in %.1fs\n", comps, time.Since(start).Seconds()) //dita:wallclock
 
-	feas, tiles := assign.TiledFeasiblePairs(inst, fw.Speed(), *par)
 	set, m, ts := fw.AssignPreparedPairsTiled(inst, ev, alg, feas, *par)
 	ts.Tiles = tiles
 	if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {

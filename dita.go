@@ -68,9 +68,11 @@ type (
 	Metrics = core.Metrics
 	// Session is the incremental online phase: it carries per-task and
 	// per-worker influence state across assignment instants, so an
-	// instant only pays for newly arrived entities. Open one with
-	// Framework.PrepareSession; evaluators are bit-identical to cold
-	// Framework.Prepare ones for the same seed.
+	// instant only pays for newly arrived entities and fills willingness
+	// only where its feasible pairs read it. Open one with
+	// Framework.PrepareSession and call PreparePairs with the instant's
+	// feasible pairs; on those pairs the evaluators are bit-identical to
+	// cold Framework.Prepare ones for the same seed.
 	Session = core.Session
 )
 

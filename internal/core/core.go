@@ -32,8 +32,8 @@ type Config struct {
 	RPO      rrr.Params      `json:"rpo"`
 	// SpeedKmH is the shared worker travel speed; default 5.
 	SpeedKmH float64 `json:"speed_kmh"`
-	// TopWillingnessLocations bounds the per-worker location set used in
-	// the dense willingness matrix; 0 keeps all locations. See
+	// TopWillingnessLocations bounds the per-worker location set each
+	// willingness entry sums over; 0 keeps all locations. See
 	// influence.Engine.TopLocations.
 	TopWillingnessLocations int `json:"top_willingness_locations"`
 	// Parallelism is the umbrella worker-pool bound for the whole
@@ -245,24 +245,31 @@ type Metrics struct {
 }
 
 // Prepare computes the influence evaluator for an instance under a
-// component mask. The evaluator is reusable across algorithms; building
-// it is the "worker-task influence modeling" phase of DITA and is
-// deliberately excluded from the assignment CPU-time metric, matching
-// the paper's phase split. Prepare is the cold path — every call rebuilds
-// the full per-instance state; streaming callers that run many instants
-// with carry-over pools should hold a Session (PrepareSession) instead.
+// component mask: it scans the instance's feasible pairs
+// (assign.FeasiblePairs) and prepares influence over exactly those, so
+// the evaluator is valid on every feasible pair and on no other. The
+// evaluator is reusable across algorithms; building it is the
+// "worker-task influence modeling" phase of DITA and is deliberately
+// excluded from the assignment CPU-time metric, matching the paper's
+// phase split. Prepare is the cold path — every call recomputes the
+// instance's influence state from the trained models; streaming callers
+// that run many instants with carry-over pools should hold a Session
+// (PrepareSession) instead.
 func (f *Framework) Prepare(inst *model.Instance, comps influence.Components, seed uint64) *influence.Evaluator {
-	return f.engine.Prepare(inst, comps, seed)
+	return f.engine.Prepare(inst, assign.FeasiblePairs(inst, f.cfg.SpeedKmH), comps, seed)
 }
 
 // Session carries the online phase's influence-modeling state across
-// assignment instants: per-task willingness rows and folded topic
-// vectors, and per-worker propagation state, keyed by stable identity
-// (see influence.Session). An instant pays only for newly arrived tasks
-// and workers; state for entities that left the pool is evicted. The
-// evaluators are bit-identical to cold Prepare ones for the same seed.
+// assignment instants: per-task folded topic vectors and willingness
+// rows (filled on demand where feasible pairs read them), and per-worker
+// propagation state, keyed by stable identity (see influence.Session).
+// An instant pays only for newly arrived tasks and workers and for
+// willingness entries no earlier instant filled; state for entities that
+// left the pool is evicted. On every prepared pair the evaluators are
+// bit-identical to cold Prepare ones for the same seed.
 type Session struct {
-	is *influence.Session
+	is    *influence.Session
+	speed float64
 }
 
 // PrepareSession opens an incremental online-phase session under the
@@ -270,14 +277,28 @@ type Session struct {
 // fresh per-entity state is computed on (<= 0 means all cores); results
 // are bit-identical at any setting.
 func (f *Framework) PrepareSession(comps influence.Components, seed uint64, parallelism int) *Session {
-	return &Session{is: f.engine.NewSession(comps, seed, parallelism)}
+	return &Session{is: f.engine.NewSession(comps, seed, parallelism), speed: f.cfg.SpeedKmH}
 }
 
 // Prepare returns the evaluator for one instant, reusing cached state
-// for carried-over tasks and workers.
+// for carried-over tasks and workers: it scans the instance's feasible
+// pairs (assign.FeasiblePairs) and prepares over them (PreparePairs).
+// Callers that scan the pairs themselves should call PreparePairs.
 func (s *Session) Prepare(inst *model.Instance) *influence.Evaluator {
-	return s.is.Evaluate(inst)
+	return s.PreparePairs(inst, assign.FeasiblePairs(inst, s.speed))
 }
+
+// PreparePairs returns the evaluator for one instant over the given
+// feasible pairs of inst, reusing cached state for carried-over tasks
+// and workers. The evaluator is valid only on those pairs (see
+// influence.Session.Evaluate).
+func (s *Session) PreparePairs(inst *model.Instance, pairs []assign.Pair) *influence.Evaluator {
+	return s.is.Evaluate(inst, pairs)
+}
+
+// WilEntries returns how many willingness entries the last
+// PreparePairs or Sync computed (see influence.Session.WilEntries).
+func (s *Session) WilEntries() int { return s.is.WilEntries() }
 
 // Sync maintains the session cache for an instant that runs no
 // assignment: arrivals are admitted ahead of the next round, departures
@@ -336,15 +357,15 @@ func (f *Framework) AssignPreparedPairsTiled(inst *model.Instance, ev *influence
 	return set, m, stats
 }
 
-// Assign is the one-call path: prepare the evaluator with the full
-// influence model, scan the feasible pairs (charged to CPU time, as edge
-// construction is part of assignment in the paper's measurement) and run
-// the algorithm on one pool worker.
+// Assign is the one-call path: scan the feasible pairs (charged to CPU
+// time, as edge construction is part of assignment in the paper's
+// measurement), prepare the evaluator over them with the full influence
+// model and run the algorithm on one pool worker.
 func (f *Framework) Assign(inst *model.Instance, alg assign.Algorithm, seed uint64) (*model.AssignmentSet, Metrics) {
-	ev := f.Prepare(inst, influence.All, seed)
 	start := time.Now() //dita:wallclock
 	pairs := assign.FeasiblePairs(inst, f.cfg.SpeedKmH)
 	scan := time.Since(start) //dita:wallclock
+	ev := f.engine.Prepare(inst, pairs, influence.All, seed)
 	set, m, _ := f.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 	m.CPU += scan
 	return set, m

@@ -139,10 +139,10 @@ type Config struct {
 	// solve (<= 0 means all cores). Results are bit-identical at any
 	// setting.
 	Parallelism int
-	// ColdPrepare disables the incremental session and rebuilds the full
-	// influence state every instant. It is the cold reference the
-	// session is gated and benchmarked against; outputs are
-	// bit-identical either way.
+	// ColdPrepare disables the incremental session and recomputes the
+	// instant's influence state from the trained models every instant.
+	// It is the cold reference the session is gated and benchmarked
+	// against; outputs are bit-identical either way.
 	ColdPrepare bool
 	// SessionCapacity bounds the influence session's per-entity caches:
 	// after each instant, at most this many cached task states and this
@@ -198,13 +198,18 @@ type InstantResult struct {
 	OnlineWorkers int
 	OpenTasks     int
 	// Prepare is the online-phase latency of the instant: the time spent
-	// building the influence evaluator (cached-session hits make this
-	// collapse for carried-over entities), or — on an instant with an
-	// empty pool side, where no assignment runs — the session's Sync,
-	// which is the same cache maintenance without an evaluator.
-	// Assignment time is in Metrics.CPU, matching the paper's phase
-	// split. Zero on a clockless engine.
+	// building the influence evaluator over the instant's feasible pairs
+	// (cached-session hits make this collapse for carried-over entities),
+	// or — on an instant with an empty pool side, where no assignment
+	// runs — the session's Sync, which is the same cache maintenance
+	// without an evaluator. Assignment time is in Metrics.CPU, matching
+	// the paper's phase split. Zero on a clockless engine.
 	Prepare time.Duration
+	// WilEntries counts the willingness entries (Equation 2 values) the
+	// instant computed; cached entries are not counted, so a warm
+	// session reports at most what ColdPrepare does. Deterministic at
+	// any Parallelism.
+	WilEntries int
 	// PairMaint is the feasible-pair latency of the instant: the tiled
 	// scan of the instant's workers×tasks feasibility. Zero on an
 	// instant with an empty pool side, which scans nothing. Excluded
@@ -243,10 +248,13 @@ type Applied struct {
 
 // ErrUnknownWorker and ErrUnknownTask report departure/withdrawal events
 // naming a platform id that is not pooled (already assigned, expired,
-// departed — or never issued).
+// departed — or never issued). ErrInvalidArrival reports an arrival the
+// trained framework cannot index: a worker whose user is not in the
+// social graph, or a task with a category outside the LDA vocabulary.
 var (
-	ErrUnknownWorker = errors.New("engine: no such worker in the pool")
-	ErrUnknownTask   = errors.New("engine: no such task in the pool")
+	ErrUnknownWorker  = errors.New("engine: no such worker in the pool")
+	ErrUnknownTask    = errors.New("engine: no such task in the pool")
+	ErrInvalidArrival = errors.New("engine: arrival outside the trained model")
 )
 
 // Engine is the carry-over state between instants: the live pools, the
@@ -288,13 +296,17 @@ func New(fw *core.Framework, cfg Config) (*Engine, error) {
 }
 
 // Apply applies one event. Arrival events mint and return the entity's
-// stable platform id; departure events fail with ErrUnknownWorker /
-// ErrUnknownTask when the id is not pooled; InstantFire runs the instant
-// and returns its result.
+// stable platform id, or fail with ErrInvalidArrival (pools untouched)
+// when the trained framework cannot index them; departure events fail
+// with ErrUnknownWorker / ErrUnknownTask when the id is not pooled;
+// InstantFire runs the instant and returns its result.
 func (e *Engine) Apply(ev Event) (Applied, error) {
 	switch ev.Kind {
 	case WorkerArrive:
 		a := ev.Worker
+		if n := e.fw.Graph().N(); a.User < 0 || int64(a.User) >= int64(n) {
+			return Applied{}, fmt.Errorf("%w: user %d not in the %d-user social graph", ErrInvalidArrival, a.User, n)
+		}
 		id := e.nextWID
 		e.workers = append(e.workers, model.Worker{
 			ID: id, User: a.User, Loc: a.Loc, Radius: a.Radius,
@@ -304,6 +316,11 @@ func (e *Engine) Apply(ev Event) (Applied, error) {
 		return Applied{WorkerID: id, FireNow: e.fireNow()}, nil
 	case TaskArrive:
 		a := ev.Task
+		for _, c := range a.Categories {
+			if v := e.fw.LDA().Vocab(); c < 0 || int64(c) >= int64(v) {
+				return Applied{}, fmt.Errorf("%w: category %d outside the %d-category vocabulary", ErrInvalidArrival, c, v)
+			}
+		}
 		id := e.nextTID
 		e.tasks = append(e.tasks, model.Task{
 			ID: id, Loc: a.Loc, Publish: a.Publish,
@@ -378,12 +395,13 @@ func (e *Engine) clock() time.Duration {
 }
 
 // Fire runs one assignment instant at simulation time now: sweep overdue
-// tasks, snapshot the pools, prepare the influence evaluator through the
-// session (or cold), scan the feasible pairs, solve, and retire the
-// matched pairs. An instant with an empty pool side runs no assignment
-// but still syncs the session caches — admitting arrivals ahead of the
-// next busy instant and evicting departures — with that maintenance cost
-// timed into Prepare exactly as a busy instant's would be.
+// tasks, snapshot the pools, scan the feasible pairs, prepare the
+// influence evaluator over exactly those pairs through the session (or
+// cold), solve, and retire the matched pairs. An instant with an empty
+// pool side runs no assignment but still syncs the session caches —
+// admitting arrivals ahead of the next busy instant and evicting
+// departures — with that maintenance cost timed into Prepare exactly as
+// a busy instant's would be.
 func (e *Engine) Fire(now float64) InstantResult {
 	e.pending = 0
 	e.totals.Instants++
@@ -403,36 +421,36 @@ func (e *Engine) Fire(now float64) InstantResult {
 	e.totals.Expired += expired
 
 	if len(e.workers) == 0 || len(e.tasks) == 0 {
-		var prep time.Duration
+		ir := InstantResult{
+			At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
+			Expired: expired,
+		}
 		if e.sess != nil {
 			inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
 			t0 := e.clock()
 			e.sess.Sync(inst)
-			prep = e.clock() - t0
+			ir.Prepare = e.clock() - t0
+			ir.WilEntries = e.sess.WilEntries()
 		}
-		return InstantResult{
-			At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
-			Prepare: prep, Expired: expired,
-		}
+		return ir
 	}
 
 	inst := e.instance(now)
 	t0 := e.clock()
-	var ev *influence.Evaluator
-	if e.cfg.ColdPrepare {
-		ev = e.fw.PrepareSession(e.cfg.Components, e.cfg.Seed, e.cfg.Parallelism).Prepare(inst)
-	} else {
-		ev = e.sess.Prepare(inst)
-	}
-	prep := e.clock() - t0
-	t1 := e.clock()
 	pairs, tiles := assign.TiledFeasiblePairs(inst, e.fw.Speed(), e.cfg.Parallelism)
-	pairMaint := e.clock() - t1
+	t1 := e.clock()
+	sess := e.sess
+	if e.cfg.ColdPrepare {
+		sess = e.fw.PrepareSession(e.cfg.Components, e.cfg.Seed, e.cfg.Parallelism)
+	}
+	ev := sess.PreparePairs(inst, pairs)
+	t2 := e.clock()
 	set, m, ts := e.fw.AssignPreparedPairsTiled(inst, ev, e.cfg.Algorithm, pairs, e.cfg.Parallelism)
 	ts.Tiles = tiles
 	ir := InstantResult{
 		At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
-		Prepare: prep, PairMaint: pairMaint, Metrics: m, Tiles: ts,
+		Prepare: t2 - t1, WilEntries: sess.WilEntries(), PairMaint: t1 - t0,
+		Metrics: m, Tiles: ts,
 		Expired: expired, Pairs: set.Pairs, Assigned: stablePairs(inst, set),
 	}
 	e.totals.Assigned += set.Len()

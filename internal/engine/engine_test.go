@@ -249,6 +249,88 @@ func TestEngineDepartureAndWithdrawal(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsInvalidArrivals: an arrival the trained framework
+// cannot index — a user outside the social graph, a category outside the
+// LDA vocabulary — fails with ErrInvalidArrival before it reaches the
+// pools, so no later instant can index past the models' tables.
+func TestEngineRejectsInvalidArrivals(t *testing.T) {
+	fw, data := testFramework(t)
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, vocab := model.WorkerID(fw.Graph().N()), model.CategoryID(fw.LDA().Vocab())
+	for _, u := range []model.WorkerID{n, 1 << 30, -1} {
+		_, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: engine.WorkerArrival{User: u, Loc: data.Homes[0], Radius: 25}})
+		if !errors.Is(err, engine.ErrInvalidArrival) {
+			t.Errorf("worker with user %d: %v, want ErrInvalidArrival", u, err)
+		}
+	}
+	for _, c := range []model.CategoryID{vocab, 1 << 30, -1} {
+		_, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: engine.TaskArrival{
+			Loc: data.Homes[0], Publish: 120, Valid: 3, Categories: []model.CategoryID{0, c},
+		}})
+		if !errors.Is(err, engine.ErrInvalidArrival) {
+			t.Errorf("task with category %d: %v, want ErrInvalidArrival", c, err)
+		}
+	}
+	if e.Online() != 0 || e.Open() != 0 || e.Totals().Events != 0 || e.Pending() != 0 {
+		t.Fatalf("rejected arrivals mutated the engine: %d online, %d open, totals %+v",
+			e.Online(), e.Open(), e.Totals())
+	}
+	// Rejections mint no ids, and the edge of each range is accepted.
+	ap, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: engine.WorkerArrival{User: n - 1, Loc: data.Homes[0], Radius: 25}})
+	if err != nil || ap.WorkerID != 0 {
+		t.Fatalf("valid worker after rejections: id %d, err %v", ap.WorkerID, err)
+	}
+	ap, err = e.Apply(engine.Event{Kind: engine.TaskArrive, Task: engine.TaskArrival{
+		Loc: data.Homes[0], Publish: 120, Valid: 3, Categories: []model.CategoryID{vocab - 1},
+	}})
+	if err != nil || ap.TaskID != 0 {
+		t.Fatalf("valid task after rejections: id %d, err %v", ap.TaskID, err)
+	}
+	e.Fire(120)
+}
+
+// TestEngineWilEntriesDeterministic pins the willingness-entry count of
+// every instant: identical at Parallelism 1, 2 and 8, nonzero over the
+// run, and per instant never above what ColdPrepare computes for the
+// same instant (a warm session serves the entries earlier instants
+// filled).
+func TestEngineWilEntriesDeterministic(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 50, 11)
+	counts := func(cold bool, par int) []int {
+		e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: par, ColdPrepare: cold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int
+		for _, ir := range replayGrid(t, e, ws, ts, 120, 2, 16) {
+			out = append(out, ir.WilEntries)
+		}
+		return out
+	}
+	want := counts(false, 1)
+	total := 0
+	for _, n := range want {
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("run computed no willingness entries; the count is never exercised")
+	}
+	for _, par := range paralleltest.WorkerCounts[1:] {
+		if got := counts(false, par); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: WilEntries %v, want %v", par, got, want)
+		}
+	}
+	for i, n := range counts(true, 2) {
+		if want[i] > n {
+			t.Fatalf("instant %d: warm session computed %d entries, cold only %d", i, want[i], n)
+		}
+	}
+}
+
 // TestEngineTriggers pins the trigger contract: a batch trigger
 // volunteers an instant exactly at its threshold, tick and manual
 // triggers never volunteer on queue depth, and firing resets the

@@ -508,8 +508,8 @@ func (r *Runner) runComparison(fig int, xlabel string, xs []float64, makeInst fu
 		// inside each job (bit-identical to any other setting). Per-day
 		// seeds mix the day in via randx.Mix rather than addition, so
 		// nearby days cannot collide with nearby base seeds.
-		ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(day)), 1).Prepare(inst)
 		pairs := r.feasiblePairs(inst)
+		ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(day)), 1).PreparePairs(inst, pairs)
 		ms := make([]core.Metrics, len(assign.Algorithms))
 		for ai, alg := range assign.Algorithms {
 			_, m, _ := r.FW.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
@@ -543,15 +543,16 @@ func (r *Runner) runAblation(fig int, xlabel string, xs []float64, makeInst func
 		// Single-use sessions per mask (see runComparison on why each job
 		// runs its online phase at parallelism 1).
 		daySeed := randx.Mix(r.P.Seed, uint64(day))
-		evFull := r.FW.PrepareSession(influence.All, daySeed, 1).Prepare(inst)
+		evFull := r.FW.PrepareSession(influence.All, daySeed, 1).PreparePairs(inst, pairs)
 		ms := make([]core.Metrics, len(masks))
 		for mi, mk := range masks {
 			ev := evFull
 			if mk != influence.All {
-				ev = r.FW.PrepareSession(mk, daySeed, 1).Prepare(inst)
+				ev = r.FW.PrepareSession(mk, daySeed, 1).PreparePairs(inst, pairs)
 			}
 			set, m, _ := r.FW.AssignPreparedPairsTiled(inst, ev, assign.IA, pairs, 1)
-			// Rescore the realized assignment under the full model.
+			// Rescore the realized assignment under the full model; the
+			// assigned pairs are a subset of the prepared ones.
 			if set.Len() > 0 {
 				sum := 0.0
 				for _, pr := range set.Pairs {

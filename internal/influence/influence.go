@@ -15,6 +15,9 @@
 package influence
 
 import (
+	"sync"
+
+	"dita/internal/assign"
 	"dita/internal/lda"
 	"dita/internal/mobility"
 	"dita/internal/model"
@@ -82,16 +85,22 @@ type Engine struct {
 	LDA       *lda.Model
 	ThetaUser [][]float64
 	// TopLocations caps how many of a worker's highest-stationary-mass
-	// locations the willingness sum uses when building the dense
-	// willingness matrix; 0 means all. The truncation is a performance
-	// valve for the |W_G|×|S| matrix and preserves ≥95% of the mass on
-	// heavy-tailed visit distributions.
+	// locations each willingness entry (Equation 2) sums over; 0 means
+	// all. The truncation bounds the cost of one entry and preserves ≥95%
+	// of the mass on heavy-tailed visit distributions. The truncated
+	// models are built once per engine, at its first willingness-bearing
+	// session, so TopLocations must not change after that.
 	TopLocations int
 	// Parallelism bounds the worker pool one-shot Prepare calls use for
 	// per-task and per-worker state (<= 0 means all cores). The result is
 	// bit-identical at any setting; sessions take their own bound via
 	// NewSession.
 	Parallelism int
+
+	// models are the truncated per-user willingness models, derived once
+	// (modelsOnce) and shared read-only by every session.
+	modelsOnce sync.Once
+	models     []*mobility.WorkerModel
 }
 
 // rootCount is a compacted view of the RRR cover of one instance worker:
@@ -102,8 +111,9 @@ type rootCount struct {
 }
 
 // Evaluator answers influence queries for one time instance. Build it
-// once per instance (via Prepare) and share it across every assignment
-// algorithm so all of them price the same pairs identically.
+// once per instance (via Prepare or Session.Evaluate) over the instance's
+// feasible pairs and share it across every assignment algorithm so all
+// of them price the same pairs identically.
 type Evaluator struct {
 	comps Components
 	nW    int // instance workers
@@ -116,8 +126,10 @@ type Evaluator struct {
 	thetaW [][]float64
 	thetaT [][]float64
 	// wilRows[t][u] = Pwil(u, task t's location); float32 to halve the
-	// footprint of the |W_G|×|S| matrix. Rows are owned by the session
-	// that built the evaluator, so a carried-over task costs no copy.
+	// rows' footprint. Under lazy masks a row holds values only at the
+	// RRR roots of task t's prepared workers (nil for a task without
+	// pairs). Rows are owned by the session that built the evaluator, so
+	// a carried-over task costs no copy.
 	wilRows [][]float32
 	// wilColSum[t] = Σ_u Pwil(u, t) — used by the AW mask where the
 	// propagation factor is neutral.
@@ -131,20 +143,28 @@ type Evaluator struct {
 	propSum []float64
 }
 
-// Prepare computes the per-instance state for evaluating if(w, s) on any
-// feasible pair of the instance under the given component mask. It is a
-// thin wrapper over a single-use Session, so a cold Prepare and a warm
-// session produce bit-identical evaluators: per-task LDA fold-in streams
-// are keyed by stable task identity (randx.Mix(seed, Task.ID)), never by
-// the task's position in the instance. Task IDs must therefore be unique
-// within the instance.
-func (e *Engine) Prepare(inst *model.Instance, comps Components, seed uint64) *Evaluator {
-	return e.NewSession(comps, seed, e.Parallelism).Evaluate(inst)
+// Prepare computes the per-instance state for evaluating if(w, s) on the
+// given feasible pairs of the instance under the given component mask;
+// the evaluator is valid only on those pairs (see Session.Evaluate). It
+// is a thin wrapper over a single-use Session, so a cold Prepare and a
+// warm session price every prepared pair bit-identically: per-task LDA
+// fold-in streams are keyed by stable task identity
+// (randx.Mix(seed, Task.ID)), never by the task's position in the
+// instance. Task IDs must therefore be unique within the instance.
+func (e *Engine) Prepare(inst *model.Instance, pairs []assign.Pair, comps Components, seed uint64) *Evaluator {
+	return e.NewSession(comps, seed, e.Parallelism).Evaluate(inst, pairs)
 }
 
-// truncatedModels returns per-user willingness models limited to the
-// TopLocations highest-stationary-probability locations, building them
-// on the shared pool (each user writes only its own slot).
+// willingnessModels returns the per-user willingness models limited to
+// the TopLocations highest-stationary-probability locations. The first
+// call builds them on the shared pool with par workers (each user writes
+// only its own slot, so the models are identical at any par); later
+// calls return the same slice.
+func (e *Engine) willingnessModels(par int) []*mobility.WorkerModel {
+	e.modelsOnce.Do(func() { e.models = e.truncatedModels(par) })
+	return e.models
+}
+
 func (e *Engine) truncatedModels(par int) []*mobility.WorkerModel {
 	nU := e.Prop.Graph().N()
 	out := make([]*mobility.WorkerModel, nU)
@@ -232,7 +252,9 @@ func uniformTopics(k int) []float64 {
 }
 
 // Influence returns if(w, s) for instance worker index w and task index
-// t under the evaluator's component mask.
+// t under the evaluator's component mask. (w, t) must be one of the pairs
+// the evaluator was prepared for: willingness is filled only where those
+// pairs read it, so any other pair may return a wrong value.
 func (ev *Evaluator) Influence(w, t int) float64 {
 	aff := 1.0
 	if ev.comps&Affinity != 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dita/internal/assign"
 	"dita/internal/geo"
 	"dita/internal/lda"
 	"dita/internal/mobility"
@@ -85,6 +86,18 @@ func testWorld(t *testing.T) (*Engine, *model.Instance) {
 	return eng, inst
 }
 
+// allPairs returns every worker-task pair of inst, so an evaluator
+// prepared over them answers Influence on the whole cross product.
+func allPairs(inst *model.Instance) []assign.Pair {
+	var pairs []assign.Pair
+	for w := range inst.Workers {
+		for t := range inst.Tasks {
+			pairs = append(pairs, assign.Pair{W: int32(w), T: int32(t)})
+		}
+	}
+	return pairs
+}
+
 func TestComponentsString(t *testing.T) {
 	tests := []struct {
 		c    Components
@@ -109,7 +122,7 @@ func TestComponentsString(t *testing.T) {
 func TestInfluenceNonNegativeAllMasks(t *testing.T) {
 	eng, inst := testWorld(t)
 	for _, mask := range []Components{All, WP, AP, AW} {
-		ev := eng.Prepare(inst, mask, 7)
+		ev := eng.Prepare(inst, allPairs(inst), mask, 7)
 		for w := 0; w < len(inst.Workers); w++ {
 			for s := 0; s < len(inst.Tasks); s++ {
 				v := ev.Influence(w, s)
@@ -125,9 +138,9 @@ func TestFullInfluenceFactorization(t *testing.T) {
 	// if(All) must equal Paff × spread where spread is what WP computes,
 	// pair by pair — the masks factor exactly.
 	eng, inst := testWorld(t)
-	evAll := eng.Prepare(inst, All, 7)
-	evWP := eng.Prepare(inst, WP, 7)
-	evAW := eng.Prepare(inst, AW, 7)
+	evAll := eng.Prepare(inst, allPairs(inst), All, 7)
+	evWP := eng.Prepare(inst, allPairs(inst), WP, 7)
+	evAW := eng.Prepare(inst, allPairs(inst), AW, 7)
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
 			full := evAll.Influence(w, s)
@@ -152,9 +165,9 @@ func TestFullInfluenceFactorization(t *testing.T) {
 
 func TestAblationMasksDiffer(t *testing.T) {
 	eng, inst := testWorld(t)
-	evAll := eng.Prepare(inst, All, 7)
-	evAP := eng.Prepare(inst, AP, 7)
-	evAW := eng.Prepare(inst, AW, 7)
+	evAll := eng.Prepare(inst, allPairs(inst), All, 7)
+	evAP := eng.Prepare(inst, allPairs(inst), AP, 7)
+	evAW := eng.Prepare(inst, allPairs(inst), AW, 7)
 	differsAP, differsAW := false, false
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
@@ -177,7 +190,7 @@ func TestAblationMasksDiffer(t *testing.T) {
 
 func TestPropagationSumConsistentWithCollection(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, allPairs(inst), All, 7)
 	for w, worker := range inst.Workers {
 		want := eng.Prop.PropagationSum(int32(worker.User))
 		if got := ev.PropagationSum(w); math.Abs(got-want) > 1e-9 {
@@ -189,7 +202,7 @@ func TestPropagationSumConsistentWithCollection(t *testing.T) {
 func TestPropagationSumAvailableWithoutPropagationMask(t *testing.T) {
 	// The AP metric is reported even for masks that exclude propagation.
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, AW, 7)
+	ev := eng.Prepare(inst, allPairs(inst), AW, 7)
 	for w, worker := range inst.Workers {
 		want := eng.Prop.PropagationSum(int32(worker.User))
 		if got := ev.PropagationSum(w); math.Abs(got-want) > 1e-9 {
@@ -204,7 +217,7 @@ func TestAffinityDrivesSemanticMatch(t *testing.T) {
 	// community-1 tasks, because affinity, willingness and location all
 	// align.
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, allPairs(inst), All, 7)
 	sameSum, crossSum := 0.0, 0.0
 	nSame, nCross := 0, 0
 	for w, worker := range inst.Workers {
@@ -229,10 +242,11 @@ func TestAffinityDrivesSemanticMatch(t *testing.T) {
 
 func TestTopLocationsTruncationCloseToExact(t *testing.T) {
 	eng, inst := testWorld(t)
-	exact := eng.Prepare(inst, All, 7)
-	eng.TopLocations = 3
-	truncated := eng.Prepare(inst, All, 7)
-	eng.TopLocations = 0
+	exact := eng.Prepare(inst, allPairs(inst), All, 7)
+	// The truncated models are built once per engine, so truncation
+	// needs an engine of its own.
+	trunc := &Engine{Prop: eng.Prop, Wil: eng.Wil, LDA: eng.LDA, ThetaUser: eng.ThetaUser, TopLocations: 3}
+	truncated := trunc.Prepare(inst, allPairs(inst), All, 7)
 	var maxRel float64
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
@@ -255,8 +269,8 @@ func TestTopLocationsTruncationCloseToExact(t *testing.T) {
 
 func TestDeterministicPrepare(t *testing.T) {
 	eng, inst := testWorld(t)
-	a := eng.Prepare(inst, All, 7)
-	b := eng.Prepare(inst, All, 7)
+	a := eng.Prepare(inst, allPairs(inst), All, 7)
+	b := eng.Prepare(inst, allPairs(inst), All, 7)
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
 			if a.Influence(w, s) != b.Influence(w, s) {
@@ -268,7 +282,7 @@ func TestDeterministicPrepare(t *testing.T) {
 
 func TestEvaluatorDimensions(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, allPairs(inst), All, 7)
 	if ev.NumWorkers() != len(inst.Workers) || ev.NumTasks() != len(inst.Tasks) {
 		t.Errorf("dims %d×%d, want %d×%d",
 			ev.NumWorkers(), ev.NumTasks(), len(inst.Workers), len(inst.Tasks))

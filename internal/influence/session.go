@@ -1,13 +1,21 @@
 // Session is the incremental online phase: where Engine.Prepare treats
-// every assignment instant as cold — rebuilding the full |S|×|W_G|
-// willingness matrix, re-folding every task through LDA and re-extracting
-// every worker's RRR root list — a Session carries that per-entity state
-// across instants. The streaming protocol of the paper (Section VI) keeps
-// unassigned workers online and unexpired tasks open between instants, so
-// most of an instant's state was already computed at an earlier one; a
-// Session computes influence state only for newly arrived tasks and
-// workers and evicts entries the moment their task or worker leaves the
-// pool.
+// every assignment instant as cold — re-folding every task through LDA,
+// re-extracting every worker's RRR root list and computing willingness
+// afresh — a Session carries that per-entity state across instants. The
+// streaming protocol of the paper (Section VI) keeps unassigned workers
+// online and unexpired tasks open between instants, so most of an
+// instant's state was already computed at an earlier one; a Session
+// computes influence state only for newly arrived tasks and workers and
+// evicts entries the moment their task or worker leaves the pool.
+//
+// Willingness is filled on demand. if(ws, s) reads Pwil(wi, s) only at
+// the roots wi of the RRR sets covering ws, so under masks with both
+// willingness and propagation a task's willingness row is filled only at
+// the roots of its feasible workers, and a per-row bitmap records which
+// entries hold a value. Row and bitmap travel with the task across
+// instants, so an entry is computed at most once per task lifetime. Only
+// the willingness-only masks, which read a row's column sum, compute
+// dense rows.
 //
 // Cache keys are stable identities, never instant-local positions: a task
 // is keyed by its Task.ID (which the streaming simulator keeps stable
@@ -16,7 +24,7 @@
 // stable identity — the stream seed is randx.Mix(sessionSeed, taskID) —
 // so a task's topic distribution is the same number at every instant it
 // survives, whichever instant first computed it, and a cold rebuild
-// (Engine.Prepare) reproduces the session's state bit for bit.
+// (Engine.Prepare) reproduces every value the session serves bit for bit.
 //
 // Fresh work runs in deterministic chunks on the shared internal/parallel
 // pool: each pending task or worker writes only to its own pre-inserted
@@ -28,6 +36,8 @@ import (
 	"fmt"
 	"sort"
 
+	"dita/internal/assign"
+	"dita/internal/geo"
 	"dita/internal/mobility"
 	"dita/internal/model"
 	"dita/internal/parallel"
@@ -35,13 +45,18 @@ import (
 )
 
 // taskState is the cached per-task influence state: the task's folded
-// topic distribution (Affinity) and its willingness row plus column sum
-// over the whole social network (Willingness).
+// topic distribution (Affinity) and its willingness row over the social
+// network (Willingness). Under lazy masks (willingness and propagation)
+// row and filled are allocated at first use and filled[u>>6] bit u&63
+// marks row[u] as computed; under willingness-only masks row is dense
+// and colSum is its sum.
 type taskState struct {
 	gen    uint64
 	seq    uint64 // admission order, for capacity eviction
+	loc    geo.Point
 	theta  []float64
 	row    []float32
+	filled []uint64
 	colSum float64
 }
 
@@ -57,12 +72,15 @@ type userState struct {
 
 // Session owns the carry-over influence state of the online phase. Create
 // one per streaming run (Engine.NewSession), call Evaluate once per
-// assignment instant, and the session computes state only for tasks and
-// workers it has not seen, evicting entries that left the pool.
+// assignment instant with the instant's feasible pairs, and the session
+// computes state only for tasks and workers it has not seen — and
+// willingness only where those pairs read it — evicting entries that
+// left the pool.
 //
 // The evaluators a session returns are interchangeable with cold
-// Engine.Prepare ones: for the same instance, component mask and seed the
-// two are bit-identical (the equivalence tests assert this), because all
+// Engine.Prepare ones on the pairs they were prepared for: for the same
+// instance, pairs, component mask and seed, every such pair's influence
+// is bit-identical (the equivalence tests assert this), because all
 // cached state is keyed by stable identity rather than by instant.
 //
 // A Session is not safe for concurrent use; build one per goroutine (they
@@ -72,6 +90,9 @@ type Session struct {
 	comps Components
 	seed  uint64
 	par   int
+	// lazy reports a mask with both willingness and propagation, whose
+	// rows are filled on demand at the roots of feasible workers.
+	lazy bool
 
 	// gen is the current instant's generation stamp; entries whose stamp
 	// is older at the end of Evaluate have left the pool and are evicted.
@@ -83,11 +104,14 @@ type Session struct {
 	// positive; see SetCapacity.
 	capacity int
 	scale    float64
-	// models are the (lazily built, truncation-applied) per-user
-	// willingness models shared by every instant of the session.
+	// models are the engine's truncated per-user willingness models
+	// (nil under masks without willingness).
 	models []*mobility.WorkerModel
 	tasks  map[uint64]*taskState
 	users  map[int32]*userState
+	// wilEntries counts the willingness entries the last Evaluate or
+	// Sync computed.
+	wilEntries int
 
 	// pendT/pendU are reusable scratch lists of cache misses; the
 	// parallel fresh-work phase iterates them by index.
@@ -116,11 +140,15 @@ func (e *Engine) NewSession(comps Components, seed uint64, parallelism int) *Ses
 		comps: comps,
 		seed:  seed,
 		par:   parallel.Workers(parallelism),
+		lazy:  comps&Willingness != 0 && comps&Propagation != 0,
 		tasks: make(map[uint64]*taskState),
 		users: make(map[int32]*userState),
 	}
 	if n := e.Prop.NumSets(); n > 0 {
 		s.scale = float64(e.Prop.Graph().N()) / float64(n)
+	}
+	if comps&Willingness != 0 {
+		s.models = e.willingnessModels(s.par)
 	}
 	return s
 }
@@ -135,6 +163,13 @@ func (s *Session) CachedTasks() int { return len(s.tasks) }
 // CachedWorkers returns how many distinct users currently have cached
 // state.
 func (s *Session) CachedWorkers() int { return len(s.users) }
+
+// WilEntries returns how many willingness entries (Equation 2 values)
+// the last Evaluate or Sync computed: the on-demand entries of lazy
+// rows, or one dense row per newly admitted task under willingness-only
+// masks. Entries served from cache are not counted, so a warm session
+// reports at most what a cold Prepare of the same instant does.
+func (s *Session) WilEntries() int { return s.wilEntries }
 
 // SetCapacity bounds the session's carry-over memory: after each instant
 // at most n cached task states and n cached user states are retained,
@@ -151,16 +186,22 @@ func (s *Session) CachedWorkers() int { return len(s.users) }
 // with the live pool. Takes effect at the next Evaluate/Sync.
 func (s *Session) SetCapacity(n int) { s.capacity = n }
 
-// Evaluate returns the evaluator for one assignment instant, reusing
-// cached state for every task and worker seen at an earlier instant and
-// computing fresh state — in deterministic parallel chunks — for the
-// rest. State for tasks and workers absent from inst is evicted.
+// Evaluate returns the evaluator for one assignment instant over its
+// feasible pairs, reusing cached state for every task and worker seen at
+// an earlier instant and computing fresh state — in deterministic
+// parallel chunks — for the rest. State for tasks and workers absent
+// from inst is evicted.
+//
+// The evaluator is valid only on pairs: under lazy masks willingness is
+// filled only where those pairs read it, so querying any other pair may
+// return a wrong value. Pairs index inst, as assign.FeasiblePairs and
+// assign.TiledFeasiblePairs produce them.
 //
 // Task IDs must be unique within the instance and stable across the
 // instants of a session: a given Task.ID must always denote the same
 // task (location and categories), which is exactly what the streaming
 // simulator's platform-level identities provide.
-func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
+func (s *Session) Evaluate(inst *model.Instance, pairs []assign.Pair) *Evaluator {
 	nW, nT := len(inst.Workers), len(inst.Tasks)
 	nU := s.eng.Prop.Graph().N()
 	s.gen++
@@ -174,6 +215,12 @@ func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
 	s.admitUsers(ev.users)
 	s.admitTasks(inst)
 
+	sts := make([]*taskState, nT)
+	if s.comps&(Affinity|Willingness) != 0 {
+		for j := range inst.Tasks {
+			sts[j] = s.tasks[uint64(inst.Tasks[j].ID)]
+		}
+	}
 	if s.comps&Affinity != 0 {
 		ev.thetaW = make([][]float64, nW)
 		for i, w := range inst.Workers {
@@ -184,17 +231,8 @@ func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
 			}
 		}
 		ev.thetaT = make([][]float64, nT)
-		for j := range inst.Tasks {
-			ev.thetaT[j] = s.tasks[uint64(inst.Tasks[j].ID)].theta
-		}
-	}
-	if s.comps&Willingness != 0 {
-		ev.wilRows = make([][]float32, nT)
-		ev.wilColSum = make([]float64, nT)
-		for j := range inst.Tasks {
-			st := s.tasks[uint64(inst.Tasks[j].ID)]
-			ev.wilRows[j] = st.row
-			ev.wilColSum[j] = st.colSum
+		for j, st := range sts {
+			ev.thetaT[j] = st.theta
 		}
 	}
 	ev.propSum = make([]float64, nW)
@@ -209,6 +247,17 @@ func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
 		}
 		ev.propSum[i] = st.propSum
 	}
+	if s.lazy {
+		s.fillRows(sts, pairs, ev.roots)
+	}
+	if s.comps&Willingness != 0 {
+		ev.wilRows = make([][]float32, nT)
+		ev.wilColSum = make([]float64, nT)
+		for j, st := range sts {
+			ev.wilRows[j] = st.row
+			ev.wilColSum[j] = st.colSum
+		}
+	}
 
 	s.evict()
 	return ev
@@ -216,8 +265,10 @@ func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
 
 // Sync maintains the carry-over cache for an instant the platform skips
 // (no workers online or no tasks open): arrivals are admitted — their
-// state computed ahead of the next assignment round — and departures are
-// evicted, exactly as Evaluate would, without building an evaluator.
+// topics folded and roots extracted ahead of the next assignment round —
+// and departures are evicted, exactly as Evaluate would, without building
+// an evaluator. Lazy willingness rows are left for the instant whose
+// pairs read them.
 func (s *Session) Sync(inst *model.Instance) {
 	s.gen++
 	users := make([]int32, len(inst.Workers))
@@ -259,15 +310,15 @@ func (s *Session) admitUsers(users []int32) {
 }
 
 // admitTasks stamps the instant's tasks and computes state for newly
-// arrived ones. Per-task randomness is keyed by stable task identity via
-// randx.Mix, so the computed state is independent of the task's position
-// in the instance and of which instant first computed it.
+// arrived ones: the folded topics, and under willingness-only masks the
+// dense willingness row. Per-task randomness is keyed by stable task
+// identity via randx.Mix, so the computed state is independent of the
+// task's position in the instance and of which instant first computed
+// it. It resets the instant's willingness-entry count.
 func (s *Session) admitTasks(inst *model.Instance) {
+	s.wilEntries = 0
 	if s.comps&(Affinity|Willingness) == 0 {
 		return
-	}
-	if s.comps&Willingness != 0 && s.models == nil {
-		s.models = s.eng.truncatedModels(s.par)
 	}
 	s.pendT = s.pendT[:0]
 	for j := range inst.Tasks {
@@ -275,7 +326,7 @@ func (s *Session) admitTasks(inst *model.Instance) {
 		st, ok := s.tasks[key]
 		if !ok {
 			s.admitSeq++
-			st = &taskState{seq: s.admitSeq}
+			st = &taskState{seq: s.admitSeq, loc: inst.Tasks[j].Loc}
 			s.tasks[key] = st
 			s.pendT = append(s.pendT, pendingTask{key: key, j: j, st: st})
 		} else if st.gen == s.gen {
@@ -287,6 +338,10 @@ func (s *Session) admitTasks(inst *model.Instance) {
 		st.gen = s.gen
 	}
 	nU := s.eng.Prop.Graph().N()
+	dense := s.comps&Willingness != 0 && !s.lazy
+	if dense {
+		s.wilEntries = nU * len(s.pendT)
+	}
 	parallel.For(s.par, len(s.pendT), func(_, i int) {
 		p := s.pendT[i]
 		task := inst.Tasks[p.j]
@@ -297,7 +352,7 @@ func (s *Session) admitTasks(inst *model.Instance) {
 			}
 			p.st.theta = s.eng.LDA.Infer(doc, randx.Mix(s.seed, p.key))
 		}
-		if s.comps&Willingness != 0 {
+		if dense {
 			row := make([]float32, nU)
 			sum := 0.0
 			for u := 0; u < nU; u++ {
@@ -312,6 +367,64 @@ func (s *Session) admitTasks(inst *model.Instance) {
 			p.st.row, p.st.colSum = row, sum
 		}
 	})
+}
+
+// fillRows computes the willingness entries the instant's pairs read:
+// for each task, Pwil at every RRR root of every feasible worker, minus
+// the entries an earlier instant already filled. The pairs are grouped
+// by task (CSR, workers in pair order) so each task writes only its own
+// row and bitmap on the pool, and the per-task entry counts are summed
+// sequentially; rows and counts are therefore identical at any
+// Parallelism.
+func (s *Session) fillRows(sts []*taskState, pairs []assign.Pair, roots [][]rootCount) {
+	nT := len(sts)
+	nU := s.eng.Prop.Graph().N()
+	start := make([]int32, nT+1)
+	for _, p := range pairs {
+		start[p.T+1]++
+	}
+	for j := 0; j < nT; j++ {
+		start[j+1] += start[j]
+	}
+	byW := make([]int32, len(pairs))
+	for _, p := range pairs {
+		byW[start[p.T]] = p.W
+		start[p.T]++
+	}
+	// The placement pass advanced every start to its task's end; shift
+	// back so start[j] is task j's first slot again.
+	copy(start[1:], start[:nT])
+	start[0] = 0
+	counts := make([]int, nT)
+	parallel.For(s.par, nT, func(_, j int) {
+		ws := byW[start[j]:start[j+1]]
+		if len(ws) == 0 {
+			return
+		}
+		st := sts[j]
+		if st.row == nil {
+			st.row = make([]float32, nU)
+			st.filled = make([]uint64, (nU+63)/64)
+		}
+		n := 0
+		for _, w := range ws {
+			for _, rc := range roots[w] {
+				word, bit := rc.root>>6, uint64(1)<<(rc.root&63)
+				if st.filled[word]&bit != 0 {
+					continue
+				}
+				st.filled[word] |= bit
+				if wm := s.models[rc.root]; wm != nil {
+					st.row[rc.root] = float32(wm.Willingness(st.loc))
+				}
+				n++
+			}
+		}
+		counts[j] = n
+	})
+	for _, n := range counts {
+		s.wilEntries += n
+	}
 }
 
 // evict drops cached state whose task or worker was absent from the

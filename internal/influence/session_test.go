@@ -1,12 +1,85 @@
 package influence
 
 import (
-	"reflect"
+	"fmt"
+	"math"
 	"testing"
 
+	"dita/internal/assign"
 	"dita/internal/model"
 	"dita/internal/paralleltest"
 )
+
+// feasible returns the instance's feasible pairs at the default speed —
+// the pairs a streaming instant prepares influence for.
+func feasible(inst *model.Instance) []assign.Pair {
+	return assign.FeasiblePairs(inst, 5)
+}
+
+// taskRow is the test accessor for one cached task's willingness state:
+// the row, its filled bitmap (nil for dense rows) and the task location.
+func (s *Session) taskRow(id model.TaskID) (row []float32, filled []uint64, ok bool) {
+	st, ok := s.tasks[uint64(id)]
+	if !ok {
+		return nil, nil, false
+	}
+	return st.row, st.filled, true
+}
+
+// checkWarmAgainstCold is the session gate at one instant: every prepared
+// pair prices bit-identically warm and cold, every willingness entry the
+// warm session holds bit-equals Equation 2 computed directly from the
+// worker models, and under lazy masks every RRR root of every prepared
+// pair's worker is filled. A warm row may hold more entries than the
+// cold one (filled at earlier instants), so whole evaluators are not
+// compared.
+func checkWarmAgainstCold(t *testing.T, eng *Engine, sess *Session, in *model.Instance, pairs []assign.Pair, warm, cold *Evaluator, what string) {
+	t.Helper()
+	for _, p := range pairs {
+		w, c := warm.Influence(int(p.W), int(p.T)), cold.Influence(int(p.W), int(p.T))
+		if math.Float64bits(w) != math.Float64bits(c) {
+			t.Fatalf("%s: pair (%d,%d) warm %v, cold %v", what, p.W, p.T, w, c)
+		}
+	}
+	if sess.Components()&Willingness == 0 {
+		return
+	}
+	models := eng.truncatedModels(1)
+	for _, task := range in.Tasks {
+		row, filled, ok := sess.taskRow(task.ID)
+		if !ok {
+			continue // evicted by a capacity bound
+		}
+		for u, got := range row {
+			if filled != nil && filled[u>>6]&(1<<(u&63)) == 0 {
+				continue
+			}
+			var want float32
+			if models[u] != nil {
+				want = float32(models[u].Willingness(task.Loc))
+			}
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%s: task %d entry %d = %v, Equation 2 gives %v", what, task.ID, u, got, want)
+			}
+		}
+	}
+	if !sess.lazy {
+		return
+	}
+	for _, p := range pairs {
+		task := in.Tasks[p.T]
+		_, filled, ok := sess.taskRow(task.ID)
+		if !ok {
+			continue
+		}
+		roots, _ := eng.Prop.RootCounts(int32(in.Workers[p.W].User))
+		for _, r := range roots {
+			if filled[r>>6]&(1<<(r&63)) == 0 {
+				t.Fatalf("%s: task %d root %d of worker %d not filled", what, task.ID, r, p.W)
+			}
+		}
+	}
+}
 
 // instantSequence builds a multi-instant scenario over the testWorld
 // instance: instant 0 is the full pool, instant 1 drops some tasks and
@@ -54,20 +127,69 @@ func instantSequence(inst *model.Instance) []*model.Instance {
 
 // TestSessionMatchesColdPrepare is the correctness gate of the session
 // layer: at every instant of a carry-over sequence, for every component
-// mask, the warm session's evaluator must be bit-identical (unexported
-// fields included) to a cold one-shot Prepare of the same instance.
+// mask and at Parallelism 1, 2 and 8, the warm session must price every
+// feasible pair bit-identically to a cold one-shot Prepare, hold only
+// willingness entries equal to Equation 2, and have filled every root
+// the pairs read (checkWarmAgainstCold).
 func TestSessionMatchesColdPrepare(t *testing.T) {
 	eng, inst := testWorld(t)
 	const seed = 7
-	for _, mask := range []Components{All, WP, AP, AW, Propagation, Willingness, Affinity, 0} {
-		sess := eng.NewSession(mask, seed, 2)
-		for k, in := range instantSequence(inst) {
-			warm := sess.Evaluate(in)
-			cold := eng.Prepare(in, mask, seed)
-			if !reflect.DeepEqual(warm, cold) {
-				t.Fatalf("mask %v instant %d: session evaluator diverged from cold Prepare", mask, k)
+	for _, par := range paralleltest.WorkerCounts {
+		for _, mask := range []Components{All, WP, AP, AW, Propagation, Willingness, Affinity, 0} {
+			sess := eng.NewSession(mask, seed, par)
+			for k, in := range instantSequence(inst) {
+				pairs := feasible(in)
+				warm := sess.Evaluate(in, pairs)
+				cold := eng.Prepare(in, pairs, mask, seed)
+				checkWarmAgainstCold(t, eng, sess, in, pairs, warm, cold,
+					fmt.Sprintf("parallelism %d mask %v instant %d", par, mask, k))
 			}
 		}
+	}
+}
+
+// TestSessionWilEntriesCountsDistinctRoots pins what WilEntries counts:
+// on a fresh session, one entry per distinct (task, RRR root) over the
+// workers of the feasible pairs; at the next instant only the (task,
+// root) pairs no earlier instant filled. Willingness-only masks count a
+// dense row per newly admitted task.
+func TestSessionWilEntriesCountsDistinctRoots(t *testing.T) {
+	eng, inst := testWorld(t)
+	type key struct {
+		task model.TaskID
+		root int32
+	}
+	seen := map[key]bool{}
+	sess := eng.NewSession(All, 7, 2)
+	for k, in := range instantSequence(inst)[:2] {
+		pairs := feasible(in)
+		want := 0
+		for _, p := range pairs {
+			roots, _ := eng.Prop.RootCounts(int32(in.Workers[p.W].User))
+			for _, r := range roots {
+				if kk := (key{in.Tasks[p.T].ID, r}); !seen[kk] {
+					seen[kk] = true
+					want++
+				}
+			}
+		}
+		if want == 0 {
+			t.Fatalf("instant %d reads no willingness entries; the count is never exercised", k)
+		}
+		sess.Evaluate(in, pairs)
+		if got := sess.WilEntries(); got != want {
+			t.Errorf("instant %d: WilEntries %d, want %d distinct new (task, root) pairs", k, got, want)
+		}
+	}
+	sess.Sync(inst)
+	if got := sess.WilEntries(); got != 0 {
+		t.Errorf("Sync under IA computed %d willingness entries, want 0 (rows fill on demand)", got)
+	}
+
+	dense := eng.NewSession(AW, 7, 1)
+	dense.Evaluate(inst, feasible(inst))
+	if got, want := dense.WilEntries(), len(inst.Tasks)*eng.Prop.Graph().N(); got != want {
+		t.Errorf("IA-AW: WilEntries %d, want %d (one dense row per task)", got, want)
 	}
 }
 
@@ -78,8 +200,8 @@ func TestSessionReusesCarriedOverState(t *testing.T) {
 	eng, inst := testWorld(t)
 	sess := eng.NewSession(All, 7, 1)
 	seq := instantSequence(inst)
-	ev0 := sess.Evaluate(seq[0])
-	ev1 := sess.Evaluate(seq[1])
+	ev0 := sess.Evaluate(seq[0], feasible(seq[0]))
+	ev1 := sess.Evaluate(seq[1], feasible(seq[1]))
 	// Task with stable id 1 is position 1 at instant 0 and position 0 at
 	// instant 1.
 	if &ev0.wilRows[1][0] != &ev1.wilRows[0][0] {
@@ -103,7 +225,7 @@ func TestSessionEvictsDepartedEntities(t *testing.T) {
 	sess := eng.NewSession(All, 7, 1)
 	seq := instantSequence(inst)
 	for k, in := range seq {
-		sess.Evaluate(in)
+		sess.Evaluate(in, feasible(in))
 		distinctUsers := map[model.WorkerID]bool{}
 		for _, w := range in.Workers {
 			distinctUsers[w.User] = true
@@ -121,7 +243,7 @@ func TestSessionEvictsDepartedEntities(t *testing.T) {
 		Workers: seq[2].Workers[:1],
 		Tasks:   seq[2].Tasks[:1],
 	}
-	sess.Evaluate(small)
+	sess.Evaluate(small, feasible(small))
 	if sess.CachedTasks() != 1 || sess.CachedWorkers() != 1 {
 		t.Errorf("after shrinking to 1×1: %d tasks, %d workers cached",
 			sess.CachedTasks(), sess.CachedWorkers())
@@ -130,20 +252,20 @@ func TestSessionEvictsDepartedEntities(t *testing.T) {
 
 // TestSessionCapacityBoundExact is the unit gate of the bounded session:
 // with a capacity far below the live pool, every instant's evaluator
-// must still be bit-identical to a cold Prepare (evicted-but-live
-// entities are cache misses that recompute identity-keyed state), while
-// both caches hold at most the capacity after every instant.
+// must still price every feasible pair bit-identically to a cold Prepare
+// (evicted-but-live entities are cache misses that recompute
+// identity-keyed state), while both caches hold at most the capacity
+// after every instant.
 func TestSessionCapacityBoundExact(t *testing.T) {
 	eng, inst := testWorld(t)
 	const capacity = 2
 	sess := eng.NewSession(All, 7, 2)
 	sess.SetCapacity(capacity)
 	for k, in := range instantSequence(inst) {
-		warm := sess.Evaluate(in)
-		cold := eng.Prepare(in, All, 7)
-		if !reflect.DeepEqual(warm, cold) {
-			t.Fatalf("instant %d: capped session evaluator diverged from cold Prepare", k)
-		}
+		pairs := feasible(in)
+		warm := sess.Evaluate(in, pairs)
+		cold := eng.Prepare(in, pairs, All, 7)
+		checkWarmAgainstCold(t, eng, sess, in, pairs, warm, cold, fmt.Sprintf("capped instant %d", k))
 		if len(in.Tasks) <= capacity {
 			t.Fatalf("instant %d offers %d tasks; the bound is never stressed", k, len(in.Tasks))
 		}
@@ -157,7 +279,7 @@ func TestSessionCapacityBoundExact(t *testing.T) {
 	// Lifting the bound restores live-pool tracking at the next instant.
 	sess.SetCapacity(0)
 	final := instantSequence(inst)[2]
-	sess.Evaluate(final)
+	sess.Evaluate(final, feasible(final))
 	if got, want := sess.CachedTasks(), len(final.Tasks); got != want {
 		t.Errorf("after lifting the bound: %d cached tasks, want %d", got, want)
 	}
@@ -171,7 +293,7 @@ func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
 	eng, inst := testWorld(t)
 	sess := eng.NewSession(All, 7, 1)
 	sess.SetCapacity(1)
-	sess.Evaluate(inst)
+	sess.Evaluate(inst, feasible(inst))
 	if sess.CachedTasks() != 1 {
 		t.Fatalf("%d cached tasks, want 1", sess.CachedTasks())
 	}
@@ -184,11 +306,10 @@ func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
 		t.Fatal("last-admitted task was evicted: FIFO order broken")
 	}
 	probe := &model.Instance{Now: inst.Now + 1, Workers: inst.Workers[:1], Tasks: []model.Task{last}}
-	warm := sess.Evaluate(probe)
-	cold := eng.Prepare(probe, All, 7)
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatal("survivor state diverged from cold Prepare")
-	}
+	pairs := allPairs(probe)
+	warm := sess.Evaluate(probe, pairs)
+	cold := eng.Prepare(probe, pairs, All, 7)
+	checkWarmAgainstCold(t, eng, sess, probe, pairs, warm, cold, "survivor")
 	if &warm.thetaT[0][0] != &st.theta[0] {
 		t.Fatal("survivor was recomputed, not served from cache")
 	}
@@ -196,19 +317,22 @@ func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
 
 // TestSessionParallelismInvariant registers the session-backed online
 // phase with the shared determinism harness: the full multi-instant
-// evaluator sequence must be bit-identical at worker counts {1, 2, 8}.
+// evaluator sequence and its per-instant willingness-entry counts must
+// be bit-identical at worker counts {1, 2, 8}.
 func TestSessionParallelismInvariant(t *testing.T) {
 	eng, inst := testWorld(t)
 	seq := instantSequence(inst)
 	paralleltest.Invariant(t, func(par int) any {
 		var evs []*Evaluator
+		var entries []int
 		for _, mask := range []Components{All, AW} {
 			sess := eng.NewSession(mask, 7, par)
 			for _, in := range seq {
-				evs = append(evs, sess.Evaluate(in))
+				evs = append(evs, sess.Evaluate(in, feasible(in)))
+				entries = append(entries, sess.WilEntries())
 			}
 		}
-		return evs
+		return []any{evs, entries}
 	})
 }
 
@@ -225,7 +349,7 @@ func TestSessionRejectsDuplicateTaskIDs(t *testing.T) {
 			t.Fatal("duplicate task IDs accepted")
 		}
 	}()
-	eng.NewSession(All, 7, 1).Evaluate(bad)
+	eng.NewSession(All, 7, 1).Evaluate(bad, nil)
 }
 
 // TestPrepareSeedKeyedByStableIdentity: the fold-in stream of a task
@@ -233,11 +357,11 @@ func TestSessionRejectsDuplicateTaskIDs(t *testing.T) {
 // permutes — but never changes — the per-task state.
 func TestPrepareSeedKeyedByStableIdentity(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, allPairs(inst), All, 7)
 	perm := &model.Instance{Now: inst.Now, Workers: inst.Workers}
 	perm.Tasks = append(perm.Tasks, inst.Tasks[3:]...)
 	perm.Tasks = append(perm.Tasks, inst.Tasks[:3]...)
-	evPerm := eng.Prepare(perm, All, 7)
+	evPerm := eng.Prepare(perm, allPairs(perm), All, 7)
 	n := len(inst.Tasks)
 	for j := 0; j < n; j++ {
 		pj := (j - 3 + n) % n // position of task j in the permuted instance
@@ -248,4 +372,23 @@ func TestPrepareSeedKeyedByStableIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWillingnessModelsBuiltOnce: the truncated willingness models are
+// derived once per engine and shared by every session, and building
+// them gives the same models at any worker count.
+func TestWillingnessModelsBuiltOnce(t *testing.T) {
+	eng, _ := testWorld(t)
+	eng.TopLocations = 3
+	a := eng.NewSession(All, 7, 1)
+	b := eng.NewSession(AW, 9, 8)
+	if len(a.models) == 0 || &a.models[0] != &b.models[0] {
+		t.Fatal("sessions of one engine hold separately built willingness models")
+	}
+	if eng.NewSession(AP, 7, 1).models != nil {
+		t.Error("a mask without willingness holds willingness models")
+	}
+	paralleltest.Invariant(t, func(par int) any {
+		return eng.truncatedModels(par)
+	})
 }
