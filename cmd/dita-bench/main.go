@@ -5,8 +5,7 @@
 // Usage:
 //
 //	dita-bench [-datasets bk,fs] [-figures all|5,9,15] [-scale full|quick]
-//	           [-csv dir] [-days n] [-parallel n] [-rrrbench file.json]
-//	           [-simbench file.json]
+//	           [-csv dir] [-days n] [-parallel n]
 //	           [-train-out fw_bk.json,fw_fs.json | -framework fw_bk.json,fw_fs.json]
 //	           [-shard k/N -shard-out file.json] [-merge 'glob']
 //	           [-orchestrate N -shard-dir dir]
@@ -51,8 +50,7 @@
 // persisted. The artifact is a versioned JSON envelope sealed with a
 // SHA-256 content checksum, written atomically. -framework is the
 // serving half: it loads pre-trained artifacts instead of training, in
-// normal, shard-worker and orchestrate runs (and -simbench takes a
-// single artifact). Every load verifies the seal and that the artifact
+// normal, shard-worker and orchestrate runs. Every load verifies the seal and that the artifact
 // was trained for this run's dataset and cutoff; a sweep served from an
 // artifact is bit-identical to one that retrained in-process (cpu_ms
 // wall clock aside).
@@ -62,53 +60,27 @@
 // the (day × sweep-value) fan-out; 0 (the default) means all cores.
 // Every figure's series is bit-identical for every setting — only the
 // CPU(ms) column, which times each assignment's own wall clock, moves.
-//
-// -rrrbench skips the figures and instead measures rrr.Build plus the
-// training-phase hot spots (datagen, LDA, mobility) at parallelism 1, 2
-// and GOMAXPROCS, writing a machine-readable JSON report (ns/op,
-// allocs/op, sets/sec, per-phase ms per point) so successive PRs have a
-// comparable perf trajectory.
-//
-// -simbench runs a streaming day twice — rebuilding the online phase
-// cold every instant vs. the warm incremental session — and records the
-// per-instant influence-preparation latency into the same JSON report
-// (merging with an existing -rrrbench file), demonstrating what the
-// session cache skips for carried-over tasks and workers.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
-	"testing"
 	"time"
 
-	"dita/internal/assign"
 	"dita/internal/atomicio"
 	"dita/internal/core"
 	"dita/internal/dataset"
 	"dita/internal/experiments"
 	"dita/internal/fwio"
-	"dita/internal/lda"
-	"dita/internal/mobility"
-	"dita/internal/model"
-	"dita/internal/parallel"
-	"dita/internal/randx"
-	"dita/internal/rrr"
-	"dita/internal/simulate"
-	"dita/internal/socialgraph"
 )
 
 func main() {
@@ -121,8 +93,6 @@ func main() {
 		days         = flag.Int("days", 0, "override the number of evaluation days")
 		seed         = flag.Uint64("seed", 42, "experiment seed")
 		par          = flag.Int("parallel", 0, "worker pool bound for sampling and sweeps (0 = all cores)")
-		rrrBench     = flag.String("rrrbench", "", "write an rrr.Build scaling report to this JSON file and exit")
-		simBench     = flag.String("simbench", "", "record per-instant online-phase latency (cold vs warm session) into this JSON file and exit")
 		trainOut     = flag.String("train-out", "", "train the framework(s) and write sealed artifacts to these paths (one per -datasets entry), then exit")
 		framework    = flag.String("framework", "", "load pre-trained framework artifacts from these paths (one per -datasets entry) instead of training")
 		shardFlag    = flag.String("shard", "", "run as worker k of an N-way sharded sweep (k/N); requires -shard-out")
@@ -166,16 +136,8 @@ func main() {
 		return
 	}
 
-	if *rrrBench != "" || *simBench != "" {
-		if *shardFlag != "" || *shardOut != "" || *mergeFlag != "" || *orchestrate != 0 {
-			log.Fatal("-rrrbench/-simbench are standalone modes; they cannot be combined with -shard/-shard-out/-merge/-orchestrate")
-		}
-	}
 	if *trainOut != "" && *framework != "" {
 		log.Fatal("-train-out and -framework are mutually exclusive: train fresh or serve a saved framework, not both")
-	}
-	if *rrrBench != "" && (*trainOut != "" || *framework != "") {
-		log.Fatal("-rrrbench measures training itself; -train-out/-framework do not apply")
 	}
 	if *mergeFlag != "" && (*trainOut != "" || *framework != "") {
 		log.Fatal("-merge combines finished artifacts; -train-out/-framework do not apply")
@@ -193,18 +155,6 @@ func main() {
 		}
 	}
 	installSignalHandler()
-	if *rrrBench != "" {
-		if err := writeRRRBench(*rrrBench); err != nil {
-			log.Fatalf("rrrbench: %v", err)
-		}
-		return
-	}
-	if *simBench != "" {
-		if err := writeSimBench(*simBench, *par, *framework, *trainOut); err != nil {
-			log.Fatalf("simbench: %v", err)
-		}
-		return
-	}
 	if *mergeFlag != "" {
 		if *shardFlag != "" || *shardOut != "" || *orchestrate != 0 {
 			log.Fatal("-merge is a coordinator mode; it cannot be combined with -shard/-shard-out/-orchestrate")
@@ -698,395 +648,4 @@ func writeCSV(dir, name string, res *experiments.Result) error {
 		return err
 	}
 	return atomicio.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644)
-}
-
-// rrrBenchPoint is one scaling measurement of rrr.Build.
-type rrrBenchPoint struct {
-	Parallelism int     `json:"parallelism"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Sets        int     `json:"sets"`
-	SetsPerSec  float64 `json:"sets_per_sec"`
-}
-
-// trainingPoint is one scaling measurement of the offline training
-// phase: wall-clock per component at a given worker-pool bound. All
-// three components are bit-identical across points (same seeds), so the
-// deltas isolate pure scheduling gains.
-type trainingPoint struct {
-	Parallelism int     `json:"parallelism"`
-	DatagenMs   float64 `json:"datagen_ms"`
-	LDAMs       float64 `json:"lda_ms"`
-	MobilityMs  float64 `json:"mobility_ms"`
-}
-
-// rrrBenchReport is the machine-readable perf trajectory record
-// successive PRs compare against.
-type rrrBenchReport struct {
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	GraphNodes int             `json:"graph_nodes"`
-	GraphEdges int             `json:"graph_edges"`
-	Seed       uint64          `json:"seed"`
-	Points     []rrrBenchPoint `json:"points"`
-	Training   []trainingPoint `json:"training"`
-	// ForwardIndexBytes is the retained memory Params.DropForwardIndex
-	// retires on the benchmark collection (setOff + setMembers).
-	ForwardIndexBytes int64 `json:"forward_index_bytes"`
-	// Sim records the streaming online phase: per-instant influence
-	// preparation latency with a cold rebuild per instant vs. the warm
-	// incremental session (-simbench).
-	Sim *simBenchReport `json:"sim,omitempty"`
-}
-
-// simInstantPoint is one assignment instant of the -simbench run: the
-// same instant measured with a cold (full rebuild) and a warm (cached
-// session) online phase. The two runs make identical assignments, so the
-// pools — and therefore the work the instant asks for — are identical
-// point for point. ColdMs/WarmMs time the influence preparation.
-type simInstantPoint struct {
-	Instant int     `json:"instant"`
-	At      float64 `json:"at_hours"`
-	Workers int     `json:"workers"`
-	Tasks   int     `json:"tasks"`
-	ColdMs  float64 `json:"cold_ms"`
-	WarmMs  float64 `json:"warm_ms"`
-}
-
-// simBenchReport is the streaming online-phase trajectory: how much the
-// incremental session saves per instant by reusing carried-over state.
-type simBenchReport struct {
-	Parallelism int               `json:"parallelism"`
-	Arrivals    int               `json:"arrivals"`
-	Assigned    int               `json:"assigned"`
-	Instants    []simInstantPoint `json:"instants"`
-	ColdTotalMs float64           `json:"cold_total_ms"`
-	WarmTotalMs float64           `json:"warm_total_ms"`
-	// WarmSpeedup = ColdTotalMs / WarmTotalMs over instants after the
-	// first (the first warm instant is itself cold by definition).
-	WarmSpeedup float64 `json:"warm_speedup"`
-}
-
-// writeRRRBench measures rrr.Build on a paper-scale graph at
-// parallelism 1, 2 and GOMAXPROCS and writes the report as JSON. The
-// three collections are bit-identical (same seed), so the points
-// isolate pure scheduling gains.
-func writeRRRBench(path string) error {
-	const benchSeed = 1
-	g := socialgraph.GeneratePreferentialAttachment(2400, 3, randx.New(1))
-	report := rrrBenchReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GraphNodes: g.N(),
-		GraphEdges: g.M(),
-		Seed:       benchSeed,
-	}
-	pars := []int{1, 2, runtime.GOMAXPROCS(0)}
-	slices.Sort(pars)
-	pars = slices.Compact(pars)
-	var lastColl *rrr.Collection // all points build bit-identical collections
-	for _, p := range pars {
-		sets := 0
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := rrr.Build(g, rrr.Params{Seed: benchSeed, Parallelism: p})
-				sets = c.NumSets()
-				lastColl = c
-			}
-		})
-		pt := rrrBenchPoint{
-			Parallelism: p,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			Sets:        sets,
-		}
-		if res.NsPerOp() > 0 {
-			pt.SetsPerSec = float64(sets) / (float64(res.NsPerOp()) / 1e9)
-		}
-		report.Points = append(report.Points, pt)
-		fmt.Printf("rrr.Build parallelism=%d: %s, %d allocs/op, %.0f sets/sec\n",
-			p, time.Duration(res.NsPerOp()), res.AllocsPerOp(), pt.SetsPerSec)
-	}
-	if lastColl != nil {
-		members := int64(0)
-		for w := int32(0); w < int32(g.N()); w++ {
-			members += int64(lastColl.CoverageCount(w))
-		}
-		// setMembers mirrors the inverted index entry for entry; setOff
-		// adds one offset per set plus the sentinel.
-		report.ForwardIndexBytes = 4 * (members + int64(lastColl.NumSets()) + 1)
-		fmt.Printf("DropForwardIndex would retire %.1f MiB of the collection\n",
-			float64(report.ForwardIndexBytes)/(1<<20))
-	}
-	var inputs *trainingInputs
-	for _, p := range pars {
-		tp, in, err := measureTraining(p, inputs)
-		if err != nil {
-			return err
-		}
-		inputs = in
-		report.Training = append(report.Training, tp)
-		fmt.Printf("training parallelism=%d: datagen %.0fms, lda %.0fms, mobility %.0fms\n",
-			p, tp.DatagenMs, tp.LDAMs, tp.MobilityMs)
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// writeSimBench runs one streaming day twice — once rebuilding the
-// online phase from scratch every instant (ColdPrepare), once on the
-// warm incremental session — and records per-instant influence
-// preparation latency into the BENCH_rrr.json report (merging with an
-// existing file so the rrrbench trajectory is preserved). The two runs
-// are bit-identical in everything but latency, so each point isolates
-// exactly the recomputation the session cache skips for carried-over
-// tasks and workers.
-//
-// fwPath, when set, loads the framework from a sealed artifact instead
-// of training (it must have been saved by a previous simbench's
-// trainOut — the benchmark's reduced dataset and cutoff are their own
-// training input); trainOut, when set, saves the trained framework for
-// later runs.
-func writeSimBench(path string, par int, fwPath, trainOut string) error {
-	dp := dataset.BrightkiteLike()
-	dp.NumUsers = 800
-	dp.NumVenues = 1000
-	dp.Days = 12
-	dp.Parallelism = par
-	cutoff := float64(dp.Days-2) * 24
-	var fw *core.Framework
-	if fwPath != "" {
-		loaded, info, err := fwio.Load(fwPath)
-		if err != nil {
-			return err
-		}
-		if want := frameworkSource(dp, cutoff); info.Source != want {
-			return fmt.Errorf("%s: artifact trained on %q, simbench needs %q", fwPath, info.Source, want)
-		}
-		fmt.Printf("loaded framework from %s (sha256 %.12s…)\n", fwPath, info.Checksum)
-		fw = loaded
-	}
-	data, err := dataset.Generate(dp)
-	if err != nil {
-		return err
-	}
-	if fw == nil {
-		docs, vocab := data.Documents(cutoff)
-		fw, err = core.Train(core.TrainingData{
-			Graph:     data.Graph,
-			Histories: data.HistoriesBefore(cutoff),
-			Documents: docs,
-			Vocab:     vocab,
-			Records:   data.CheckInsBefore(cutoff),
-		}, trainConfig(par))
-		if err != nil {
-			return err
-		}
-	}
-	if trainOut != "" {
-		sum, err := fwio.Write(trainOut, fw, frameworkSource(dp, cutoff))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("saved framework to %s (sha256 %.12s…)\n", trainOut, sum)
-	}
-
-	// One evaluation day of arrivals: workers join from their homes,
-	// tasks spawn at venues, both spread over the first 20 hours. The
-	// count is sized so the standing pools reach the high hundreds — the
-	// regime the incremental session exists for; at toy pool sizes a cold
-	// rebuild wins on constant factors and the comparison would measure
-	// overhead, not the algorithm.
-	const arrivals = 3000
-	rng := randx.New(7)
-	ws := make([]simulate.ArrivingWorker, arrivals)
-	ts := make([]simulate.ArrivingTask, arrivals)
-	for i := range ws {
-		u := model.WorkerID(rng.Intn(dp.NumUsers))
-		// Radius 8 km (vs the sweeps' 25) keeps feasibility sparse on the
-		// 300 km BK geography, so most workers and tasks genuinely carry
-		// over between instants — the protocol regime the incremental
-		// session is built for.
-		ws[i] = simulate.ArrivingWorker{
-			User: u, Loc: data.Homes[u], Radius: 8, At: cutoff + rng.Float64()*20,
-		}
-		v := data.Venues[rng.Intn(len(data.Venues))]
-		ts[i] = simulate.ArrivingTask{
-			Loc: v.Loc, Publish: cutoff + rng.Float64()*20, Valid: 3 + rng.Float64()*3,
-			Categories: v.Categories, Venue: v.ID,
-		}
-	}
-	slices.SortStableFunc(ws, func(a, b simulate.ArrivingWorker) int {
-		switch {
-		case a.At < b.At:
-			return -1
-		case a.At > b.At:
-			return 1
-		}
-		return 0
-	})
-	slices.SortStableFunc(ts, func(a, b simulate.ArrivingTask) int {
-		switch {
-		case a.Publish < b.Publish:
-			return -1
-		case a.Publish > b.Publish:
-			return 1
-		}
-		return 0
-	})
-
-	run := func(cold bool) (*simulate.Result, error) {
-		p, err := simulate.New(fw, simulate.Config{
-			Algorithm: assign.IA, Step: 1, Start: cutoff, Horizon: 24,
-			Seed: 9, Parallelism: par, ColdPrepare: cold,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return p.Run(ws, ts)
-	}
-	coldRes, err := run(true)
-	if err != nil {
-		return err
-	}
-	warmRes, err := run(false)
-	if err != nil {
-		return err
-	}
-	if len(coldRes.Instants) != len(warmRes.Instants) || coldRes.TotalAssigned != warmRes.TotalAssigned {
-		return fmt.Errorf("cold and warm runs diverged: %d/%d instants, %d/%d assigned",
-			len(coldRes.Instants), len(warmRes.Instants), coldRes.TotalAssigned, warmRes.TotalAssigned)
-	}
-
-	sim := &simBenchReport{
-		Parallelism: parallel.Workers(par),
-		Arrivals:    arrivals,
-		Assigned:    warmRes.TotalAssigned,
-	}
-	warmAfterFirst, coldAfterFirst := 0.0, 0.0
-	seen := 0
-	for i, ci := range coldRes.Instants {
-		wi := warmRes.Instants[i]
-		coldMs := float64(ci.Prepare.Microseconds()) / 1000
-		warmMs := float64(wi.Prepare.Microseconds()) / 1000
-		sim.Instants = append(sim.Instants, simInstantPoint{
-			Instant: i, At: ci.At, Workers: ci.OnlineWorkers, Tasks: ci.OpenTasks,
-			ColdMs: coldMs, WarmMs: warmMs,
-		})
-		sim.ColdTotalMs += coldMs
-		sim.WarmTotalMs += warmMs
-		if ci.OnlineWorkers > 0 && ci.OpenTasks > 0 {
-			if seen > 0 {
-				coldAfterFirst += coldMs
-				warmAfterFirst += warmMs
-			}
-			seen++
-		}
-		fmt.Printf("instant %2d (t=%.0fh, %3dW x %3dS): cold %7.1fms  warm %7.1fms\n",
-			i, ci.At, ci.OnlineWorkers, ci.OpenTasks, coldMs, warmMs)
-	}
-	if warmAfterFirst > 0 {
-		sim.WarmSpeedup = coldAfterFirst / warmAfterFirst
-	}
-	fmt.Printf("online phase totals: cold %.1fms, warm %.1fms (%.1fx on carried-over instants)\n",
-		sim.ColdTotalMs, sim.WarmTotalMs, sim.WarmSpeedup)
-
-	// Merge into an existing rrrbench report when one is present, so one
-	// JSON file tracks the whole perf trajectory. The environment fields
-	// are stamped after the merge: they must describe this run, not the
-	// one that wrote the file.
-	var report rrrBenchReport
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &report); err != nil {
-			return fmt.Errorf("existing report %s is not mergeable: %w", path, err)
-		}
-	}
-	report.GoVersion = runtime.Version()
-	report.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	report.Sim = sim
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// trainingInputs carries the derived training inputs — documents,
-// vocabulary, histories — across measureTraining points, so the bench
-// extracts them from one generated dataset instead of regenerating and
-// re-deriving at every parallelism. Any worker count generates the
-// identical dataset (the determinism contract), so sharing is exact.
-type trainingInputs struct {
-	docs  [][]int32
-	vocab int
-	hists map[model.WorkerID]model.History
-}
-
-// measureTraining times the three training-phase components at one
-// worker-pool bound on a reduced Brightkite-like dataset (big enough to
-// keep every pool width busy, small enough for a bench smoke run).
-// Dataset generation — the heavyweight component — is timed as a single
-// run per point; LDA and mobility, cheap enough to repeat, report the
-// minimum of several runs so the recorded trajectory is not
-// noise-dominated at the tens-of-ms scale. Pass in = nil on the first
-// point; later points reuse the returned inputs, feeding LDA and
-// mobility bit-identical documents and histories without re-deriving
-// them.
-func measureTraining(par int, in *trainingInputs) (trainingPoint, *trainingInputs, error) {
-	const reps = 3
-	minMs := func(f func() error) (float64, error) {
-		best := math.Inf(1)
-		for i := 0; i < reps; i++ {
-			start := time.Now() //dita:wallclock
-			if err := f(); err != nil {
-				return 0, err
-			}
-			if ms := float64(time.Since(start).Microseconds()) / 1000; ms < best { //dita:wallclock
-				best = ms
-			}
-		}
-		return best, nil
-	}
-
-	dp := dataset.BrightkiteLike()
-	dp.NumUsers = 800
-	dp.NumVenues = 1000
-	dp.Days = 12
-	dp.Parallelism = par
-
-	start := time.Now() //dita:wallclock
-	data, err := dataset.Generate(dp)
-	if err != nil {
-		return trainingPoint{}, nil, err
-	}
-	datagenMs := float64(time.Since(start).Microseconds()) / 1000 //dita:wallclock
-	if in == nil {
-		cutoff := float64(dp.Days-2) * 24
-		docs, vocab := data.Documents(cutoff)
-		in = &trainingInputs{docs: docs, vocab: vocab, hists: data.HistoriesBefore(cutoff)}
-	}
-
-	ldaMs, err := minMs(func() error {
-		_, err := lda.Train(in.docs, in.vocab, lda.Config{Topics: 20, TrainIters: 50, Seed: 1, Parallelism: par})
-		return err
-	})
-	if err != nil {
-		return trainingPoint{}, nil, err
-	}
-
-	mobilityMs, err := minMs(func() error {
-		mobility.Fit(in.hists, mobility.Config{Parallelism: par})
-		return nil
-	})
-	if err != nil {
-		return trainingPoint{}, nil, err
-	}
-
-	return trainingPoint{Parallelism: par, DatagenMs: datagenMs, LDAMs: ldaMs, MobilityMs: mobilityMs}, in, nil
 }

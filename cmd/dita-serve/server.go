@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -464,17 +465,34 @@ func parseID(w http.ResponseWriter, req *http.Request) (int64, bool) {
 	return id, true
 }
 
-// decodeJSON strictly decodes the request body; unknown fields and
-// malformed payloads are rejected with 400 so a client typo cannot be
-// silently half-applied.
+// maxBodyBytes bounds a request body. The largest legitimate payload, a
+// task with one entry per vocabulary category, is a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON strictly decodes the request body as exactly one JSON
+// value; unknown fields, malformed payloads and anything but whitespace
+// after the value are rejected with 400, and bodies over maxBodyBytes
+// with 413, so a client typo cannot be silently half-applied.
 func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad payload: %v", err))
-		return false
+	err := dec.Decode(v)
+	if err == nil {
+		// The body must end right after the value.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return true
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("payload exceeds %d bytes", maxBodyBytes))
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad payload: %v", err))
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

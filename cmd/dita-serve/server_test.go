@@ -241,6 +241,8 @@ func TestServeMalformedPayloadsRejected(t *testing.T) {
 		{"user outside the graph", "POST", "/v1/default/workers", `{"user":1073741824,"radius":5}`, 400},
 		{"category outside the vocabulary", "POST", "/v1/default/tasks", `{"x":1,"y":1,"valid":2,"categories":[1073741824]}`, 400},
 		{"instant junk", "POST", "/v1/default/instant", `nope`, 400},
+		{"trailing json value", "POST", "/v1/default/workers", `{"user":1,"radius":5}{"user":2,"radius":5}`, 400},
+		{"body over the size limit", "POST", "/v1/default/tasks", `{"x":1,"y":1,"valid":2,"categories":[` + strings.Repeat("0,", maxBodyBytes/2) + `0]}`, 413},
 		{"unknown region", "POST", "/v1/mars/workers", `{"user":1}`, 404},
 		{"unknown region metrics", "GET", "/v1/mars/metrics", "", 404},
 		{"bad id", "DELETE", "/v1/default/workers/abc", "", 400},
@@ -256,6 +258,10 @@ func TestServeMalformedPayloadsRejected(t *testing.T) {
 	do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m)
 	if m.Online != 0 || m.Open != 0 || m.Totals.Events != 0 {
 		t.Fatalf("rejected payloads mutated state: %+v", m)
+	}
+	// Trailing whitespace after the one value is not trailing data.
+	if code := do(t, "POST", ts.URL+"/v1/default/workers", "{\"user\":1,\"radius\":5}\n \t", nil); code != 200 {
+		t.Fatalf("body with trailing whitespace: status %d, want 200", code)
 	}
 }
 

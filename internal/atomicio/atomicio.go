@@ -1,7 +1,7 @@
 // Package atomicio writes files atomically: content goes to a
 // same-directory temp file, is fsynced, and is renamed over the target,
-// so a reader — a merge coordinator globbing shard artifacts, a bench
-// run loading BENCH_rrr.json — can never observe a half-written file. A
+// so a reader — a merge coordinator globbing shard artifacts, a server
+// loading a framework artifact — can never observe a half-written file. A
 // crash mid-write leaves only a *.tmp file, which artifact loaders skip
 // (and which TempSuffix lets them recognise); a crash between fsync and
 // rename leaves the old content intact.

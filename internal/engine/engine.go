@@ -141,8 +141,8 @@ type Config struct {
 	Parallelism int
 	// ColdPrepare disables the incremental session and recomputes the
 	// instant's influence state from the trained models every instant.
-	// It is the cold reference the session is gated and benchmarked
-	// against; outputs are bit-identical either way.
+	// It is the cold reference the session-vs-cold equivalence tests
+	// gate the session against; outputs are bit-identical either way.
 	ColdPrepare bool
 	// SessionCapacity bounds the influence session's per-entity caches:
 	// after each instant, at most this many cached task states and this

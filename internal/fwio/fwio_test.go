@@ -14,7 +14,6 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/experiments"
 	"dita/internal/lda"
-	"dita/internal/rrr"
 )
 
 // testData generates the small shared dataset every test here trains
@@ -187,32 +186,6 @@ func stripCPU(sr *experiments.SweepRaw) {
 		for j := range sr.Jobs[i].Metrics {
 			sr.Jobs[i].Metrics[j].CPU = 0
 		}
-	}
-}
-
-// TestDropForwardIndexRoundTrip: the optional forward index must stay
-// dropped through a round trip, not be resurrected or half-restored.
-func TestDropForwardIndexRoundTrip(t *testing.T) {
-	data := testData(t)
-	cfg := trainConfig(1)
-	cfg.RPO = rrr.Params{DropForwardIndex: true}
-	fw := trainAt(t, data, cfg)
-	if fw.Propagation().HasForwardIndex() {
-		t.Fatal("training with DropForwardIndex kept the index")
-	}
-	raw, _, err := Encode(fw, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw2, _, err := Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fw2.Propagation().HasForwardIndex() {
-		t.Fatal("round trip resurrected the dropped forward index")
-	}
-	if !reflect.DeepEqual(fw, fw2) {
-		t.Fatal("decoded framework is not DeepEqual to the trained one")
 	}
 }
 

@@ -43,13 +43,6 @@ type Params struct {
 	// collection because every sample chunk draws from a stream derived
 	// from its chunk index, not from the goroutine that runs it.
 	Parallelism int `json:"parallelism,omitempty"`
-	// DropForwardIndex releases the forward set index (setOff/setMembers)
-	// once the inverted cover index is built, roughly halving the
-	// collection's membership memory. Every propagation query and
-	// TopKSeeds run on the inverted index and are unaffected; only
-	// SetMembers becomes unavailable (it returns nil). Opt in when a
-	// collection is memory-bound and per-set enumeration is not needed.
-	DropForwardIndex bool `json:"drop_forward_index,omitempty"`
 }
 
 func (p Params) withDefaults() Params {
@@ -254,7 +247,9 @@ func Build(g *socialgraph.Graph, p Params) *Collection {
 	n := g.N()
 	c := &Collection{g: g, coverOff: make([]int32, n+1)}
 	if n <= 1 {
-		// Zero or one worker: nothing can propagate anywhere.
+		// Zero or one worker: nothing can propagate anywhere. The
+		// forward index is still present, over zero sets.
+		c.setOff = []int32{0}
 		return c
 	}
 	rng := randx.New(p.Seed)
@@ -333,15 +328,8 @@ func Build(g *socialgraph.Graph, p Params) *Collection {
 		b.addSets(add, rng)
 	}
 	b.finish(c, st)
-	if p.DropForwardIndex {
-		c.setOff, c.setMembers = nil, nil
-	}
 	return c
 }
-
-// HasForwardIndex reports whether the per-set membership arrays are
-// retained (false after Params.DropForwardIndex).
-func (c *Collection) HasForwardIndex() bool { return c.setOff != nil }
 
 // Stats returns the run statistics recorded by Build.
 func (c *Collection) Stats() Stats { return c.stats }
@@ -470,12 +458,8 @@ func (c *Collection) SetIDs(w int32) []int32 { return c.cover(w) }
 
 // SetMembers returns the members of RRR set id (the root is always
 // included). The slice aliases internal storage and must not be
-// modified. It returns nil when the collection was built with
-// Params.DropForwardIndex.
+// modified.
 func (c *Collection) SetMembers(id int32) []int32 {
-	if c.setOff == nil {
-		return nil
-	}
 	return c.setMembers[c.setOff[id]:c.setOff[id+1]]
 }
 
@@ -564,9 +548,7 @@ func MonteCarloReference(g *socialgraph.Graph, ws int32, sets int, seed uint64) 
 // Wire is the collection's serialized form, part of the framework
 // artifact's pinned wire format (see internal/fwio): the flat CSR
 // arrays exactly as Build laid them out, minus the graph (the artifact
-// carries the graph once; FromWire reattaches it). A collection built
-// with Params.DropForwardIndex serializes with the forward index absent
-// and round-trips to the same dropped state.
+// carries the graph once; FromWire reattaches it).
 type Wire struct {
 	Roots      []int32 `json:"roots"`
 	SetOff     []int32 `json:"set_off,omitempty"`
@@ -626,21 +608,15 @@ func FromWire(g *socialgraph.Graph, w Wire) (*Collection, error) {
 			return nil, fmt.Errorf("rrr: wire cover entry %d names set %d outside [0,%d)", i, id, numSets)
 		}
 	}
-	if w.SetOff == nil {
-		if len(w.SetMembers) != 0 {
-			return nil, fmt.Errorf("rrr: wire has %d set members but no set offsets", len(w.SetMembers))
-		}
-	} else {
-		if len(w.SetOff) != numSets+1 {
-			return nil, fmt.Errorf("rrr: wire forward index has %d offsets for %d sets (want %d)", len(w.SetOff), numSets, numSets+1)
-		}
-		if !csrValid(w.SetOff, len(w.SetMembers)) {
-			return nil, fmt.Errorf("rrr: wire forward-index offsets are not a valid CSR over %d members", len(w.SetMembers))
-		}
-		for i, m := range w.SetMembers {
-			if m < 0 || int(m) >= n {
-				return nil, fmt.Errorf("rrr: wire set member %d is worker %d outside [0,%d)", i, m, n)
-			}
+	if len(w.SetOff) != numSets+1 {
+		return nil, fmt.Errorf("rrr: wire forward index has %d offsets for %d sets (want %d)", len(w.SetOff), numSets, numSets+1)
+	}
+	if !csrValid(w.SetOff, len(w.SetMembers)) {
+		return nil, fmt.Errorf("rrr: wire forward-index offsets are not a valid CSR over %d members", len(w.SetMembers))
+	}
+	for i, m := range w.SetMembers {
+		if m < 0 || int(m) >= n {
+			return nil, fmt.Errorf("rrr: wire set member %d is worker %d outside [0,%d)", i, m, n)
 		}
 	}
 	return &Collection{

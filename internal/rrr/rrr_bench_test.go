@@ -79,16 +79,3 @@ func BenchmarkBuildParallelism(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkBuildDropForwardIndex isolates the memory effect of the
-// opt-in forward-index drop: the collection answers the same queries
-// while retiring setOff/setMembers (roughly half the membership bytes).
-// Compare bytes/op against BenchmarkBuild for the bench note.
-func BenchmarkBuildDropForwardIndex(b *testing.B) {
-	g := socialgraph.GeneratePreferentialAttachment(2400, 3, randx.New(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(g, Params{Seed: uint64(i), DropForwardIndex: true})
-	}
-}

@@ -217,48 +217,6 @@ func TestBuildParallelismInvariant(t *testing.T) {
 	})
 }
 
-func TestDropForwardIndexPreservesQueries(t *testing.T) {
-	g := socialgraph.GeneratePreferentialAttachment(90, 2, randx.New(31))
-	kept := Build(g, Params{Seed: 32})
-	dropped := Build(g, Params{Seed: 32, DropForwardIndex: true})
-	if !kept.HasForwardIndex() {
-		t.Fatal("default build lost its forward index")
-	}
-	if dropped.HasForwardIndex() {
-		t.Fatal("DropForwardIndex build retained the forward index")
-	}
-	if dropped.NumSets() != kept.NumSets() || dropped.Stats() != kept.Stats() {
-		t.Fatalf("dropped build stats differ: %+v vs %+v", dropped.Stats(), kept.Stats())
-	}
-	// Every inverted-index query is unaffected.
-	for ws := int32(0); ws < int32(g.N()); ws++ {
-		if !slices.Equal(dropped.SetIDs(ws), kept.SetIDs(ws)) {
-			t.Fatalf("cover of worker %d differs after drop", ws)
-		}
-		if !slices.Equal(dropped.Propagation(ws), kept.Propagation(ws)) {
-			t.Fatalf("Ppro(%d, ·) differs after drop", ws)
-		}
-		if dropped.PropagationSum(ws) != kept.PropagationSum(ws) {
-			t.Fatalf("propagation sum of %d differs after drop", ws)
-		}
-		if dropped.CoverageCount(ws) != kept.CoverageCount(ws) {
-			t.Fatalf("coverage count of %d differs after drop", ws)
-		}
-	}
-	// Seed selection runs purely on the inverted index.
-	a, b := dropped.TopKSeeds(5), kept.TopKSeeds(5)
-	if !slices.Equal(a.Seeds, b.Seeds) || !slices.Equal(a.Spread, b.Spread) {
-		t.Fatalf("TopKSeeds differs after drop: %+v vs %+v", a, b)
-	}
-	// Per-set enumeration is the one documented casualty.
-	if dropped.SetMembers(0) != nil {
-		t.Error("SetMembers on a dropped collection should return nil")
-	}
-	if kept.SetMembers(0) == nil {
-		t.Error("SetMembers on a kept collection should work")
-	}
-}
-
 func TestCSRIndexConsistent(t *testing.T) {
 	g := socialgraph.GeneratePreferentialAttachment(70, 2, randx.New(23))
 	c := Build(g, Params{Seed: 24, MaxSets: 2000})

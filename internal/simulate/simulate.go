@@ -61,9 +61,8 @@ type Config struct {
 	Parallelism int
 	// ColdPrepare disables the incremental session and rebuilds the full
 	// influence state every instant (a single-use session per round). It
-	// exists for equivalence testing and for benchmarking the cached
-	// online phase against the cold one; results are identical either
-	// way.
+	// exists as the cold reference of the equivalence tests; results are
+	// identical either way.
 	ColdPrepare bool
 	// SessionCapacity bounds the influence session's per-entity caches
 	// with deterministic FIFO eviction (0: unbounded). Memory-only;
