@@ -478,16 +478,6 @@ func trainConfig(par int) core.Config {
 	return core.Config{TopWillingnessLocations: 8, Parallelism: par}
 }
 
-// frameworkSource canonically identifies a framework's training input:
-// the dataset generator parameters that matter for the training set and
-// the offline/online cutoff. It is recorded into the artifact at
-// -train-out and recomputed at -framework load; a mismatch means the
-// artifact was fitted for a different run and must not serve it.
-func frameworkSource(dp dataset.Params, cutoffHours float64) string {
-	return fmt.Sprintf("dataset=%s users=%d venues=%d days=%d dataset-seed=%d cutoff-h=%g",
-		dp.Name, dp.NumUsers, dp.NumVenues, dp.Days, dp.Seed, cutoffHours)
-}
-
 // trainArtifact runs the offline phase for one dataset — generate,
 // train, seal — and writes the framework artifact to outPath, returning
 // its content checksum.
@@ -507,7 +497,7 @@ func trainArtifact(dp dataset.Params, scale string, daysOverride int, seed uint6
 	if err != nil {
 		return "", fmt.Errorf("train %s: %w", dp.Name, err)
 	}
-	sum, err := fwio.Write(outPath, runner.FW, frameworkSource(dp, cutoff))
+	sum, err := fwio.Write(outPath, runner.FW, dp.FrameworkSource(cutoff))
 	if err != nil {
 		return "", err
 	}
@@ -545,7 +535,7 @@ func loadFrameworks(list string, names []string, scale string, daysOverride int,
 		if err != nil {
 			return nil, nil, err
 		}
-		if want := frameworkSource(dp, cutoff); info.Source != want {
+		if want := dp.FrameworkSource(cutoff); info.Source != want {
 			return nil, nil, fmt.Errorf("%s: artifact trained on %q, this run needs %q", paths[i], info.Source, want)
 		}
 		fmt.Printf("loaded framework for %s from %s (sha256 %.12s…)\n", name, paths[i], info.Checksum)

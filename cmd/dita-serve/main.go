@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -76,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	comps, err := parseMask(*mask)
+	comps, err := influence.ParseComponents(*mask)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,18 +160,4 @@ func splitRegions(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseMask(s string) (influence.Components, error) {
-	switch s {
-	case "IA", "all", "ALL":
-		return influence.All, nil
-	case "IA-WP", "WP":
-		return influence.WP, nil
-	case "IA-AP", "AP":
-		return influence.AP, nil
-	case "IA-AW", "AW":
-		return influence.AW, nil
-	}
-	return 0, fmt.Errorf("unknown mask %q (want IA, IA-WP, IA-AP or IA-AW)", s)
 }

@@ -33,14 +33,7 @@ func testFramework(t testing.TB) (*core.Framework, *dataset.Data) {
 		t.Fatal(err)
 	}
 	cutoff := 4 * 24.0
-	docs, vocab := data.Documents(cutoff)
-	fw, err := core.Train(core.TrainingData{
-		Graph:     data.Graph,
-		Histories: data.HistoriesBefore(cutoff),
-		Documents: docs,
-		Vocab:     vocab,
-		Records:   data.CheckInsBefore(cutoff),
-	}, core.Config{LDA: lda.Config{Topics: 8, TrainIters: 25}})
+	fw, err := core.Train(core.TrainingDataFrom(data, cutoff), core.Config{LDA: lda.Config{Topics: 8, TrainIters: 25}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	comps, err := parseMask(*mask)
+	comps, err := influence.ParseComponents(*mask)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func main() {
 	}
 
 	cutoff := float64(*day) * 24
-	source := frameworkSource(data.Params, cutoff)
+	source := data.Params.FrameworkSource(cutoff)
 	var fw *core.Framework
 	if *fwPath != "" {
 		loaded, info, err := fwio.Load(*fwPath)
@@ -121,14 +121,7 @@ func main() {
 		fw = loaded
 	} else {
 		start := time.Now() //dita:wallclock
-		docs, vocab := data.Documents(cutoff)
-		fw, err = core.Train(core.TrainingData{
-			Graph:     data.Graph,
-			Histories: data.HistoriesBefore(cutoff),
-			Documents: docs,
-			Vocab:     vocab,
-			Records:   data.CheckInsBefore(cutoff),
-		}, core.Config{TopWillingnessLocations: 8})
+		fw, err = core.Train(core.TrainingDataFrom(data, cutoff), core.Config{TopWillingnessLocations: 8})
 		if err != nil {
 			log.Fatalf("train: %v", err)
 		}
@@ -263,16 +256,6 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 	}
 }
 
-// frameworkSource canonically identifies a framework's training input —
-// the dataset parameters that shape the training set plus the
-// offline/online cutoff. It must stay formatted exactly as dita-bench
-// writes it, so artifacts sealed by either tool interoperate: a
-// -framework load refuses an artifact fitted for a different run.
-func frameworkSource(dp dataset.Params, cutoffHours float64) string {
-	return fmt.Sprintf("dataset=%s users=%d venues=%d days=%d dataset-seed=%d cutoff-h=%g",
-		dp.Name, dp.NumUsers, dp.NumVenues, dp.Days, dp.Seed, cutoffHours)
-}
-
 // writeAssignCSV dumps the assignment in a fully deterministic text
 // form: floats print as the shortest decimal that parses back exactly,
 // so two runs that are bit-identical produce byte-identical files — the
@@ -291,18 +274,4 @@ func writeAssignCSV(path string, inst *model.Instance, set *model.AssignmentSet)
 			strconv.FormatFloat(set.TravelKm[i], 'g', -1, 64))
 	}
 	return atomicio.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-func parseMask(s string) (influence.Components, error) {
-	switch s {
-	case "IA", "all", "ALL":
-		return influence.All, nil
-	case "IA-WP", "WP":
-		return influence.WP, nil
-	case "IA-AP", "AP":
-		return influence.AP, nil
-	case "IA-AW", "AW":
-		return influence.AW, nil
-	}
-	return 0, fmt.Errorf("unknown mask %q (want IA, IA-WP, IA-AP or IA-AW)", s)
 }

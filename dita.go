@@ -148,14 +148,7 @@ func LoadDataset(dir string) (*Dataset, error) { return dataset.Load(dir) }
 // dataset strictly before the cutoff (hours since epoch) — the standard
 // way to train on history and evaluate on later days.
 func TrainingDataFrom(d *Dataset, cutoffHours float64) TrainingData {
-	docs, vocab := d.Documents(cutoffHours)
-	return TrainingData{
-		Graph:     d.Graph,
-		Histories: d.HistoriesBefore(cutoffHours),
-		Documents: docs,
-		Vocab:     vocab,
-		Records:   d.CheckInsBefore(cutoffHours),
-	}
+	return core.TrainingDataFrom(d, cutoffHours)
 }
 
 // FeasiblePairs exposes the spatio-temporal feasibility computation: all

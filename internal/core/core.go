@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dita/internal/assign"
+	"dita/internal/dataset"
 	"dita/internal/entropy"
 	"dita/internal/influence"
 	"dita/internal/lda"
@@ -77,6 +78,20 @@ type TrainingData struct {
 	Records []model.CheckIn
 }
 
+// TrainingDataFrom extracts the training input from everything in the
+// dataset strictly before the cutoff (hours since epoch) — the standard
+// way to train on history and evaluate on later days.
+func TrainingDataFrom(d *dataset.Data, cutoffHours float64) TrainingData {
+	docs, vocab := d.Documents(cutoffHours)
+	return TrainingData{
+		Graph:     d.Graph,
+		Histories: d.HistoriesBefore(cutoffHours),
+		Documents: docs,
+		Vocab:     vocab,
+		Records:   d.CheckInsBefore(cutoffHours),
+	}
+}
+
 // Framework is a trained DITA instance. It is safe for concurrent reads
 // (all state is immutable after Train).
 type Framework struct {
@@ -120,39 +135,19 @@ func Train(data TrainingData, cfg Config) (*Framework, error) {
 			theta[u] = ldaModel.DocTopics(u)
 		}
 	}
-	f := &Framework{
-		cfg:     cfg,
-		graph:   data.Graph,
-		lda:     ldaModel,
-		theta:   theta,
-		mob:     mobility.Fit(data.Histories, cfg.Mobility),
-		entropy: entropy.Compute(data.Records),
-		prop:    rrr.Build(data.Graph, cfg.RPO),
-	}
-	f.engine = &influence.Engine{
-		Prop:         f.prop,
-		Wil:          f.mob,
-		LDA:          f.lda,
-		ThetaUser:    f.theta,
-		TopLocations: cfg.TopWillingnessLocations,
-	}
-	// The stored config drops the worker-pool knobs (now consumed by the
-	// sub-trainers above): like every trained component, a Framework's
-	// identity is independent of the Parallelism it was fitted with.
-	f.cfg.Parallelism = 0
-	f.cfg.LDA.Parallelism = 0
-	f.cfg.Mobility.Parallelism = 0
-	f.cfg.RPO.Parallelism = 0
-	return f, nil
+	return Restore(cfg, data.Graph, ldaModel, theta,
+		mobility.Fit(data.Histories, cfg.Mobility),
+		entropy.Compute(data.Records),
+		rrr.Build(data.Graph, cfg.RPO))
 }
 
-// Restore reassembles a framework from already-fitted components,
-// rebuilding the influence engine exactly as Train does. It is the
-// loading half of the framework artifact round trip (see internal/fwio):
-// given the components Train produced, the restored framework's every
-// downstream output is bit-identical to the trained one's. theta must
-// have one row per graph user (nil for users without documents), and
-// each non-nil row must be a topic mixture of the model's topic count.
+// Restore assembles a framework from already-fitted components. Train
+// returns through it, and it is the loading half of the framework
+// artifact round trip (see internal/fwio): given the components Train
+// produced, the restored framework's every downstream output is
+// bit-identical to the trained one's. theta must have one row per graph user (nil for users
+// without documents), and each non-nil row must be a topic mixture of
+// the model's topic count.
 func Restore(cfg Config, graph *socialgraph.Graph, ldaModel *lda.Model, theta [][]float64, mob *mobility.Model, ent *entropy.Table, prop *rrr.Collection) (*Framework, error) {
 	cfg = cfg.withDefaults()
 	if graph == nil {
@@ -186,7 +181,9 @@ func Restore(cfg Config, graph *socialgraph.Graph, ldaModel *lda.Model, theta []
 		ThetaUser:    f.theta,
 		TopLocations: cfg.TopWillingnessLocations,
 	}
-	// Same identity rule as Train: parallelism knobs are runtime choices.
+	// The stored config drops the worker-pool knobs (consumed by the
+	// sub-trainers): like every trained component, a Framework's identity
+	// is independent of the Parallelism it was fitted with.
 	f.cfg.Parallelism = 0
 	f.cfg.LDA.Parallelism = 0
 	f.cfg.Mobility.Parallelism = 0
@@ -218,10 +215,6 @@ func (f *Framework) Entropy() *entropy.Table { return f.entropy }
 // Propagation returns the RRR collection behind worker propagation.
 func (f *Framework) Propagation() *rrr.Collection { return f.prop }
 
-// Engine returns the influence engine (for advanced callers that want to
-// prepare evaluators directly).
-func (f *Framework) Engine() *influence.Engine { return f.engine }
-
 // Speed returns the configured worker travel speed in km/h.
 func (f *Framework) Speed() float64 { return f.cfg.SpeedKmH }
 
@@ -251,12 +244,12 @@ type Metrics struct {
 // evaluator is reusable across algorithms; building it is the
 // "worker-task influence modeling" phase of DITA and is deliberately
 // excluded from the assignment CPU-time metric, matching the paper's
-// phase split. Prepare is the cold path — every call recomputes the
-// instance's influence state from the trained models; streaming callers
-// that run many instants with carry-over pools should hold a Session
-// (PrepareSession) instead.
+// phase split. Prepare runs a single-use Session, so every call
+// recomputes the instance's influence state from the trained models;
+// streaming callers that run many instants with carry-over pools should
+// hold a Session (PrepareSession) instead.
 func (f *Framework) Prepare(inst *model.Instance, comps influence.Components, seed uint64) *influence.Evaluator {
-	return f.engine.Prepare(inst, assign.FeasiblePairs(inst, f.cfg.SpeedKmH), comps, seed)
+	return f.PrepareSession(comps, seed, 0).Prepare(inst)
 }
 
 // Session carries the online phase's influence-modeling state across
@@ -266,7 +259,7 @@ func (f *Framework) Prepare(inst *model.Instance, comps influence.Components, se
 // An instant pays only for newly arrived tasks and workers and for
 // willingness entries no earlier instant filled; state for entities that
 // left the pool is evicted. On every prepared pair the evaluators are
-// bit-identical to cold Prepare ones for the same seed.
+// bit-identical to a fresh session's for the same seed.
 type Session struct {
 	is    *influence.Session
 	speed float64
@@ -359,13 +352,14 @@ func (f *Framework) AssignPreparedPairsTiled(inst *model.Instance, ev *influence
 
 // Assign is the one-call path: scan the feasible pairs (charged to CPU
 // time, as edge construction is part of assignment in the paper's
-// measurement), prepare the evaluator over them with the full influence
-// model and run the algorithm on one pool worker.
+// measurement), prepare the evaluator over them through a single-use
+// Session with the full influence model and run the algorithm on one
+// pool worker.
 func (f *Framework) Assign(inst *model.Instance, alg assign.Algorithm, seed uint64) (*model.AssignmentSet, Metrics) {
 	start := time.Now() //dita:wallclock
 	pairs := assign.FeasiblePairs(inst, f.cfg.SpeedKmH)
 	scan := time.Since(start) //dita:wallclock
-	ev := f.engine.Prepare(inst, pairs, influence.All, seed)
+	ev := f.PrepareSession(influence.All, seed, 0).PreparePairs(inst, pairs)
 	set, m, _ := f.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 	m.CPU += scan
 	return set, m

@@ -32,14 +32,7 @@ func testFramework(t *testing.T) (*Framework, *dataset.Data) {
 		t.Fatal(err)
 	}
 	cutoff := 6 * 24.0
-	docs, vocab := data.Documents(cutoff)
-	fw, err := Train(TrainingData{
-		Graph:     data.Graph,
-		Histories: data.HistoriesBefore(cutoff),
-		Documents: docs,
-		Vocab:     vocab,
-		Records:   data.CheckInsBefore(cutoff),
-	}, Config{LDA: lda.Config{Topics: 10, TrainIters: 40}})
+	fw, err := Train(TrainingDataFrom(data, cutoff), Config{LDA: lda.Config{Topics: 10, TrainIters: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +78,7 @@ func TestTrainRejectsMisalignedDocuments(t *testing.T) {
 func TestTrainedComponentsPresent(t *testing.T) {
 	fw, _ := testFramework(t)
 	if fw.Graph() == nil || fw.LDA() == nil || fw.Mobility() == nil ||
-		fw.Entropy() == nil || fw.Propagation() == nil || fw.Engine() == nil {
+		fw.Entropy() == nil || fw.Propagation() == nil {
 		t.Fatal("trained framework has nil components")
 	}
 	if fw.Speed() != 5 {

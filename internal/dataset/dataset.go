@@ -113,6 +113,16 @@ func FoursquareLike() Params {
 	}
 }
 
+// FrameworkSource canonically identifies a framework's training input:
+// the parameters that shape the training set plus the offline/online
+// cutoff. Tools record it in every framework artifact they seal and
+// recompute it when loading one, so an artifact fitted for a different
+// run is refused. Its format is fixed: artifacts sealed earlier carry it.
+func (p Params) FrameworkSource(cutoffHours float64) string {
+	return fmt.Sprintf("dataset=%s users=%d venues=%d days=%d dataset-seed=%d cutoff-h=%g",
+		p.Name, p.NumUsers, p.NumVenues, p.Days, p.Seed, cutoffHours)
+}
+
 // Validate reports the first problem with p, or nil.
 func (p Params) Validate() error {
 	switch {

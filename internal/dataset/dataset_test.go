@@ -434,3 +434,23 @@ func TestGenerateDoesNotRetainParallelism(t *testing.T) {
 		t.Errorf("Data retained Parallelism %d; the knob is not part of dataset identity", d.Params.Parallelism)
 	}
 }
+
+// TestFrameworkSourceFormat pins the training-input identity string
+// byte for byte: framework artifacts sealed earlier carry it, and a
+// -framework load compares it verbatim.
+func TestFrameworkSourceFormat(t *testing.T) {
+	cases := []struct {
+		p      Params
+		cutoff float64
+		want   string
+	}{
+		{BrightkiteLike(), 600, "dataset=BK users=2400 venues=3200 days=30 dataset-seed=46876 cutoff-h=600"},
+		{FoursquareLike(), 612.5, "dataset=FS users=2200 venues=2800 days=30 dataset-seed=62894 cutoff-h=612.5"},
+		{smallParams(), 0, "dataset=BK users=150 venues=200 days=8 dataset-seed=7 cutoff-h=0"},
+	}
+	for _, c := range cases {
+		if got := c.p.FrameworkSource(c.cutoff); got != c.want {
+			t.Errorf("FrameworkSource(%v) = %q, want %q", c.cutoff, got, c.want)
+		}
+	}
+}

@@ -139,11 +139,6 @@ type Config struct {
 	// solve (<= 0 means all cores). Results are bit-identical at any
 	// setting.
 	Parallelism int
-	// ColdPrepare disables the incremental session and recomputes the
-	// instant's influence state from the trained models every instant.
-	// It is the cold reference the session-vs-cold equivalence tests
-	// gate the session against; outputs are bit-identical either way.
-	ColdPrepare bool
 	// SessionCapacity bounds the influence session's per-entity caches:
 	// after each instant, at most this many cached task states and this
 	// many cached user states are retained, evicting the
@@ -206,9 +201,9 @@ type InstantResult struct {
 	// the paper's phase split. Zero on a clockless engine.
 	Prepare time.Duration
 	// WilEntries counts the willingness entries (Equation 2 values) the
-	// instant computed; cached entries are not counted, so a warm
-	// session reports at most what ColdPrepare does. Deterministic at
-	// any Parallelism.
+	// instant computed; cached entries are not counted, so the engine's
+	// carry-over session reports at most what a fresh session would for
+	// the same instant. Deterministic at any Parallelism.
 	WilEntries int
 	// PairMaint is the feasible-pair latency of the instant: the tiled
 	// scan of the instant's workers×tasks feasibility. Zero on an
@@ -285,13 +280,8 @@ func New(fw *core.Framework, cfg Config) (*Engine, error) {
 	if cfg.Components == 0 {
 		cfg.Components = influence.All
 	}
-	e := &Engine{fw: fw, cfg: cfg}
-	if !cfg.ColdPrepare {
-		e.sess = fw.PrepareSession(cfg.Components, cfg.Seed, cfg.Parallelism)
-		if cfg.SessionCapacity > 0 {
-			e.sess.SetCapacity(cfg.SessionCapacity)
-		}
-	}
+	e := &Engine{fw: fw, cfg: cfg, sess: fw.PrepareSession(cfg.Components, cfg.Seed, cfg.Parallelism)}
+	e.sess.SetCapacity(cfg.SessionCapacity)
 	return e, nil
 }
 
@@ -396,8 +386,8 @@ func (e *Engine) clock() time.Duration {
 
 // Fire runs one assignment instant at simulation time now: sweep overdue
 // tasks, snapshot the pools, scan the feasible pairs, prepare the
-// influence evaluator over exactly those pairs through the session (or
-// cold), solve, and retire the matched pairs. An instant with an empty
+// influence evaluator over exactly those pairs through the session,
+// solve, and retire the matched pairs. An instant with an empty
 // pool side runs no assignment but still syncs the session caches —
 // admitting arrivals ahead of the next busy instant and evicting
 // departures — with that maintenance cost timed into Prepare exactly as
@@ -421,35 +411,27 @@ func (e *Engine) Fire(now float64) InstantResult {
 	e.totals.Expired += expired
 
 	if len(e.workers) == 0 || len(e.tasks) == 0 {
-		ir := InstantResult{
+		inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
+		t0 := e.clock()
+		e.sess.Sync(inst)
+		return InstantResult{
 			At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
+			Prepare: e.clock() - t0, WilEntries: e.sess.WilEntries(),
 			Expired: expired,
 		}
-		if e.sess != nil {
-			inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
-			t0 := e.clock()
-			e.sess.Sync(inst)
-			ir.Prepare = e.clock() - t0
-			ir.WilEntries = e.sess.WilEntries()
-		}
-		return ir
 	}
 
 	inst := e.instance(now)
 	t0 := e.clock()
 	pairs, tiles := assign.TiledFeasiblePairs(inst, e.fw.Speed(), e.cfg.Parallelism)
 	t1 := e.clock()
-	sess := e.sess
-	if e.cfg.ColdPrepare {
-		sess = e.fw.PrepareSession(e.cfg.Components, e.cfg.Seed, e.cfg.Parallelism)
-	}
-	ev := sess.PreparePairs(inst, pairs)
+	ev := e.sess.PreparePairs(inst, pairs)
 	t2 := e.clock()
 	set, m, ts := e.fw.AssignPreparedPairsTiled(inst, ev, e.cfg.Algorithm, pairs, e.cfg.Parallelism)
 	ts.Tiles = tiles
 	ir := InstantResult{
 		At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
-		Prepare: t2 - t1, WilEntries: sess.WilEntries(), PairMaint: t1 - t0,
+		Prepare: t2 - t1, WilEntries: e.sess.WilEntries(), PairMaint: t1 - t0,
 		Metrics: m, Tiles: ts,
 		Expired: expired, Pairs: set.Pairs, Assigned: stablePairs(inst, set),
 	}
@@ -528,8 +510,8 @@ func resize(marks []bool, n int) []bool {
 	return marks[:n]
 }
 
-// Session returns the engine's influence session, or nil under
-// ColdPrepare.
+// Session returns the engine's influence session, which carries the
+// online phase's per-entity state across instants.
 func (e *Engine) Session() *core.Session { return e.sess }
 
 // Online returns the number of currently online (unassigned) workers.

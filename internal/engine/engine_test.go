@@ -32,14 +32,7 @@ func testFramework(t *testing.T) (*core.Framework, *dataset.Data) {
 		t.Fatal(err)
 	}
 	cutoff := 5 * 24.0
-	docs, vocab := data.Documents(cutoff)
-	fw, err := core.Train(core.TrainingData{
-		Graph:     data.Graph,
-		Histories: data.HistoriesBefore(cutoff),
-		Documents: docs,
-		Vocab:     vocab,
-		Records:   data.CheckInsBefore(cutoff),
-	}, core.Config{LDA: lda.Config{Topics: 8, TrainIters: 30}})
+	fw, err := core.Train(core.TrainingDataFrom(data, cutoff), core.Config{LDA: lda.Config{Topics: 8, TrainIters: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +88,24 @@ func normalize(instants []engine.InstantResult) []engine.InstantResult {
 	return out
 }
 
+// coldComparable additionally zeroes the instants' willingness-entry
+// counts: a warm session serves cached entries a fresh one computes
+// again, so the counts differ by design between warm and cold runs.
+func coldComparable(instants []engine.InstantResult) []engine.InstantResult {
+	out := normalize(instants)
+	for i := range out {
+		out[i].WilEntries = 0
+	}
+	return out
+}
+
 // replayGrid drives a bare engine with an explicit event stream on the
 // same integer instant grid the replay driver uses: admissions up to
 // each instant (workers, then tasks, in arrival order), then an
-// InstantFire event.
-func replayGrid(t *testing.T, e *engine.Engine, ws []engine.WorkerArrival, ts []engine.TaskArrival, start, step, horizon float64) []engine.InstantResult {
+// InstantFire event. In cold mode each instant fires through
+// engine.FireCold instead, the per-instant cold rebuild the carry-over
+// session is gated against.
+func replayGrid(t *testing.T, e *engine.Engine, cold bool, ws []engine.WorkerArrival, ts []engine.TaskArrival, start, step, horizon float64) []engine.InstantResult {
 	t.Helper()
 	var out []engine.InstantResult
 	wi, ti := 0, 0
@@ -117,6 +123,10 @@ func replayGrid(t *testing.T, e *engine.Engine, ws []engine.WorkerArrival, ts []
 				t.Fatal(err)
 			}
 			ti++
+		}
+		if cold {
+			out = append(out, engine.FireCold(e, now))
+			continue
 		}
 		ap, err := e.Apply(engine.Event{Kind: engine.InstantFire, At: now})
 		if err != nil {
@@ -155,7 +165,7 @@ func TestEngineReplayMatchesPlatformRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := replayGrid(t, e, ws, ts, start, step, horizon)
+		got := replayGrid(t, e, false, ws, ts, start, step, horizon)
 		if res.TotalAssigned == 0 {
 			t.Fatal("equivalence run assigned nothing; streams too sparse to gate anything")
 		}
@@ -294,19 +304,19 @@ func TestEngineRejectsInvalidArrivals(t *testing.T) {
 
 // TestEngineWilEntriesDeterministic pins the willingness-entry count of
 // every instant: identical at Parallelism 1, 2 and 8, nonzero over the
-// run, and per instant never above what ColdPrepare computes for the
-// same instant (a warm session serves the entries earlier instants
-// filled).
+// run, and per instant never above what a cold rebuild (FireCold)
+// computes for the same instant (a warm session serves the entries
+// earlier instants filled).
 func TestEngineWilEntriesDeterministic(t *testing.T) {
 	fw, data := testFramework(t)
 	ws, ts := streams(data, 50, 11)
 	counts := func(cold bool, par int) []int {
-		e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: par, ColdPrepare: cold})
+		e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []int
-		for _, ir := range replayGrid(t, e, ws, ts, 120, 2, 16) {
+		for _, ir := range replayGrid(t, e, cold, ws, ts, 120, 2, 16) {
 			out = append(out, ir.WilEntries)
 		}
 		return out
@@ -328,6 +338,148 @@ func TestEngineWilEntriesDeterministic(t *testing.T) {
 		if want[i] > n {
 			t.Fatalf("instant %d: warm session computed %d entries, cold only %d", i, want[i], n)
 		}
+	}
+}
+
+// monotonicClock is a real latency clock for engines whose timed fields
+// a test inspects.
+func monotonicClock() engine.Clock {
+	start := time.Now()
+	return func() time.Duration { return time.Since(start) }
+}
+
+// coldRun is one grid replay with the engine's totals at the end.
+type coldRun struct {
+	Instants []engine.InstantResult
+	Totals   engine.Totals
+}
+
+// TestSessionMatchesColdPrepareStreaming is the acceptance gate of the
+// incremental online phase: over a multi-instant run with arrivals,
+// expiries and carry-over, the warm session must produce identical
+// assignment sets and bit-identical metrics to rebuilding the influence
+// state cold every instant (FireCold) — at Parallelism 1, 2 and 8.
+// (Evaluator-state equality is asserted at the influence layer; here the
+// equality covers everything downstream of the evaluator.)
+func TestSessionMatchesColdPrepareStreaming(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 50, 11)
+	run := func(cold bool, par int) coldRun {
+		e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instants := replayGrid(t, e, cold, ws, ts, 120, 2, 16)
+		return coldRun{coldComparable(instants), e.Totals()}
+	}
+	want := run(true, 1)
+	if want.Totals.Assigned == 0 {
+		t.Fatal("equivalence run assigned nothing; streams too sparse to gate anything")
+	}
+	for _, par := range paralleltest.WorkerCounts {
+		if got := run(false, par); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: session-backed run diverged from the cold per-instant rebuild", par)
+		}
+		if got := run(true, par); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: cold run not parallelism-invariant", par)
+		}
+	}
+}
+
+// TestSessionMatchesColdPrepareChurn gates the online phase under heavy
+// churn: over a 200+-instant run (staggered arrivals, short task
+// lifetimes, retirements at every matching instant), the warm session
+// with its per-instant tiled pair scan must produce results identical to
+// the cold reference at Parallelism 1, 2 and 8. Empty-pool instants must
+// still time the session's cache Sync, and the session's carry-over
+// state must stay bounded by the live pool.
+func TestSessionMatchesColdPrepareChurn(t *testing.T) {
+	fw, data := testFramework(t)
+	rng := randx.New(17)
+	var ws []engine.WorkerArrival
+	var ts []engine.TaskArrival
+	const days = 4
+	for d := 0; d < days; d++ {
+		base := 120.0 + float64(d)*24
+		for i := 0; i < 25; i++ {
+			u := model.WorkerID(rng.Intn(data.Params.NumUsers))
+			ws = append(ws, engine.WorkerArrival{
+				User: u, Loc: data.Homes[u], Radius: 25, At: base + rng.Float64()*20,
+			})
+			v := data.Venues[rng.Intn(len(data.Venues))]
+			ts = append(ts, engine.TaskArrival{
+				Loc: v.Loc, Publish: base + rng.Float64()*20, Valid: 1 + rng.Float64()*4,
+				Categories: v.Categories, Venue: v.ID,
+			})
+		}
+	}
+	sortArrivals(ws, ts)
+	run := func(cold bool, par int) ([]engine.InstantResult, *engine.Engine) {
+		e, err := engine.New(fw, engine.Config{
+			Algorithm: assign.IA, Seed: 23, Parallelism: par, Clock: monotonicClock(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return replayGrid(t, e, cold, ws, ts, 120, 0.5, float64(days)*24+6), e
+	}
+	wantRaw, we := run(true, 1)
+	want := coldRun{coldComparable(wantRaw), we.Totals()}
+	if got := len(want.Instants); got < 200 {
+		t.Fatalf("churn run covers %d instants, the gate needs >= 200", got)
+	}
+	if want.Totals.Assigned == 0 || want.Totals.Expired == 0 {
+		t.Fatalf("churn run saw %d assigned, %d expired — the gate needs arrivals, retirements and expiries",
+			want.Totals.Assigned, want.Totals.Expired)
+	}
+	for _, par := range paralleltest.WorkerCounts {
+		gotRaw, e := run(false, par)
+		checkInstantShape(t, gotRaw, par)
+		if got := (coldRun{coldComparable(gotRaw), e.Totals()}); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: warm churn run diverged from the cold reference", par)
+		}
+		sess := e.Session().Influence()
+		if sess.CachedWorkers() > e.Online() || sess.CachedTasks() > e.Open() {
+			t.Errorf("parallelism %d: session carries %d workers / %d tasks, pool holds %d / %d",
+				par, sess.CachedWorkers(), sess.CachedTasks(), e.Online(), e.Open())
+		}
+	}
+}
+
+// checkInstantShape asserts what a warm run's instants report beyond
+// their assignments. Every busy instant scanned its pairs through the
+// tiling, so it reports an occupied tile count, and component stats
+// whenever a pair is feasible. Instants with an empty pool side run no
+// assignment but still sync the session caches; that work must land in
+// Prepare, or the warm online phase would be under-reported on sparse
+// streams.
+func checkInstantShape(t *testing.T, instants []engine.InstantResult, par int) {
+	t.Helper()
+	busy, withTiles, empty := 0, 0, 0
+	var emptySync time.Duration
+	for _, in := range instants {
+		if in.Metrics.Algorithm == "" {
+			empty++
+			emptySync += in.Prepare
+			continue
+		}
+		busy++
+		if in.Tiles.Tiles > 0 {
+			withTiles++
+		}
+		if in.Metrics.Feasible > 0 && in.Tiles.Components <= 0 {
+			t.Fatalf("parallelism %d: busy instant at %v has %d feasible pairs but no component stats",
+				par, in.At, in.Metrics.Feasible)
+		}
+	}
+	if busy == 0 || withTiles != busy {
+		t.Fatalf("parallelism %d: %d of %d busy instants report a tiling", par, withTiles, busy)
+	}
+	if empty == 0 {
+		t.Fatal("run has no empty-pool instants; the Sync-accounting gate needs some")
+	}
+	if emptySync == 0 {
+		t.Errorf("parallelism %d: empty-pool instants recorded zero Prepare: Session.Sync ran untimed", par)
 	}
 }
 
@@ -451,7 +603,7 @@ func TestEngineAssignCSVByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		instants := replayGrid(t, e, ws, ts, 120, 2, 14)
+		instants := replayGrid(t, e, false, ws, ts, 120, 2, 14)
 		return engine.AssignCSV(instants), e.Totals().Assigned
 	}
 	a, assigned := run()

@@ -320,14 +320,7 @@ func NewRunner(data *dataset.Data, cfg core.Config, p Params) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	docs, vocab := data.Documents(cutoff)
-	fw, err := core.Train(core.TrainingData{
-		Graph:     data.Graph,
-		Histories: data.HistoriesBefore(cutoff),
-		Documents: docs,
-		Vocab:     vocab,
-		Records:   data.CheckInsBefore(cutoff),
-	}, cfg)
+	fw, err := core.Train(core.TrainingDataFrom(data, cutoff), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training: %w", err)
 	}

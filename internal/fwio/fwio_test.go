@@ -50,14 +50,7 @@ func trainConfig(par int) core.Config {
 
 func trainAt(t *testing.T, data *dataset.Data, cfg core.Config) *core.Framework {
 	t.Helper()
-	docs, vocab := data.Documents(testCutoff)
-	fw, err := core.Train(core.TrainingData{
-		Graph:     data.Graph,
-		Histories: data.HistoriesBefore(testCutoff),
-		Documents: docs,
-		Vocab:     vocab,
-		Records:   data.CheckInsBefore(testCutoff),
-	}, cfg)
+	fw, err := core.Train(core.TrainingDataFrom(data, testCutoff), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@
 package influence
 
 import (
+	"fmt"
 	"sync"
 
-	"dita/internal/assign"
 	"dita/internal/lda"
 	"dita/internal/mobility"
 	"dita/internal/model"
@@ -73,6 +73,23 @@ func (c Components) String() string {
 	}
 }
 
+// ParseComponents resolves a mask name: the paper's variant names IA,
+// IA-WP, IA-AP and IA-AW (as String prints them), or the aliases all,
+// ALL, WP, AP and AW.
+func ParseComponents(s string) (Components, error) {
+	switch s {
+	case "IA", "all", "ALL":
+		return All, nil
+	case "IA-WP", "WP":
+		return WP, nil
+	case "IA-AP", "AP":
+		return AP, nil
+	case "IA-AW", "AW":
+		return AW, nil
+	}
+	return 0, fmt.Errorf("influence: unknown mask %q (want IA, IA-WP, IA-AP or IA-AW)", s)
+}
+
 // Engine owns the trained models and produces per-instance evaluators.
 type Engine struct {
 	// Prop is the RRR collection over the full social graph.
@@ -91,11 +108,6 @@ type Engine struct {
 	// models are built once per engine, at its first willingness-bearing
 	// session, so TopLocations must not change after that.
 	TopLocations int
-	// Parallelism bounds the worker pool one-shot Prepare calls use for
-	// per-task and per-worker state (<= 0 means all cores). The result is
-	// bit-identical at any setting; sessions take their own bound via
-	// NewSession.
-	Parallelism int
 
 	// models are the truncated per-user willingness models, derived once
 	// (modelsOnce) and shared read-only by every session.
@@ -111,9 +123,9 @@ type rootCount struct {
 }
 
 // Evaluator answers influence queries for one time instance. Build it
-// once per instance (via Prepare or Session.Evaluate) over the instance's
-// feasible pairs and share it across every assignment algorithm so all
-// of them price the same pairs identically.
+// once per instance (via Session.Evaluate) over the instance's feasible
+// pairs and share it across every assignment algorithm so all of them
+// price the same pairs identically.
 type Evaluator struct {
 	comps Components
 	nW    int // instance workers
@@ -141,18 +153,6 @@ type Evaluator struct {
 	// propSum[w] = Σ_{wi≠ws} Ppro(ws, wi) for instance worker w — the AP
 	// numerator and the Average Propagation metric.
 	propSum []float64
-}
-
-// Prepare computes the per-instance state for evaluating if(w, s) on the
-// given feasible pairs of the instance under the given component mask;
-// the evaluator is valid only on those pairs (see Session.Evaluate). It
-// is a thin wrapper over a single-use Session, so a cold Prepare and a
-// warm session price every prepared pair bit-identically: per-task LDA
-// fold-in streams are keyed by stable task identity
-// (randx.Mix(seed, Task.ID)), never by the task's position in the
-// instance. Task IDs must therefore be unique within the instance.
-func (e *Engine) Prepare(inst *model.Instance, pairs []assign.Pair, comps Components, seed uint64) *Evaluator {
-	return e.NewSession(comps, seed, e.Parallelism).Evaluate(inst, pairs)
 }
 
 // willingnessModels returns the per-user willingness models limited to

@@ -86,6 +86,12 @@ func testWorld(t *testing.T) (*Engine, *model.Instance) {
 	return eng, inst
 }
 
+// coldPrepare is the cold reference of the online phase: a single-use
+// session prepared over the given pairs.
+func coldPrepare(e *Engine, inst *model.Instance, pairs []assign.Pair, comps Components, seed uint64) *Evaluator {
+	return e.NewSession(comps, seed, 0).Evaluate(inst, pairs)
+}
+
 // allPairs returns every worker-task pair of inst, so an evaluator
 // prepared over them answers Influence on the whole cross product.
 func allPairs(inst *model.Instance) []assign.Pair {
@@ -119,10 +125,30 @@ func TestComponentsString(t *testing.T) {
 	}
 }
 
+func TestParseComponents(t *testing.T) {
+	for _, c := range []Components{All, WP, AP, AW} {
+		got, err := ParseComponents(c.String())
+		if err != nil || got != c {
+			t.Errorf("ParseComponents(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+	}
+	aliases := map[string]Components{"all": All, "ALL": All, "WP": WP, "AP": AP, "AW": AW}
+	for name, want := range aliases {
+		if got, err := ParseComponents(name); err != nil || got != want {
+			t.Errorf("ParseComponents(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "ia", "IA-PW", "A", "W", "P", "none", "IA-AWP"} {
+		if got, err := ParseComponents(name); err == nil {
+			t.Errorf("ParseComponents(%q) = %v, want an error", name, got)
+		}
+	}
+}
+
 func TestInfluenceNonNegativeAllMasks(t *testing.T) {
 	eng, inst := testWorld(t)
 	for _, mask := range []Components{All, WP, AP, AW} {
-		ev := eng.Prepare(inst, allPairs(inst), mask, 7)
+		ev := coldPrepare(eng, inst, allPairs(inst), mask, 7)
 		for w := 0; w < len(inst.Workers); w++ {
 			for s := 0; s < len(inst.Tasks); s++ {
 				v := ev.Influence(w, s)
@@ -138,9 +164,9 @@ func TestFullInfluenceFactorization(t *testing.T) {
 	// if(All) must equal Paff × spread where spread is what WP computes,
 	// pair by pair — the masks factor exactly.
 	eng, inst := testWorld(t)
-	evAll := eng.Prepare(inst, allPairs(inst), All, 7)
-	evWP := eng.Prepare(inst, allPairs(inst), WP, 7)
-	evAW := eng.Prepare(inst, allPairs(inst), AW, 7)
+	evAll := coldPrepare(eng, inst, allPairs(inst), All, 7)
+	evWP := coldPrepare(eng, inst, allPairs(inst), WP, 7)
+	evAW := coldPrepare(eng, inst, allPairs(inst), AW, 7)
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
 			full := evAll.Influence(w, s)
@@ -165,9 +191,9 @@ func TestFullInfluenceFactorization(t *testing.T) {
 
 func TestAblationMasksDiffer(t *testing.T) {
 	eng, inst := testWorld(t)
-	evAll := eng.Prepare(inst, allPairs(inst), All, 7)
-	evAP := eng.Prepare(inst, allPairs(inst), AP, 7)
-	evAW := eng.Prepare(inst, allPairs(inst), AW, 7)
+	evAll := coldPrepare(eng, inst, allPairs(inst), All, 7)
+	evAP := coldPrepare(eng, inst, allPairs(inst), AP, 7)
+	evAW := coldPrepare(eng, inst, allPairs(inst), AW, 7)
 	differsAP, differsAW := false, false
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
@@ -190,7 +216,7 @@ func TestAblationMasksDiffer(t *testing.T) {
 
 func TestPropagationSumConsistentWithCollection(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, allPairs(inst), All, 7)
+	ev := coldPrepare(eng, inst, allPairs(inst), All, 7)
 	for w, worker := range inst.Workers {
 		want := eng.Prop.PropagationSum(int32(worker.User))
 		if got := ev.PropagationSum(w); math.Abs(got-want) > 1e-9 {
@@ -202,7 +228,7 @@ func TestPropagationSumConsistentWithCollection(t *testing.T) {
 func TestPropagationSumAvailableWithoutPropagationMask(t *testing.T) {
 	// The AP metric is reported even for masks that exclude propagation.
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, allPairs(inst), AW, 7)
+	ev := coldPrepare(eng, inst, allPairs(inst), AW, 7)
 	for w, worker := range inst.Workers {
 		want := eng.Prop.PropagationSum(int32(worker.User))
 		if got := ev.PropagationSum(w); math.Abs(got-want) > 1e-9 {
@@ -217,7 +243,7 @@ func TestAffinityDrivesSemanticMatch(t *testing.T) {
 	// community-1 tasks, because affinity, willingness and location all
 	// align.
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, allPairs(inst), All, 7)
+	ev := coldPrepare(eng, inst, allPairs(inst), All, 7)
 	sameSum, crossSum := 0.0, 0.0
 	nSame, nCross := 0, 0
 	for w, worker := range inst.Workers {
@@ -242,11 +268,11 @@ func TestAffinityDrivesSemanticMatch(t *testing.T) {
 
 func TestTopLocationsTruncationCloseToExact(t *testing.T) {
 	eng, inst := testWorld(t)
-	exact := eng.Prepare(inst, allPairs(inst), All, 7)
+	exact := coldPrepare(eng, inst, allPairs(inst), All, 7)
 	// The truncated models are built once per engine, so truncation
 	// needs an engine of its own.
 	trunc := &Engine{Prop: eng.Prop, Wil: eng.Wil, LDA: eng.LDA, ThetaUser: eng.ThetaUser, TopLocations: 3}
-	truncated := trunc.Prepare(inst, allPairs(inst), All, 7)
+	truncated := coldPrepare(trunc, inst, allPairs(inst), All, 7)
 	var maxRel float64
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
@@ -269,8 +295,8 @@ func TestTopLocationsTruncationCloseToExact(t *testing.T) {
 
 func TestDeterministicPrepare(t *testing.T) {
 	eng, inst := testWorld(t)
-	a := eng.Prepare(inst, allPairs(inst), All, 7)
-	b := eng.Prepare(inst, allPairs(inst), All, 7)
+	a := coldPrepare(eng, inst, allPairs(inst), All, 7)
+	b := coldPrepare(eng, inst, allPairs(inst), All, 7)
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
 			if a.Influence(w, s) != b.Influence(w, s) {
@@ -282,7 +308,7 @@ func TestDeterministicPrepare(t *testing.T) {
 
 func TestEvaluatorDimensions(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, allPairs(inst), All, 7)
+	ev := coldPrepare(eng, inst, allPairs(inst), All, 7)
 	if ev.NumWorkers() != len(inst.Workers) || ev.NumTasks() != len(inst.Tasks) {
 		t.Errorf("dims %d×%d, want %d×%d",
 			ev.NumWorkers(), ev.NumTasks(), len(inst.Workers), len(inst.Tasks))

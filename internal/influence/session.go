@@ -1,7 +1,7 @@
-// Session is the incremental online phase: where Engine.Prepare treats
-// every assignment instant as cold — re-folding every task through LDA,
+// Session is the incremental online phase: where a cold rebuild treats
+// every assignment instant afresh — re-folding every task through LDA,
 // re-extracting every worker's RRR root list and computing willingness
-// afresh — a Session carries that per-entity state across instants. The
+// again — a Session carries that per-entity state across instants. The
 // streaming protocol of the paper (Section VI) keeps unassigned workers
 // online and unexpired tasks open between instants, so most of an
 // instant's state was already computed at an earlier one; a Session
@@ -23,8 +23,9 @@
 // social graph. Per-task LDA fold-in randomness is likewise keyed by
 // stable identity — the stream seed is randx.Mix(sessionSeed, taskID) —
 // so a task's topic distribution is the same number at every instant it
-// survives, whichever instant first computed it, and a cold rebuild
-// (Engine.Prepare) reproduces every value the session serves bit for bit.
+// survives, whichever instant first computed it, and a cold rebuild (a
+// fresh session per instant) reproduces every value the session serves
+// bit for bit.
 //
 // Fresh work runs in deterministic chunks on the shared internal/parallel
 // pool: each pending task or worker writes only to its own pre-inserted
@@ -77,8 +78,8 @@ type userState struct {
 // willingness only where those pairs read it — evicting entries that
 // left the pool.
 //
-// The evaluators a session returns are interchangeable with cold
-// Engine.Prepare ones on the pairs they were prepared for: for the same
+// The evaluators a session returns are interchangeable with a fresh
+// session's on the pairs they were prepared for: for the same
 // instance, pairs, component mask and seed, every such pair's influence
 // is bit-identical (the equivalence tests assert this), because all
 // cached state is keyed by stable identity rather than by instant.
@@ -168,7 +169,7 @@ func (s *Session) CachedWorkers() int { return len(s.users) }
 // the last Evaluate or Sync computed: the on-demand entries of lazy
 // rows, or one dense row per newly admitted task under willingness-only
 // masks. Entries served from cache are not counted, so a warm session
-// reports at most what a cold Prepare of the same instant does.
+// reports at most what a fresh session would for the same instant.
 func (s *Session) WilEntries() int { return s.wilEntries }
 
 // SetCapacity bounds the session's carry-over memory: after each instant

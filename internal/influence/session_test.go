@@ -128,7 +128,7 @@ func instantSequence(inst *model.Instance) []*model.Instance {
 // TestSessionMatchesColdPrepare is the correctness gate of the session
 // layer: at every instant of a carry-over sequence, for every component
 // mask and at Parallelism 1, 2 and 8, the warm session must price every
-// feasible pair bit-identically to a cold one-shot Prepare, hold only
+// feasible pair bit-identically to a cold single-use session, hold only
 // willingness entries equal to Equation 2, and have filled every root
 // the pairs read (checkWarmAgainstCold).
 func TestSessionMatchesColdPrepare(t *testing.T) {
@@ -140,7 +140,7 @@ func TestSessionMatchesColdPrepare(t *testing.T) {
 			for k, in := range instantSequence(inst) {
 				pairs := feasible(in)
 				warm := sess.Evaluate(in, pairs)
-				cold := eng.Prepare(in, pairs, mask, seed)
+				cold := coldPrepare(eng, in, pairs, mask, seed)
 				checkWarmAgainstCold(t, eng, sess, in, pairs, warm, cold,
 					fmt.Sprintf("parallelism %d mask %v instant %d", par, mask, k))
 			}
@@ -264,7 +264,7 @@ func TestSessionCapacityBoundExact(t *testing.T) {
 	for k, in := range instantSequence(inst) {
 		pairs := feasible(in)
 		warm := sess.Evaluate(in, pairs)
-		cold := eng.Prepare(in, pairs, All, 7)
+		cold := coldPrepare(eng, in, pairs, All, 7)
 		checkWarmAgainstCold(t, eng, sess, in, pairs, warm, cold, fmt.Sprintf("capped instant %d", k))
 		if len(in.Tasks) <= capacity {
 			t.Fatalf("instant %d offers %d tasks; the bound is never stressed", k, len(in.Tasks))
@@ -308,7 +308,7 @@ func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
 	probe := &model.Instance{Now: inst.Now + 1, Workers: inst.Workers[:1], Tasks: []model.Task{last}}
 	pairs := allPairs(probe)
 	warm := sess.Evaluate(probe, pairs)
-	cold := eng.Prepare(probe, pairs, All, 7)
+	cold := coldPrepare(eng, probe, pairs, All, 7)
 	checkWarmAgainstCold(t, eng, sess, probe, pairs, warm, cold, "survivor")
 	if &warm.thetaT[0][0] != &st.theta[0] {
 		t.Fatal("survivor was recomputed, not served from cache")
@@ -357,11 +357,11 @@ func TestSessionRejectsDuplicateTaskIDs(t *testing.T) {
 // permutes — but never changes — the per-task state.
 func TestPrepareSeedKeyedByStableIdentity(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, allPairs(inst), All, 7)
+	ev := coldPrepare(eng, inst, allPairs(inst), All, 7)
 	perm := &model.Instance{Now: inst.Now, Workers: inst.Workers}
 	perm.Tasks = append(perm.Tasks, inst.Tasks[3:]...)
 	perm.Tasks = append(perm.Tasks, inst.Tasks[:3]...)
-	evPerm := eng.Prepare(perm, allPairs(perm), All, 7)
+	evPerm := coldPrepare(eng, perm, allPairs(perm), All, 7)
 	n := len(inst.Tasks)
 	for j := 0; j < n; j++ {
 		pj := (j - 3 + n) % n // position of task j in the permuted instance

@@ -59,11 +59,6 @@ type Config struct {
 	// per-entity influence state on (<= 0 means all cores). Results are
 	// bit-identical at any setting.
 	Parallelism int
-	// ColdPrepare disables the incremental session and rebuilds the full
-	// influence state every instant (a single-use session per round). It
-	// exists as the cold reference of the equivalence tests; results are
-	// identical either way.
-	ColdPrepare bool
 	// SessionCapacity bounds the influence session's per-entity caches
 	// with deterministic FIFO eviction (0: unbounded). Memory-only;
 	// results are bit-identical at any capacity. See
@@ -106,7 +101,6 @@ func New(fw *core.Framework, cfg Config) (*Platform, error) {
 		Components:      cfg.Components,
 		Seed:            cfg.Seed,
 		Parallelism:     cfg.Parallelism,
-		ColdPrepare:     cfg.ColdPrepare,
 		SessionCapacity: cfg.SessionCapacity,
 		Clock:           monotonicClock(),
 	})
@@ -172,8 +166,8 @@ func (p *Platform) Run(workers []ArrivingWorker, tasks []ArrivingTask) (*Result,
 // Engine exposes the platform's underlying streaming engine.
 func (p *Platform) Engine() *engine.Engine { return p.eng }
 
-// Session returns the platform's influence session, or nil when the
-// platform runs with ColdPrepare.
+// Session returns the platform's influence session (the engine's; see
+// engine.Engine.Session).
 func (p *Platform) Session() *core.Session { return p.eng.Session() }
 
 // Online returns the number of currently online (unassigned) workers.

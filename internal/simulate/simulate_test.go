@@ -3,7 +3,6 @@ package simulate
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"dita/internal/assign"
 	"dita/internal/core"
@@ -27,14 +26,7 @@ func testFramework(t *testing.T) (*core.Framework, *dataset.Data) {
 		t.Fatal(err)
 	}
 	cutoff := 5 * 24.0
-	docs, vocab := data.Documents(cutoff)
-	fw, err := core.Train(core.TrainingData{
-		Graph:     data.Graph,
-		Histories: data.HistoriesBefore(cutoff),
-		Documents: docs,
-		Vocab:     vocab,
-		Records:   data.CheckInsBefore(cutoff),
-	}, core.Config{LDA: lda.Config{Topics: 8, TrainIters: 30}})
+	fw, err := core.Train(core.TrainingDataFrom(data, cutoff), core.Config{LDA: lda.Config{Topics: 8, TrainIters: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,128 +202,13 @@ func normalize(res *Result) *Result {
 	return &out
 }
 
-// coldComparable additionally zeroes the instants' willingness-entry
-// counts: a warm session serves cached entries a cold Prepare computes
-// again, so the counts differ by design between warm and cold runs.
-func coldComparable(res *Result) *Result {
-	out := normalize(res)
-	for i := range out.Instants {
-		out.Instants[i].WilEntries = 0
-	}
-	return out
-}
-
-// TestSessionMatchesColdPrepareStreaming is the acceptance gate of the
-// incremental online phase: over a multi-instant run with arrivals,
-// expiries and carry-over, the warm session must produce identical
-// assignment sets and bit-identical metrics to rebuilding the influence
-// state cold every instant — at Parallelism 1, 2 and 8. (Evaluator-state
-// equality is asserted at the influence layer; here the equality covers
-// everything downstream of the evaluator.)
-func TestSessionMatchesColdPrepareStreaming(t *testing.T) {
-	fw, data := testFramework(t)
-	ws, ts := streams(data, 50, 11)
-	run := func(cold bool, par int) *Result {
-		p, err := New(fw, Config{
-			Algorithm: assign.IA, Step: 2, Start: 120, Horizon: 16,
-			Seed: 5, Parallelism: par, ColdPrepare: cold,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return coldComparable(res)
-	}
-	want := run(true, 1)
-	if want.TotalAssigned == 0 {
-		t.Fatal("equivalence run assigned nothing; streams too sparse to gate anything")
-	}
-	for _, par := range paralleltest.WorkerCounts {
-		if got := run(false, par); !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallelism %d: session-backed run diverged from cold per-instant Prepare", par)
-		}
-		if got := run(true, par); !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallelism %d: cold run not parallelism-invariant", par)
-		}
-	}
-}
-
-// TestIncrementalPairsStreamingEquivalence gates the online phase under
-// heavy churn: over a 200+-instant run (staggered arrivals, short task
-// lifetimes, retirements at every matching instant), the warm session
-// with its per-instant tiled pair scan must produce results identical to
-// the cold reference at Parallelism 1, 2 and 8. Empty-pool instants must
-// still time the session's cache Sync, and the session's carry-over
-// state must stay bounded by the live pool.
-func TestIncrementalPairsStreamingEquivalence(t *testing.T) {
-	fw, data := testFramework(t)
-	rng := randx.New(17)
-	var ws []ArrivingWorker
-	var ts []ArrivingTask
-	const days = 4
-	for d := 0; d < days; d++ {
-		base := 120.0 + float64(d)*24
-		for i := 0; i < 25; i++ {
-			u := model.WorkerID(rng.Intn(data.Params.NumUsers))
-			ws = append(ws, ArrivingWorker{
-				User: u, Loc: data.Homes[u], Radius: 25, At: base + rng.Float64()*20,
-			})
-			v := data.Venues[rng.Intn(len(data.Venues))]
-			ts = append(ts, ArrivingTask{
-				Loc: v.Loc, Publish: base + rng.Float64()*20, Valid: 1 + rng.Float64()*4,
-				Categories: v.Categories, Venue: v.ID,
-			})
-		}
-	}
-	sortByAt(ws)
-	sortByPublish(ts)
-	run := func(cold bool, par int) (*Result, *Platform) {
-		p, err := New(fw, Config{
-			Algorithm: assign.IA, Step: 0.5, Start: 120, Horizon: float64(days)*24 + 6,
-			Seed: 23, Parallelism: par, ColdPrepare: cold,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, p
-	}
-	wantRaw, _ := run(true, 1)
-	want := coldComparable(wantRaw)
-	if got := len(want.Instants); got < 200 {
-		t.Fatalf("churn run covers %d instants, the gate needs >= 200", got)
-	}
-	if want.TotalAssigned == 0 || want.ExpiredTasks == 0 {
-		t.Fatalf("churn run saw %d assigned, %d expired — the gate needs arrivals, retirements and expiries",
-			want.TotalAssigned, want.ExpiredTasks)
-	}
-	for _, par := range paralleltest.WorkerCounts {
-		gotRaw, p := run(false, par)
-		checkInstantShape(t, gotRaw, true, par)
-		if got := coldComparable(gotRaw); !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallelism %d: warm churn run diverged from the cold reference", par)
-		}
-		sess := p.Session().Influence()
-		if sess.CachedWorkers() > p.Online() || sess.CachedTasks() > p.Open() {
-			t.Errorf("parallelism %d: session carries %d workers / %d tasks, pool holds %d / %d",
-				par, sess.CachedWorkers(), sess.CachedTasks(), p.Online(), p.Open())
-		}
-	}
-}
-
-// TestTiledColdPairsStreamingEquivalence is the streaming gate of the
+// TestTiledStreamingEquivalence is the streaming gate of the
 // tiled pipeline: every instant scans feasibility through the spatial
 // tiling, and the run must be bit-identical — assignments, metrics,
 // completion accounting — at Parallelism 1, 2 and 8, while actually
 // reporting a live tiling (tile counts on busy instants, component stats
 // whenever a pair is feasible).
-func TestTiledColdPairsStreamingEquivalence(t *testing.T) {
+func TestTiledStreamingEquivalence(t *testing.T) {
 	fw, data := testFramework(t)
 	ws, ts := streams(data, 60, 29)
 	run := func(par int) *Result {
@@ -346,7 +223,7 @@ func TestTiledColdPairsStreamingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkInstantShape(t, res, false, par)
+		checkInstantShape(t, res, par)
 		return normalize(res)
 	}
 	want := run(1)
@@ -363,18 +240,12 @@ func TestTiledColdPairsStreamingEquivalence(t *testing.T) {
 // checkInstantShape asserts what a run's instants report beyond their
 // assignments. Every busy instant scanned its pairs through the tiling,
 // so it reports an occupied tile count, and component stats whenever a
-// pair is feasible. With a session, instants with an empty pool side run
-// no assignment but still sync the caches; that work must land in
-// Prepare, or the warm online phase would be under-reported on sparse
-// streams.
-func checkInstantShape(t *testing.T, res *Result, session bool, par int) {
+// pair is feasible.
+func checkInstantShape(t *testing.T, res *Result, par int) {
 	t.Helper()
-	busy, withTiles, empty := 0, 0, 0
-	var emptySync time.Duration
+	busy, withTiles := 0, 0
 	for _, in := range res.Instants {
 		if in.Metrics.Algorithm == "" {
-			empty++
-			emptySync += in.Prepare
 			continue
 		}
 		busy++
@@ -388,15 +259,6 @@ func checkInstantShape(t *testing.T, res *Result, session bool, par int) {
 	}
 	if busy == 0 || withTiles != busy {
 		t.Fatalf("parallelism %d: %d of %d busy instants report a tiling", par, withTiles, busy)
-	}
-	if !session {
-		return
-	}
-	if empty == 0 {
-		t.Fatal("run has no empty-pool instants; the Sync-accounting gate needs some")
-	}
-	if emptySync == 0 {
-		t.Errorf("parallelism %d: empty-pool instants recorded zero Prepare: Session.Sync ran untimed", par)
 	}
 }
 
