@@ -150,7 +150,7 @@ func main() {
 	}
 	names := splitList(*datasetsFlag)
 	for _, name := range names {
-		if _, err := datasetPreset(name); err != nil {
+		if _, err := dataset.Preset(name); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func main() {
 			datasets:   names,
 			frameworks: fwPaths,
 			trainFramework: func(name, outPath string) (string, error) {
-				dp, err := datasetPreset(name)
+				dp, err := dataset.Preset(name)
 				if err != nil {
 					return "", err
 				}
@@ -215,7 +215,7 @@ func main() {
 			log.Fatalf("-train-out needs one artifact path per dataset: %d datasets, %d paths", len(names), len(paths))
 		}
 		for i, name := range names {
-			dp, _ := datasetPreset(name)
+			dp, _ := dataset.Preset(name)
 			sum, err := trainArtifact(dp, *scale, *days, *seed, *par, paths[i])
 			if err != nil {
 				log.Fatalf("train-out: %v", err)
@@ -303,7 +303,7 @@ func main() {
 
 	var shardFigs []*experiments.SweepRaw
 	for i, name := range names {
-		dp, _ := datasetPreset(name)
+		dp, _ := dataset.Preset(name)
 		var fw *core.Framework
 		if fws != nil {
 			fw = fws[i]
@@ -437,18 +437,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// datasetPreset maps a -datasets entry to its generator parameters.
-func datasetPreset(name string) (dataset.Params, error) {
-	switch strings.ToLower(name) {
-	case "bk":
-		return dataset.BrightkiteLike(), nil
-	case "fs":
-		return dataset.FoursquareLike(), nil
-	default:
-		return dataset.Params{}, fmt.Errorf("unknown dataset %q (want bk or fs)", name)
-	}
-}
-
 // evalParams resolves the evaluation protocol for one dataset: the
 // scale's parameter set and sweep grids, with the seed, pool bound and
 // day-window override applied.
@@ -522,7 +510,7 @@ func loadFrameworks(list string, names []string, scale string, daysOverride int,
 		sums []string
 	)
 	for i, name := range names {
-		dp, err := datasetPreset(name)
+		dp, err := dataset.Preset(name)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -25,8 +24,8 @@ import (
 //
 // With -serve-speedup 0 (the default) the replay is deterministic: per
 // grid instant every due worker is POSTed (in trace order), then every
-// due task, then an explicit /instant at the grid time — the exact
-// admission order simulate.Platform.Run uses, which is what makes the
+// due task, then an explicit /instant at the grid time — the events of
+// engine.Grid, the order dita-sim -stream replays, which is what makes the
 // minted platform ids, and therefore the CSVs, line up. With a positive
 // speedup the client paces arrivals on the wall clock at that multiple
 // of trace time and fires nothing: the server's own trigger (tick or
@@ -79,7 +78,7 @@ type serveMetrics struct {
 }
 
 func runServeLoad(cfg serveLoadConfig) error {
-	dp, err := datasetPreset(cfg.preset)
+	dp, err := dataset.Preset(cfg.preset)
 	if err != nil {
 		return err
 	}
@@ -131,38 +130,24 @@ func runServeLoad(cfg serveLoadConfig) error {
 	return nil
 }
 
-// replayGrid is the deterministic mode: simulate.Platform.Run's
-// admission loop spoken over HTTP — workers then tasks due at each grid
-// instant, then the instant itself.
+// replayGrid is the deterministic mode: the events of engine.Grid
+// spoken over HTTP — workers then tasks due at each grid instant, then
+// the instant itself. It returns the number of arrivals posted.
 func (c *serveClient) replayGrid(ws []engine.WorkerArrival, ts []engine.TaskArrival, start, step, horizon float64) (int, error) {
-	if step <= 0 {
-		return 0, fmt.Errorf("serve-load: non-positive step %v", step)
-	}
 	posted := 0
-	wi, ti := 0, 0
-	count := int(math.Floor(horizon/step + 1e-9))
-	for i := 0; i <= count; i++ {
-		now := start + float64(i)*step
-		for wi < len(ws) && ws[wi].At <= now {
-			if err := c.postWorker(ws[wi]); err != nil {
-				return posted, err
-			}
-			wi++
+	err := engine.Grid{Start: start, Step: step, Horizon: horizon}.Events(ws, ts, func(ev engine.Event) error {
+		switch ev.Kind {
+		case engine.WorkerArrive:
 			posted++
-		}
-		for ti < len(ts) && ts[ti].Publish <= now {
-			if err := c.postTask(ts[ti]); err != nil {
-				return posted, err
-			}
-			ti++
+			return c.postWorker(ev.Worker)
+		case engine.TaskArrive:
 			posted++
+			return c.postTask(ev.Task)
 		}
-		body, _ := json.Marshal(map[string]float64{"at": now})
-		if err := c.post("/v1/"+c.region+"/instant", body); err != nil {
-			return posted, err
-		}
-	}
-	return posted, nil
+		body, _ := json.Marshal(map[string]float64{"at": ev.At})
+		return c.post("/v1/"+c.region+"/instant", body)
+	})
+	return posted, err
 }
 
 // replayPaced streams arrivals on the wall clock at speedup× trace

@@ -41,14 +41,9 @@ func main() {
 		log.Fatal("missing required -out directory")
 	}
 
-	var p dataset.Params
-	switch *preset {
-	case "bk":
-		p = dataset.BrightkiteLike()
-	case "fs":
-		p = dataset.FoursquareLike()
-	default:
-		log.Fatalf("unknown preset %q (want bk or fs)", *preset)
+	p, err := dataset.Preset(*preset)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *users > 0 {
 		p.NumUsers = *users

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,7 +16,6 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/engine"
 	"dita/internal/lda"
-	"dita/internal/simulate"
 	"dita/internal/trace"
 )
 
@@ -412,72 +410,73 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 	}
 }
 
-// TestServeMatchesSimulateReplay is the in-process form of the CI serve
-// smoke: the same trace replayed once through simulate.Platform and once
-// through the HTTP endpoints (grid admissions + explicit instants) must
-// report the same willingness-entry count at every instant and drain a
-// byte-identical assignment CSV.
-func TestServeMatchesSimulateReplay(t *testing.T) {
+// TestServeMatchesEngineReplay is the in-process form of the CI serve
+// smoke: the same trace replayed once through engine.Replay and once
+// through the HTTP endpoints, driven by the same grid's events
+// (admissions + explicit instants), must report the same
+// willingness-entry count at every instant and drain a byte-identical
+// assignment CSV.
+func TestServeMatchesEngineReplay(t *testing.T) {
 	fw, data := testFramework(t)
 	tp := trace.Params{Arrivals: 60, Seed: 13, Start: 96, Spread: 12, RadiusKm: 25, ValidMin: 3, ValidSpan: 3}
 	ws, tks, err := trace.Build(data, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const start, step, horizon = 96.0, 1.0, 14.0
+	g := engine.Grid{Start: 96, Step: 1, Horizon: 14}
 
-	p, err := simulate.New(fw, simulate.Config{
-		Algorithm: assign.IA, Step: step, Start: start, Horizon: horizon, Seed: 7,
-	})
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(ws, tks)
+	instants, err := e.Replay(g, ws, tks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalAssigned == 0 {
+	if e.Totals().Assigned == 0 {
 		t.Fatal("replay assigned nothing; trace too sparse to gate anything")
 	}
-	want := engine.AssignCSV(res.Instants)
+	want := engine.AssignCSV(instants)
 
 	csvPath := filepath.Join(t.TempDir(), "serve.csv")
 	srv, ts := testServer(t, fw, serverConfig{
 		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
 		csvPath: csvPath,
 	})
-	wi, ti, wilTotal := 0, 0, 0
-	count := int(math.Floor(horizon/step + 1e-9))
-	for i := 0; i <= count; i++ {
-		now := start + float64(i)*step
-		for wi < len(ws) && ws[wi].At <= now {
-			wa := ws[wi]
+	i, wilTotal := 0, 0
+	err = g.Events(ws, tks, func(ev engine.Event) error {
+		switch ev.Kind {
+		case engine.WorkerArrive:
+			wa := ev.Worker
 			body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
 			if code := do(t, "POST", ts.URL+"/v1/default/workers", body, nil); code != 200 {
-				t.Fatal("arrival failed")
+				return fmt.Errorf("arrival failed: status %d", code)
 			}
-			wi++
-		}
-		for ti < len(tks) && tks[ti].Publish <= now {
-			ta := tks[ti]
+		case engine.TaskArrive:
+			ta := ev.Task
 			cats := make([]int32, len(ta.Categories))
 			for k, c := range ta.Categories {
 				cats[k] = int32(c)
 			}
 			body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
 			if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, nil); code != 200 {
-				t.Fatal("task failed")
+				return fmt.Errorf("task failed: status %d", code)
 			}
-			ti++
+		case engine.InstantFire:
+			var ir instantResp
+			if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: ev.At}, &ir); code != 200 {
+				return fmt.Errorf("instant failed: status %d", code)
+			}
+			if want := instants[i].WilEntries; ir.WilEntries != want {
+				return fmt.Errorf("instant %d: served wil_entries %d, replay computed %d", i, ir.WilEntries, want)
+			}
+			wilTotal += ir.WilEntries
+			i++
 		}
-		var ir instantResp
-		if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: now}, &ir); code != 200 {
-			t.Fatal("instant failed")
-		}
-		if want := res.Instants[i].WilEntries; ir.WilEntries != want {
-			t.Fatalf("instant %d: served wil_entries %d, replay computed %d", i, ir.WilEntries, want)
-		}
-		wilTotal += ir.WilEntries
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if wilTotal == 0 {
 		t.Fatal("no instant computed willingness entries; the wil_entries check is never exercised")
@@ -490,6 +489,6 @@ func TestServeMatchesSimulateReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatal("served assignment CSV diverged from the simulate replay")
+		t.Fatal("served assignment CSV diverged from the engine replay")
 	}
 }

@@ -5,7 +5,7 @@
 //
 // With -stream it instead replays a deterministic arrival trace
 // (internal/trace) through the streaming engine on a fixed instant grid
-// (simulate.Platform) and writes the streaming assignment CSV — the
+// (engine.Engine.Replay) and writes the streaming assignment CSV — the
 // batch reference the CI serve smoke diffs byte for byte against a live
 // dita-serve fed the identical trace by dita-bench -serve-load.
 //
@@ -37,7 +37,6 @@ import (
 	"dita/internal/fwio"
 	"dita/internal/influence"
 	"dita/internal/model"
-	"dita/internal/simulate"
 	"dita/internal/trace"
 )
 
@@ -88,14 +87,9 @@ func main() {
 			log.Fatalf("load: %v", err)
 		}
 	} else {
-		var p dataset.Params
-		switch *preset {
-		case "bk":
-			p = dataset.BrightkiteLike()
-		case "fs":
-			p = dataset.FoursquareLike()
-		default:
-			log.Fatalf("unknown preset %q", *preset)
+		p, err := dataset.Preset(*preset)
+		if err != nil {
+			log.Fatal(err)
 		}
 		start := time.Now() //dita:wallclock
 		data, err = dataset.Generate(p)
@@ -223,32 +217,34 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 	if err != nil {
 		log.Fatalf("trace: %v", err)
 	}
-	plat, err := simulate.New(fw, simulate.Config{
+	clockStart := time.Now() //dita:wallclock
+	eng, err := engine.New(fw, engine.Config{
 		Algorithm: p.alg, Components: p.comps, Seed: p.seed, Parallelism: p.par,
-		Step: p.step, Start: p.start, Horizon: p.horizon, SessionCapacity: p.sessionCap,
+		SessionCapacity: p.sessionCap,
+		Clock:           func() time.Duration { return time.Since(clockStart) }, //dita:wallclock
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	wall := time.Now() //dita:wallclock
-	res, err := plat.Run(ws, ts)
+	instants, err := eng.Replay(engine.Grid{Start: p.start, Step: p.step, Horizon: p.horizon}, ws, ts)
 	if err != nil {
 		log.Fatalf("stream: %v", err)
 	}
 	elapsed := time.Since(wall) //dita:wallclock
-	totals := plat.Engine().Totals()
+	totals := eng.Totals()
 
 	fmt.Printf("\n%s streamed over [%g, %g]h in %g-h instants (%d arrivals each side):\n",
 		p.alg, p.start, p.start+p.horizon, p.step, p.arrivals)
 	fmt.Printf("  instants             %d\n", totals.Instants)
 	fmt.Printf("  assigned tasks       %d\n", totals.Assigned)
 	fmt.Printf("  expired tasks        %d\n", totals.Expired)
-	fmt.Printf("  completion rate      %.4f\n", res.CompletionRate)
-	fmt.Printf("  still online/open    %d/%d\n", plat.Online(), plat.Open())
+	fmt.Printf("  completion rate      %.4f\n", totals.CompletionRate())
+	fmt.Printf("  still online/open    %d/%d\n", eng.Online(), eng.Open())
 	fmt.Printf("  replay wall time     %s\n", elapsed.Round(time.Millisecond))
 
 	if p.csvPath != "" {
-		csv := engine.AssignCSV(res.Instants)
+		csv := engine.AssignCSV(instants)
 		if err := atomicio.WriteFile(p.csvPath, csv, 0o644); err != nil {
 			log.Fatalf("assign-csv: %v", err)
 		}

@@ -19,6 +19,17 @@
 //	})
 //	set, metrics := fw.Assign(inst, dita.IA, 1)
 //
+// # Streaming
+//
+// An Engine runs the paper's protocol over arrival streams: at each
+// time instance the online workers and open tasks are assigned, a
+// worker stays online until assigned, and a task stays open until it
+// expires. Replay drives it on a fixed instant Grid:
+//
+//	eng, _ := dita.NewEngine(fw, dita.EngineConfig{Algorithm: dita.IA})
+//	instants, _ := eng.Replay(dita.Grid{Start: 600, Step: 0.5, Horizon: 24}, workers, tasks)
+//	rate := eng.Totals().CompletionRate()
+//
 // See examples/ for complete programs and internal/experiments for the
 // benchmark harness that regenerates every figure of the paper.
 package dita
@@ -27,9 +38,9 @@ import (
 	"dita/internal/assign"
 	"dita/internal/core"
 	"dita/internal/dataset"
+	"dita/internal/engine"
 	"dita/internal/influence"
 	"dita/internal/model"
-	"dita/internal/simulate"
 )
 
 // Domain types (see internal/model for full documentation).
@@ -172,23 +183,23 @@ func TiledFeasiblePairs(inst *Instance, speedKmH float64, parallelism int) ([]as
 	return assign.TiledFeasiblePairs(inst, speedKmH, parallelism)
 }
 
-// Streaming simulation: a platform loop with carry-over state, where a
-// worker stays online until assigned and a task remains available until
-// it expires.
+// Streaming assignment: the engine keeps workers online until assigned
+// and tasks open until they expire, across assignment instants.
 type (
-	// Platform is the streaming simulator's carry-over state.
-	Platform = simulate.Platform
-	// SimConfig drives a streaming run.
-	SimConfig = simulate.Config
-	// SimResult aggregates a streaming run.
-	SimResult = simulate.Result
-	// ArrivingWorker is a worker joining the platform at a given time.
-	ArrivingWorker = simulate.ArrivingWorker
-	// ArrivingTask is a task published at a given time.
-	ArrivingTask = simulate.ArrivingTask
+	// Engine is the streaming engine's carry-over state: the live pools
+	// and the influence session the instants are served through.
+	Engine = engine.Engine
+	// EngineConfig parameterizes an engine.
+	EngineConfig = engine.Config
+	// Grid is a fixed instant schedule for Engine.Replay.
+	Grid = engine.Grid
+	// WorkerArrival is a worker joining the platform at a given time.
+	WorkerArrival = engine.WorkerArrival
+	// TaskArrival is a task published at a given time.
+	TaskArrival = engine.TaskArrival
 )
 
-// NewPlatform binds a streaming simulator to a trained framework.
-func NewPlatform(fw *Framework, cfg SimConfig) (*Platform, error) {
-	return simulate.New(fw, cfg)
+// NewEngine binds an empty streaming engine to a trained framework.
+func NewEngine(fw *Framework, cfg EngineConfig) (*Engine, error) {
+	return engine.New(fw, cfg)
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"dita/internal/geo"
 	"dita/internal/model"
@@ -111,6 +112,18 @@ func FoursquareLike() Params {
 		MoveScaleKm:           0.5,
 		Seed:                  0xf5ae,
 	}
+}
+
+// Preset returns the generator parameters of a named preset: "bk" for
+// BrightkiteLike or "fs" for FoursquareLike, in any letter case.
+func Preset(name string) (Params, error) {
+	switch strings.ToLower(name) {
+	case "bk":
+		return BrightkiteLike(), nil
+	case "fs":
+		return FoursquareLike(), nil
+	}
+	return Params{}, fmt.Errorf("dataset: unknown preset %q (want bk or fs)", name)
 }
 
 // FrameworkSource canonically identifies a framework's training input:

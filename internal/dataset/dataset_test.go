@@ -37,6 +37,34 @@ func TestValidatePresets(t *testing.T) {
 	}
 }
 
+func TestPreset(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want string // Params.Name; "" means an error
+	}{
+		{"bk", "BK"}, {"BK", "BK"}, {"Bk", "BK"},
+		{"fs", "FS"}, {"FS", "FS"}, {"fS", "FS"},
+		{"", ""}, {"brightkite", ""}, {" bk", ""}, {"gw", ""},
+	} {
+		p, err := Preset(c.name)
+		if c.want == "" {
+			if err == nil {
+				t.Errorf("Preset(%q) accepted", c.name)
+			}
+			continue
+		}
+		if err != nil || p.Name != c.want {
+			t.Errorf("Preset(%q) = %q, %v; want %q", c.name, p.Name, err, c.want)
+		}
+	}
+	if p, _ := Preset("bk"); p != BrightkiteLike() {
+		t.Error("Preset(bk) differs from BrightkiteLike")
+	}
+	if p, _ := Preset("fs"); p != FoursquareLike() {
+		t.Error("Preset(fs) differs from FoursquareLike")
+	}
+}
+
 func TestValidateRejectsBadParams(t *testing.T) {
 	base := smallParams()
 	mutations := []func(*Params){

@@ -1,9 +1,10 @@
-// Package engine is the streaming assignment engine of the platform:
-// the event-driven instant loop that used to be hard-wired into
-// simulate.Platform.Run, extracted so that both a deterministic replay
-// driver (internal/simulate) and a long-lived serving front-end
-// (cmd/dita-serve) can run the same loop against the same carry-over
-// state.
+// Package engine is the streaming assignment engine of the platform,
+// following the paper's protocol: assignment runs at time instances, a
+// worker stays online until assigned, and an unassigned task remains
+// available until it expires (s.p + s.ϕ). Deterministic replay
+// (Engine.Replay over a Grid, as in dita-sim -stream) and a long-lived
+// serving front-end (cmd/dita-serve) run the same loop against the same
+// carry-over state.
 //
 // The engine applies an explicit event stream — WorkerArrive,
 // WorkerDepart, TaskArrive, TaskExpire — to the pools backing a
@@ -50,8 +51,8 @@ import (
 type Clock func() time.Duration
 
 // WorkerArrival is the payload of a WorkerArrive event: a worker joining
-// the platform. At is the arrival time in hours — the replay driver uses
-// it to order admissions against the instant grid; the engine itself
+// the platform. At is the arrival time in hours — Grid.Events uses it
+// to order admissions against the instant grid; the engine itself
 // stores only the worker.
 type WorkerArrival struct {
 	User   model.WorkerID
@@ -151,8 +152,7 @@ type Config struct {
 	Clock Clock
 	// Trigger is the instant-firing policy consulted after every applied
 	// arrival/departure (Applied.FireNow); nil never volunteers an
-	// instant, leaving firing entirely to the caller (the replay
-	// driver's mode).
+	// instant, leaving firing entirely to the caller (Replay's mode).
 	Trigger Trigger
 }
 

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"bytes"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"dita/internal/model"
 	"dita/internal/paralleltest"
 	"dita/internal/randx"
-	"dita/internal/simulate"
 )
 
 func testFramework(t *testing.T) (*core.Framework, *dataset.Data) {
@@ -99,86 +97,66 @@ func coldComparable(instants []engine.InstantResult) []engine.InstantResult {
 	return out
 }
 
-// replayGrid drives a bare engine with an explicit event stream on the
-// same integer instant grid the replay driver uses: admissions up to
-// each instant (workers, then tasks, in arrival order), then an
-// InstantFire event. In cold mode each instant fires through
-// engine.FireCold instead, the per-instant cold rebuild the carry-over
-// session is gated against.
-func replayGrid(t *testing.T, e *engine.Engine, cold bool, ws []engine.WorkerArrival, ts []engine.TaskArrival, start, step, horizon float64) []engine.InstantResult {
+// replayGrid replays the arrival streams on g through e. In cold mode
+// each instant fires through engine.FireCold instead, the per-instant
+// cold rebuild the carry-over session is gated against.
+func replayGrid(t *testing.T, e *engine.Engine, cold bool, ws []engine.WorkerArrival, ts []engine.TaskArrival, g engine.Grid) []engine.InstantResult {
 	t.Helper()
-	var out []engine.InstantResult
-	wi, ti := 0, 0
-	count := int(math.Floor(horizon/step + 1e-9))
-	for i := 0; i <= count; i++ {
-		now := start + float64(i)*step
-		for wi < len(ws) && ws[wi].At <= now {
-			if _, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, At: now, Worker: ws[wi]}); err != nil {
-				t.Fatal(err)
-			}
-			wi++
-		}
-		for ti < len(ts) && ts[ti].Publish <= now {
-			if _, err := e.Apply(engine.Event{Kind: engine.TaskArrive, At: now, Task: ts[ti]}); err != nil {
-				t.Fatal(err)
-			}
-			ti++
-		}
-		if cold {
-			out = append(out, engine.FireCold(e, now))
-			continue
-		}
-		ap, err := e.Apply(engine.Event{Kind: engine.InstantFire, At: now})
+	if !cold {
+		out, err := e.Replay(g, ws, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, *ap.Instant)
+		return out
+	}
+	var out []engine.InstantResult
+	err := g.Events(ws, ts, func(ev engine.Event) error {
+		if ev.Kind == engine.InstantFire {
+			out = append(out, engine.FireCold(e, ev.At))
+			return nil
+		}
+		_, err := e.Apply(ev)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
-// TestEngineReplayMatchesPlatformRun is the tentpole's acceptance gate:
-// simulate.Platform.Run is now a replay driver over the engine, and an
-// explicit event stream driven through Engine.Apply — the form
-// dita-serve ingests — must reproduce the whole run bit for bit
+// replayRun is one grid replay with the engine's totals at the end.
+type replayRun struct {
+	Instants []engine.InstantResult
+	Totals   engine.Totals
+}
+
+// TestEngineReplayClockInvariant: the latency clock only measures, so
+// a replay on a real-clock engine reproduces a clockless one bit for bit
 // (DeepEqual after stripping wall-clock fields) at Parallelism 1, 2 and
-// 8, clockless engine against the platform's real-clock one.
-func TestEngineReplayMatchesPlatformRun(t *testing.T) {
+// 8, and the engine counts exactly the instants the grid fired.
+func TestEngineReplayClockInvariant(t *testing.T) {
 	fw, data := testFramework(t)
 	ws, ts := streams(data, 50, 11)
-	const start, step, horizon = 120, 2, 16
+	g := engine.Grid{Start: 120, Step: 2, Horizon: 16}
 	for _, par := range paralleltest.WorkerCounts {
-		p, err := simulate.New(fw, simulate.Config{
-			Algorithm: assign.IA, Step: step, Start: start, Horizon: horizon,
-			Seed: 5, Parallelism: par,
-		})
+		cfg := engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: par}
+		clocked, _ := replay(t, fw, cfg, g, ws, ts)
+		e, err := engine.New(fw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := engine.New(fw, engine.Config{
-			Algorithm: assign.IA, Seed: 5, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := replayGrid(t, e, false, ws, ts, start, step, horizon)
-		if res.TotalAssigned == 0 {
+		got := replayRun{replayGrid(t, e, false, ws, ts, g), e.Totals()}
+		if clocked.Totals.Assigned == 0 {
 			t.Fatal("equivalence run assigned nothing; streams too sparse to gate anything")
 		}
-		if !reflect.DeepEqual(normalize(res.Instants), normalize(got)) {
-			t.Fatalf("parallelism %d: event-driven engine diverged from Platform.Run replay", par)
+		if n := len(got.Instants); n != 9 || got.Totals.Instants != n || clocked.Totals.Instants != n {
+			t.Fatalf("parallelism %d: %d instants recorded, totals count %d (clocked %d); the grid has 9",
+				par, n, got.Totals.Instants, clocked.Totals.Instants)
 		}
-		tot := e.Totals()
-		if tot.Assigned != res.TotalAssigned || tot.Expired != res.ExpiredTasks {
-			t.Fatalf("parallelism %d: totals %+v vs platform %d assigned / %d expired",
-				par, tot, res.TotalAssigned, res.ExpiredTasks)
-		}
-		if tot.Instants != len(res.Instants) {
-			t.Fatalf("parallelism %d: %d instants counted, %d recorded", par, tot.Instants, len(res.Instants))
+		clocked.Instants = normalize(clocked.Instants)
+		got.Instants = normalize(got.Instants)
+		if !reflect.DeepEqual(clocked, got) {
+			t.Fatalf("parallelism %d: clocked replay diverged from the clockless one", par)
 		}
 	}
 }
@@ -316,7 +294,7 @@ func TestEngineWilEntriesDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []int
-		for _, ir := range replayGrid(t, e, cold, ws, ts, 120, 2, 16) {
+		for _, ir := range replayGrid(t, e, cold, ws, ts, engine.Grid{Start: 120, Step: 2, Horizon: 16}) {
 			out = append(out, ir.WilEntries)
 		}
 		return out
@@ -348,12 +326,6 @@ func monotonicClock() engine.Clock {
 	return func() time.Duration { return time.Since(start) }
 }
 
-// coldRun is one grid replay with the engine's totals at the end.
-type coldRun struct {
-	Instants []engine.InstantResult
-	Totals   engine.Totals
-}
-
 // TestSessionMatchesColdPrepareStreaming is the acceptance gate of the
 // incremental online phase: over a multi-instant run with arrivals,
 // expiries and carry-over, the warm session must produce identical
@@ -364,13 +336,13 @@ type coldRun struct {
 func TestSessionMatchesColdPrepareStreaming(t *testing.T) {
 	fw, data := testFramework(t)
 	ws, ts := streams(data, 50, 11)
-	run := func(cold bool, par int) coldRun {
+	run := func(cold bool, par int) replayRun {
 		e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
-		instants := replayGrid(t, e, cold, ws, ts, 120, 2, 16)
-		return coldRun{coldComparable(instants), e.Totals()}
+		instants := replayGrid(t, e, cold, ws, ts, engine.Grid{Start: 120, Step: 2, Horizon: 16})
+		return replayRun{coldComparable(instants), e.Totals()}
 	}
 	want := run(true, 1)
 	if want.Totals.Assigned == 0 {
@@ -421,10 +393,10 @@ func TestSessionMatchesColdPrepareChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return replayGrid(t, e, cold, ws, ts, 120, 0.5, float64(days)*24+6), e
+		return replayGrid(t, e, cold, ws, ts, engine.Grid{Start: 120, Step: 0.5, Horizon: float64(days)*24 + 6}), e
 	}
 	wantRaw, we := run(true, 1)
-	want := coldRun{coldComparable(wantRaw), we.Totals()}
+	want := replayRun{coldComparable(wantRaw), we.Totals()}
 	if got := len(want.Instants); got < 200 {
 		t.Fatalf("churn run covers %d instants, the gate needs >= 200", got)
 	}
@@ -435,7 +407,7 @@ func TestSessionMatchesColdPrepareChurn(t *testing.T) {
 	for _, par := range paralleltest.WorkerCounts {
 		gotRaw, e := run(false, par)
 		checkInstantShape(t, gotRaw, par)
-		if got := (coldRun{coldComparable(gotRaw), e.Totals()}); !reflect.DeepEqual(want, got) {
+		if got := (replayRun{coldComparable(gotRaw), e.Totals()}); !reflect.DeepEqual(want, got) {
 			t.Fatalf("parallelism %d: warm churn run diverged from the cold reference", par)
 		}
 		sess := e.Session().Influence()
@@ -550,41 +522,32 @@ func TestEngineSessionCapacityAdversarialStream(t *testing.T) {
 	}
 	sortArrivals(ws, ts)
 	const cap = 25
-	run := func(capacity, par int) (*simulate.Result, *simulate.Platform) {
-		p, err := simulate.New(fw, simulate.Config{
-			Algorithm: assign.IA, Step: 1, Start: 120, Horizon: 16,
-			Seed: 9, Parallelism: par, SessionCapacity: capacity,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(capacity, par int) (replayRun, *engine.Engine) {
+		res, e := replay(t, fw, engine.Config{Algorithm: assign.IA, Seed: 9, Parallelism: par, SessionCapacity: capacity},
+			engine.Grid{Start: 120, Step: 1, Horizon: 16}, ws, ts)
 		res.Instants = normalize(res.Instants)
-		return res, p
+		return res, e
 	}
-	want, pw := run(0, 1)
-	if want.TotalAssigned == 0 {
+	want, ew := run(0, 1)
+	if want.Totals.Assigned == 0 {
 		t.Fatal("adversarial run assigned nothing; the servable substream is too sparse")
 	}
 	// The adversarial entities must actually outgrow the capacity, or the
 	// bound is never exercised.
-	if pw.Online() <= cap || pw.Open() <= cap {
+	if ew.Online() <= cap || ew.Open() <= cap {
 		t.Fatalf("live pool %d workers / %d tasks never exceeded capacity %d",
-			pw.Online(), pw.Open(), cap)
+			ew.Online(), ew.Open(), cap)
 	}
-	unboundedSess := pw.Session().Influence()
+	unboundedSess := ew.Session().Influence()
 	if unboundedSess.CachedTasks() <= cap {
 		t.Fatalf("unbounded cache holds %d tasks; the stream never stressed the bound", unboundedSess.CachedTasks())
 	}
 	for _, par := range paralleltest.WorkerCounts {
-		got, p := run(cap, par)
+		got, e := run(cap, par)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("parallelism %d: capped session diverged from the unbounded run", par)
 		}
-		sess := p.Session().Influence()
+		sess := e.Session().Influence()
 		if sess.CachedTasks() > cap || sess.CachedWorkers() > cap {
 			t.Fatalf("parallelism %d: caches hold %d tasks / %d workers, capacity %d",
 				par, sess.CachedTasks(), sess.CachedWorkers(), cap)
@@ -603,7 +566,7 @@ func TestEngineAssignCSVByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		instants := replayGrid(t, e, false, ws, ts, 120, 2, 14)
+		instants := replayGrid(t, e, false, ws, ts, engine.Grid{Start: 120, Step: 2, Horizon: 14})
 		return engine.AssignCSV(instants), e.Totals().Assigned
 	}
 	a, assigned := run()

@@ -7,8 +7,8 @@ import "time"
 // so a trigger expresses policy in two halves the front-end executes:
 // FireOnPending is consulted synchronously after every applied event
 // (Applied.FireNow), and TickEvery tells a real-time front-end how often
-// to fire on wall time (zero: never; the replay driver ignores it and
-// fires on its simulated grid).
+// to fire on wall time (zero: never; Engine.Replay ignores it and fires
+// on its Grid).
 type Trigger interface {
 	// FireOnPending reports whether an instant should fire now, given
 	// the number of events applied since the last instant.
@@ -19,7 +19,7 @@ type Trigger interface {
 }
 
 // TickTrigger fires on a fixed wall-time period and never on queue
-// depth — the serving analogue of the simulator's fixed instant grid.
+// depth — the serving analogue of a replay's fixed instant Grid.
 type TickTrigger struct {
 	// Every is the firing period.
 	Every time.Duration
@@ -51,7 +51,7 @@ func (b BatchTrigger) FireOnPending(pending int) bool {
 func (b BatchTrigger) TickEvery() time.Duration { return b.Fallback }
 
 // ManualTrigger never fires on its own: instants happen only when the
-// caller explicitly requests one (the replay driver's grid, a test, or
+// caller explicitly requests one (a replay's Grid, a test, or
 // dita-serve's /instant endpoint).
 type ManualTrigger struct{}
 

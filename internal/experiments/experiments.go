@@ -38,9 +38,11 @@ type Params struct {
 	// wall clock and therefore inflates a little under core contention;
 	// set Parallelism to 1 for figure-grade CPU measurements. Each
 	// in-flight job holds its own instance, feasible-pair list and
-	// influence evaluator (the evaluator's willingness matrix is
-	// |S|×|W_G| float32), so peak memory grows linearly with the knob —
-	// lower it on wide machines with large sweeps.
+	// influence evaluator (dense |S|×|W_G| float32 willingness rows only
+	// under masks without propagation, such as IA-AW; otherwise entries
+	// only at the feasible workers' RRR roots), so peak memory grows
+	// linearly with the knob — lower it on wide machines with large
+	// sweeps.
 	Parallelism int
 	// Shard restricts the sweeps to this process's slice of the
 	// (figure × x × day) job grid (see Shard): the figure methods then
