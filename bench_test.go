@@ -1,8 +1,9 @@
 // Benchmarks regenerating every figure of the paper's evaluation
-// (Section V). One benchmark per figure: Fig. 5–8 are the influence-
-// modeling ablations (IA vs IA-WP/IA-AP/IA-AW), Fig. 9–16 the
-// algorithm comparisons (MTA, IA, EIA, DIA, MI) under the four parameter
-// sweeps on the BK- and FS-like datasets.
+// (Section V). BenchmarkFigures has one sub-benchmark per figure and
+// dataset: Fig. 5–8 are the influence-modeling ablations (IA vs
+// IA-WP/IA-AP/IA-AW) on both datasets, Fig. 9–16 the algorithm
+// comparisons (MTA, IA, EIA, DIA, MI) under the four parameter sweeps,
+// odd figures on the BK-like dataset and even ones on the FS-like one.
 //
 // Benchmarks run at "bench scale" (a ~4× reduced world) so the whole
 // suite finishes in minutes; run `go run ./cmd/dita-bench` for the
@@ -13,6 +14,7 @@ package dita_test
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -21,12 +23,14 @@ import (
 	"dita/internal/experiments"
 )
 
-// Bench-scale sweeps: same five-point structure as the paper, reduced
-// sizes.
-var (
-	benchTaskSweep   = []int{100, 200, 300, 400, 500}
-	benchWorkerSweep = []int{80, 160, 240, 320, 400}
-)
+// benchSweeps are the bench-scale sweeps: the same five-point structure
+// as the paper, with reduced instance sizes.
+var benchSweeps = experiments.Sweeps{
+	Tasks:   []int{100, 200, 300, 400, 500},
+	Workers: []int{80, 160, 240, 320, 400},
+	Valid:   experiments.ValidTimeSweep,
+	Radius:  experiments.RadiusSweep,
+}
 
 func benchParams() experiments.Params {
 	return experiments.Params{
@@ -96,172 +100,50 @@ func logResult(b *testing.B, res *experiments.Result, metrics []experiments.Metr
 	b.Log("\n" + buf.String())
 }
 
-// reportAI attaches the headline AI value (first algorithm at the
-// largest sweep point) as a custom benchmark metric.
+// reportAI attaches the headline AI and assignment count (first
+// algorithm at the largest sweep point) as custom benchmark metrics.
 func reportAI(b *testing.B, res *experiments.Result) {
-	xs := res.Xs()
-	if len(xs) == 0 {
+	xs, algs := res.Xs(), res.Algorithms()
+	if len(xs) == 0 || len(algs) == 0 {
 		return
 	}
-	algs := res.Algorithms()
-	if len(algs) == 0 {
-		return
-	}
-	if v, ok := res.Value(xs[len(xs)-1], algs[0], experiments.MetricAI); ok {
-		b.ReportMetric(v, "AI")
-	}
-	if v, ok := res.Value(xs[len(xs)-1], algs[0], experiments.MetricAssigned); ok {
-		b.ReportMetric(v, "assigned")
-	}
-}
-
-func runAblationBench(b *testing.B, ds string, run func(*experiments.Runner) (*experiments.Result, error)) {
-	r := getRunner(b, ds)
-	b.ResetTimer()
-	var res *experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = run(r)
-		if err != nil {
-			b.Fatal(err)
+	for _, row := range res.Rows {
+		if row.X == xs[len(xs)-1] && row.Alg == algs[0] {
+			b.ReportMetric(row.AI, "AI")
+			b.ReportMetric(row.Assigned, "assigned")
+			return
 		}
 	}
-	b.StopTimer()
-	logResult(b, res, []experiments.Metric{experiments.MetricAI})
-	reportAI(b, res)
 }
 
-func runComparisonBench(b *testing.B, ds string, run func(*experiments.Runner) (*experiments.Result, error)) {
-	r := getRunner(b, ds)
-	b.ResetTimer()
-	var res *experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = run(r)
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkFigures regenerates each figure on each dataset it is
+// evaluated on, as sub-benchmarks named Fig05/BK … Fig16/FS.
+func BenchmarkFigures(b *testing.B) {
+	for fig := 5; fig <= 16; fig++ {
+		for _, ds := range []string{"BK", "FS"} {
+			if !experiments.FigureOnDataset(fig, ds) {
+				continue
+			}
+			b.Run(fmt.Sprintf("Fig%02d/%s", fig, ds), func(b *testing.B) {
+				r := getRunner(b, ds)
+				b.ResetTimer()
+				var res *experiments.Result
+				var err error
+				for i := 0; i < b.N; i++ {
+					if res, err = r.RunFigure(fig, benchSweeps); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				logResult(b, res, experiments.FigureMetrics(fig))
+				reportAI(b, res)
+			})
 		}
 	}
-	b.StopTimer()
-	logResult(b, res, experiments.AllMetrics)
-	reportAI(b, res)
 }
 
-// Fig. 5 — effect of |S| on AI for IA, IA-WP, IA-AP, IA-AW (panels: BK, FS).
-
-func BenchmarkFig05_AblationTasks_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationTasks(benchTaskSweep)
-	})
-}
-
-func BenchmarkFig05_AblationTasks_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationTasks(benchTaskSweep)
-	})
-}
-
-// Fig. 6 — effect of |W| on AI for the IA variants.
-
-func BenchmarkFig06_AblationWorkers_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationWorkers(benchWorkerSweep)
-	})
-}
-
-func BenchmarkFig06_AblationWorkers_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationWorkers(benchWorkerSweep)
-	})
-}
-
-// Fig. 7 — effect of ϕ on AI for the IA variants.
-
-func BenchmarkFig07_AblationValidTime_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-func BenchmarkFig07_AblationValidTime_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-// Fig. 8 — effect of r on AI for the IA variants.
-
-func BenchmarkFig08_AblationRadius_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationRadius(experiments.RadiusSweep)
-	})
-}
-
-func BenchmarkFig08_AblationRadius_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationRadius(experiments.RadiusSweep)
-	})
-}
-
-// Fig. 9 / Fig. 10 — effect of |S| on all five metrics for the five
-// algorithms, on BK and FS respectively.
-
-func BenchmarkFig09_TasksBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareTasks(benchTaskSweep)
-	})
-}
-
-func BenchmarkFig10_TasksFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareTasks(benchTaskSweep)
-	})
-}
-
-// Fig. 11 / Fig. 12 — effect of |W|.
-
-func BenchmarkFig11_WorkersBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareWorkers(benchWorkerSweep)
-	})
-}
-
-func BenchmarkFig12_WorkersFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareWorkers(benchWorkerSweep)
-	})
-}
-
-// Fig. 13 / Fig. 14 — effect of ϕ.
-
-func BenchmarkFig13_ValidTimeBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-func BenchmarkFig14_ValidTimeFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-// Fig. 15 / Fig. 16 — effect of r.
-
-func BenchmarkFig15_RadiusBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareRadius(experiments.RadiusSweep)
-	})
-}
-
-func BenchmarkFig16_RadiusFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareRadius(experiments.RadiusSweep)
-	})
-}
-
-// BenchmarkSweepParallelism compares one full comparison sweep run
-// sequentially against the default all-cores fan-out; the rows are
+// BenchmarkSweepParallelism compares one full comparison sweep (Fig. 9)
+// run sequentially against the default all-cores fan-out; the rows are
 // identical, only wall clock differs.
 func BenchmarkSweepParallelism(b *testing.B) {
 	for _, bc := range []struct {
@@ -273,7 +155,7 @@ func BenchmarkSweepParallelism(b *testing.B) {
 			r.P.Parallelism = bc.par
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.CompareTasks(benchTaskSweep); err != nil {
+				if _, err := r.RunFigure(9, benchSweeps); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,11 +12,19 @@
 //	atomicwrite  in-place file writes outside internal/atomicio
 //	poolpurity   writes to captured state in pool chunk closures
 //	floatreduce  scheduling-dependent float reductions
+//	testonly     exported functions and methods under internal/ that
+//	             only tests call (helpers other packages' tests need
+//	             opt out via //dita:testonly <reason>)
+//
+// testonly is whole-program: whatever packages are named, every
+// non-test package of the repository, the benchmark module included,
+// counts as a caller.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"go/build"
 	"log"
 	"os"
 	"strings"
@@ -26,6 +34,10 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	// The loader type-checks the standard library from source. Read the
+	// pure-Go variants of cgo packages such as net, so the lint needs no
+	// C toolchain for the target (a GOARCH=386 run on amd64 has none).
+	build.Default.CgoEnabled = false
 	only := flag.String("only", "", "comma-separated analyzer subset to run (default: all)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dita-lint [-only analyzers] [packages]\n\nAnalyzers:\n")
@@ -52,19 +64,16 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := lint.Load(".", patterns)
+	prog, err := lint.Load(".", patterns)
 	if err != nil {
 		log.Fatalf("dita-lint: %v", err)
 	}
 
-	failed := false
-	for _, pkg := range pkgs {
-		for _, d := range lint.Run(pkg, analyzers) {
-			failed = true
-			fmt.Println(d)
-		}
+	diags := lint.Run(prog, analyzers)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	if failed {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

@@ -118,20 +118,10 @@ func (p *Problem) influence(w, t int) float64 {
 // FeasiblePairs computes the available assignments w.A for every worker:
 // all (w, s) with d(w.l, s.l) ≤ w.r and now + d/speed ≤ s.p + s.ϕ.
 // Pairs are ordered by (worker, task) index. It is the sequential form
-// of TiledFeasiblePairs, the same way Solve is the sequential form of
-// SolveTiled.
+// of TiledFeasiblePairs.
 func FeasiblePairs(inst *model.Instance, speedKmH float64) []Pair {
 	pairs, _ := TiledFeasiblePairs(inst, speedKmH, 1)
 	return pairs
-}
-
-// Solve runs the selected algorithm over p.Pairs and returns the
-// assignment set with per-pair influence and travel distance filled in.
-// It is the sequential form of SolveTiled: SolveTiled at any
-// parallelism returns a bit-identical assignment set.
-func Solve(alg Algorithm, p *Problem) *model.AssignmentSet {
-	set, _ := SolveTiled(alg, p, 1)
-	return set
 }
 
 // edgeCost prices a worker→task edge for the flow-based algorithms from

@@ -90,7 +90,7 @@ func TestTrainedComponentsPresent(t *testing.T) {
 	if fw.Mobility().NumWorkers() == 0 {
 		t.Error("no mobility models")
 	}
-	if fw.Entropy().Len() == 0 {
+	if len(fw.Entropy().Wire().Venues) == 0 {
 		t.Error("empty entropy table")
 	}
 }

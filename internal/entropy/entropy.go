@@ -68,21 +68,6 @@ func Compute(records []model.CheckIn) *Table {
 // Lookup returns the location entropy of a venue, zero when unknown.
 func (t *Table) Lookup(v model.VenueID) float64 { return t.byVenue[v] }
 
-// Len returns the number of venues with recorded visits.
-func (t *Table) Len() int { return len(t.byVenue) }
-
-// Max returns the largest entropy in the table (zero when empty); the
-// harness prints it to characterize datasets.
-func (t *Table) Max() float64 {
-	max := 0.0
-	for _, e := range t.byVenue {
-		if e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // VenueEntropy is one venue's entry in the table's serialized form.
 type VenueEntropy struct {
 	Venue   model.VenueID `json:"venue"`

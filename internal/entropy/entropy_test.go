@@ -67,22 +67,8 @@ func TestUnknownVenueZero(t *testing.T) {
 	if got := tbl.Lookup(99); got != 0 {
 		t.Errorf("unknown venue entropy = %v, want 0", got)
 	}
-	if tbl.Len() != 0 {
-		t.Errorf("empty table Len = %d", tbl.Len())
-	}
-}
-
-func TestLenAndMax(t *testing.T) {
-	records := []model.CheckIn{
-		checkin(0, 0), checkin(1, 0), // entropy ln 2
-		checkin(0, 1), // entropy 0
-	}
-	tbl := Compute(records)
-	if tbl.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tbl.Len())
-	}
-	if got := tbl.Max(); math.Abs(got-math.Log(2)) > 1e-12 {
-		t.Errorf("Max = %v, want ln 2", got)
+	if len(tbl.byVenue) != 0 {
+		t.Errorf("empty table Len = %d", len(tbl.byVenue))
 	}
 }
 
@@ -116,8 +102,8 @@ func TestComputeBitDeterministic(t *testing.T) {
 	}
 	a := Compute(records)
 	b := Compute(records)
-	if a.Len() != b.Len() {
-		t.Fatalf("table sizes differ: %d vs %d", a.Len(), b.Len())
+	if len(a.byVenue) != len(b.byVenue) {
+		t.Fatalf("table sizes differ: %d vs %d", len(a.byVenue), len(b.byVenue))
 	}
 	for v := model.VenueID(0); int(v) < 25; v++ {
 		if a.Lookup(v) != b.Lookup(v) {

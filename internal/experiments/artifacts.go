@@ -46,7 +46,7 @@ func LoadShardFile(path string) (*ShardResult, error) {
 	if err != nil {
 		return nil, err // *PathError already names the path
 	}
-	sr, err := DecodeShardResult(data)
+	sr, err := decodeShardResult(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

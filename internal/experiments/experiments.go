@@ -45,10 +45,10 @@ type Params struct {
 	// sweeps.
 	Parallelism int
 	// Shard restricts the sweeps to this process's slice of the
-	// (figure × x × day) job grid (see Shard): the figure methods then
-	// refuse to reduce — a partial grid has no honest averages — and the
-	// raw sweeps are collected into a ShardResult artifact instead,
-	// merged later by Merge against the other shards' artifacts. The
+	// (figure × x × day) job grid (see Shard): RunFigure then refuses
+	// to reduce — a partial grid has no honest averages — and the raw
+	// sweeps of RunFigureRaw are collected into a ShardResult artifact
+	// instead, merged later by MergeRaw with the other shards'. The
 	// zero value runs everything in-process, unsharded.
 	Shard Shard
 	// Checkpoint, when non-nil, makes the sweeps resumable: each
@@ -222,18 +222,6 @@ func (r *Result) rowIndex() map[rowKey]int {
 	return idx
 }
 
-// Value returns the metric for (x, alg), and whether it exists. Each
-// call scans the rows; callers rendering whole tables go through the
-// one-shot index FormatTable builds instead.
-func (r *Result) Value(x float64, alg string, m Metric) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.X == x && row.Alg == alg {
-			return row.metric(m), true
-		}
-	}
-	return 0, false
-}
-
 // FormatTable writes one metric of the result as an aligned text table —
 // the same rows/series the corresponding sub-figure plots.
 func (r *Result) FormatTable(w io.Writer, m Metric) {
@@ -347,19 +335,6 @@ func NewRunnerFromFramework(data *dataset.Data, fw *core.Framework, p Params) (*
 		return nil, fmt.Errorf("experiments: framework trained on a %d-user graph, dataset has %d users", fw.Graph().N(), data.Graph.N())
 	}
 	return &Runner{Data: data, FW: fw, P: p}, nil
-}
-
-// snapshot builds the instance for one day under possibly overridden
-// sweep parameters.
-func (r *Runner) snapshot(day, numTasks, numWorkers int, valid, radius float64) (*model.Instance, error) {
-	return r.Data.Snapshot(dataset.SnapshotParams{
-		Day:        day,
-		NumTasks:   numTasks,
-		NumWorkers: numWorkers,
-		ValidHours: valid,
-		RadiusKm:   radius,
-		Seed:       r.P.Seed,
-	})
 }
 
 // feasiblePairs computes a sweep point's feasibility exactly once; every
@@ -477,15 +452,6 @@ func (r *Runner) runSweep(fig int, xlabel string, xs []float64, series []string,
 	return raw, nil
 }
 
-// reduceRaw chains a raw sweep into its reduced Result, keeping the
-// figure methods one-liners.
-func reduceRaw(raw *SweepRaw, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return raw.Reduce()
-}
-
 // runComparison executes the five algorithms for each sweep value and
 // averages the metrics over the evaluation days; this backs Figures 9–16.
 func (r *Runner) runComparison(fig int, xlabel string, xs []float64, makeInst func(day int, x float64) (*model.Instance, error)) (*SweepRaw, error) {
@@ -561,125 +527,80 @@ func (r *Runner) runAblation(fig int, xlabel string, xs []float64, makeInst func
 	})
 }
 
-// Figure numbering follows the paper: ablations are Fig. 5–8; algorithm
-// comparisons are Fig. 9/10 (|S|), 11/12 (|W|), 13/14 (ϕ), 15/16 (r),
-// with the odd number on BK and the even on FS. The dataset half of the
-// numbering comes from the runner's dataset.
+// axis is the Table-II parameter a figure sweeps.
+type axis int
 
-// AblationTasks reproduces Fig. 5 (effect of |S| on AI for IA variants).
-func (r *Runner) AblationTasks(xs []int) (*Result, error) {
-	return reduceRaw(r.ablationTasksRaw(xs))
+// The four swept parameters of Figures 5–16.
+const (
+	axisTasks   axis = iota // |S|, Sweeps.Tasks
+	axisWorkers             // |W|, Sweeps.Workers
+	axisValid               // ϕ, Sweeps.Valid
+	axisRadius              // r, Sweeps.Radius
+)
+
+// xlabel is the axis label the figure tables and CSVs print.
+func (a axis) xlabel() string {
+	return [...]string{"|S|", "|W|", "phi(h)", "r(km)"}[a]
 }
 
-func (r *Runner) ablationTasksRaw(xs []int) (*SweepRaw, error) {
-	return r.runAblation(5, "|S|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, int(x), r.P.NumWorkers, r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// AblationWorkers reproduces Fig. 6 (effect of |W|).
-func (r *Runner) AblationWorkers(xs []int) (*Result, error) {
-	return reduceRaw(r.ablationWorkersRaw(xs))
-}
-
-func (r *Runner) ablationWorkersRaw(xs []int) (*SweepRaw, error) {
-	return r.runAblation(6, "|W|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, int(x), r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// AblationValidTime reproduces Fig. 7 (effect of ϕ).
-func (r *Runner) AblationValidTime(xs []float64) (*Result, error) {
-	return reduceRaw(r.ablationValidTimeRaw(xs))
-}
-
-func (r *Runner) ablationValidTimeRaw(xs []float64) (*SweepRaw, error) {
-	return r.runAblation(7, "phi(h)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, x, r.P.RadiusKm)
-	})
-}
-
-// AblationRadius reproduces Fig. 8 (effect of r).
-func (r *Runner) AblationRadius(xs []float64) (*Result, error) {
-	return reduceRaw(r.ablationRadiusRaw(xs))
-}
-
-func (r *Runner) ablationRadiusRaw(xs []float64) (*SweepRaw, error) {
-	return r.runAblation(8, "r(km)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, r.P.ValidHours, x)
-	})
-}
-
-// CompareTasks reproduces Fig. 9 (BK) / Fig. 10 (FS): effect of |S| on
-// the five algorithms across all five metrics.
-func (r *Runner) CompareTasks(xs []int) (*Result, error) {
-	return reduceRaw(r.compareTasksRaw(xs))
-}
-
-func (r *Runner) compareTasksRaw(xs []int) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(9, 10), "|S|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, int(x), r.P.NumWorkers, r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// CompareWorkers reproduces Fig. 11 (BK) / Fig. 12 (FS).
-func (r *Runner) CompareWorkers(xs []int) (*Result, error) {
-	return reduceRaw(r.compareWorkersRaw(xs))
-}
-
-func (r *Runner) compareWorkersRaw(xs []int) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(11, 12), "|W|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, int(x), r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// CompareValidTime reproduces Fig. 13 (BK) / Fig. 14 (FS).
-func (r *Runner) CompareValidTime(xs []float64) (*Result, error) {
-	return reduceRaw(r.compareValidTimeRaw(xs))
-}
-
-func (r *Runner) compareValidTimeRaw(xs []float64) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(13, 14), "phi(h)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, x, r.P.RadiusKm)
-	})
-}
-
-// CompareRadius reproduces Fig. 15 (BK) / Fig. 16 (FS).
-func (r *Runner) CompareRadius(xs []float64) (*Result, error) {
-	return reduceRaw(r.compareRadiusRaw(xs))
-}
-
-func (r *Runner) compareRadiusRaw(xs []float64) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(15, 16), "r(km)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, r.P.ValidHours, x)
-	})
-}
-
-// figNum resolves a BK/FS figure pair to this runner's dataset.
-func (r *Runner) figNum(bk, fs int) int {
-	if r.Data.Params.Name == "FS" {
-		return fs
+// values returns the Sweeps field the axis reads, as float64 sweep
+// values.
+func (a axis) values(sw Sweeps) []float64 {
+	var ints []int
+	switch a {
+	case axisValid:
+		return sw.Valid
+	case axisRadius:
+		return sw.Radius
+	case axisTasks:
+		ints = sw.Tasks
+	default:
+		ints = sw.Workers
 	}
-	return bk
+	out := make([]float64, len(ints))
+	for i, x := range ints {
+		out[i] = float64(x)
+	}
+	return out
 }
 
-// FigureOnDataset reports whether figure fig (5..16) is evaluated on
-// the named dataset: the ablations 5–8 appear on both, the algorithm
-// comparisons alternate (odd on BK, even on FS).
+// figureSpec is one figure of the paper's evaluation grid.
+type figureSpec struct {
+	ablation bool   // Figs. 5–8: IA under the four component masks; else the five algorithms
+	axis     axis   // the swept parameter, and so the Sweeps field it reads
+	dataset  string // "BK" or "FS"; empty for the ablations, which run on both
+}
+
+// figures is the paper's evaluation grid keyed by figure number: the
+// ablations 5–8 on both datasets, and the algorithm comparisons
+// 9/10 (|S|), 11/12 (|W|), 13/14 (ϕ) and 15/16 (r), odd on BK and even
+// on FS.
+var figures = map[int]figureSpec{
+	5:  {ablation: true, axis: axisTasks},
+	6:  {ablation: true, axis: axisWorkers},
+	7:  {ablation: true, axis: axisValid},
+	8:  {ablation: true, axis: axisRadius},
+	9:  {axis: axisTasks, dataset: "BK"},
+	10: {axis: axisTasks, dataset: "FS"},
+	11: {axis: axisWorkers, dataset: "BK"},
+	12: {axis: axisWorkers, dataset: "FS"},
+	13: {axis: axisValid, dataset: "BK"},
+	14: {axis: axisValid, dataset: "FS"},
+	15: {axis: axisRadius, dataset: "BK"},
+	16: {axis: axisRadius, dataset: "FS"},
+}
+
+// FigureOnDataset reports whether figure fig is evaluated on the named
+// dataset.
 func FigureOnDataset(fig int, dataset string) bool {
-	if fig < 5 || fig > 16 {
-		return false
-	}
-	if fig <= 8 {
-		return true
-	}
-	return (dataset == "FS") == (fig%2 == 0)
+	spec, ok := figures[fig]
+	return ok && (spec.dataset == "" || spec.dataset == dataset)
 }
 
 // FigureMetrics returns the metrics the paper plots for a figure: AI
-// alone for the ablations 5–8, all five for the comparisons 9–16.
+// alone for the ablations, all five for the comparisons.
 func FigureMetrics(fig int) []Metric {
-	if fig >= 5 && fig <= 8 {
+	if figures[fig].ablation {
 		return []Metric{MetricAI}
 	}
 	return AllMetrics
@@ -697,36 +618,38 @@ func (r *Runner) RunFigureRaw(fig int, sw Sweeps) (*SweepRaw, error) {
 	if !r.HasFigure(fig) {
 		return nil, fmt.Errorf("experiments: figure %d is not evaluated on %s", fig, r.Data.Params.Name)
 	}
-	switch fig {
-	case 5:
-		return r.ablationTasksRaw(sw.Tasks)
-	case 6:
-		return r.ablationWorkersRaw(sw.Workers)
-	case 7:
-		return r.ablationValidTimeRaw(sw.Valid)
-	case 8:
-		return r.ablationRadiusRaw(sw.Radius)
-	case 9, 10:
-		return r.compareTasksRaw(sw.Tasks)
-	case 11, 12:
-		return r.compareWorkersRaw(sw.Workers)
-	case 13, 14:
-		return r.compareValidTimeRaw(sw.Valid)
-	default: // 15, 16 — HasFigure bounds fig to 5..16
-		return r.compareRadiusRaw(sw.Radius)
+	spec := figures[fig]
+	p := r.P
+	makeInst := func(day int, x float64) (*model.Instance, error) {
+		sp := dataset.SnapshotParams{
+			Day: day, NumTasks: p.NumTasks, NumWorkers: p.NumWorkers,
+			ValidHours: p.ValidHours, RadiusKm: p.RadiusKm, Seed: p.Seed,
+		}
+		switch spec.axis {
+		case axisTasks:
+			sp.NumTasks = int(x)
+		case axisWorkers:
+			sp.NumWorkers = int(x)
+		case axisValid:
+			sp.ValidHours = x
+		case axisRadius:
+			sp.RadiusKm = x
+		}
+		return r.Data.Snapshot(sp)
 	}
+	run := r.runComparison
+	if spec.ablation {
+		run = r.runAblation
+	}
+	return run(fig, spec.axis.xlabel(), spec.axis.values(sw), makeInst)
 }
 
 // RunFigure is RunFigureRaw plus the reduction — the figure's Result,
 // for unsharded in-process runs.
 func (r *Runner) RunFigure(fig int, sw Sweeps) (*Result, error) {
-	return reduceRaw(r.RunFigureRaw(fig, sw))
-}
-
-func toF(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
+	raw, err := r.RunFigureRaw(fig, sw)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return raw.Reduce()
 }

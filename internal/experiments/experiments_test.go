@@ -46,6 +46,18 @@ func testRunner(t *testing.T) *Runner {
 	return r
 }
 
+// Value returns the metric for (x, alg), and whether it exists. Each
+// call scans the rows; callers rendering whole tables go through the
+// one-shot index FormatTable builds instead.
+func (r *Result) Value(x float64, alg string, m Metric) (float64, bool) {
+	for _, row := range r.Rows {
+		if row.X == x && row.Alg == alg {
+			return row.metric(m), true
+		}
+	}
+	return 0, false
+}
+
 func TestDefaultParamsMatchTableII(t *testing.T) {
 	p := Default()
 	if p.NumTasks != 1500 {
@@ -92,7 +104,10 @@ func TestSweepValuesMatchPaper(t *testing.T) {
 // the pairs changes the work, never the figures.
 func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 	r := testRunner(t)
-	inst, err := r.snapshot(r.P.Days[0], r.P.NumTasks, r.P.NumWorkers, r.P.ValidHours, r.P.RadiusKm)
+	inst, err := r.Data.Snapshot(dataset.SnapshotParams{
+		Day: r.P.Days[0], NumTasks: r.P.NumTasks, NumWorkers: r.P.NumWorkers,
+		ValidHours: r.P.ValidHours, RadiusKm: r.P.RadiusKm, Seed: r.P.Seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +132,7 @@ func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 
 func TestComparisonSweepShape(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareTasks([]int{30, 60})
+	res, err := r.RunFigure(9, Sweeps{Tasks: []int{30, 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +170,7 @@ func TestComparisonSweepShape(t *testing.T) {
 
 func TestAblationSweepShape(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.AblationTasks([]int{40})
+	res, err := r.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +200,7 @@ func TestAblationSweepShape(t *testing.T) {
 
 func TestRadiusSweepGrowsAssignments(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareRadius([]float64{5, 25})
+	res, err := r.RunFigure(15, Sweeps{Radius: []float64{5, 25}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +215,7 @@ func TestRadiusSweepGrowsAssignments(t *testing.T) {
 
 func TestValidTimeSweepGrowsAssignments(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareValidTime([]float64{1, 6})
+	res, err := r.RunFigure(13, Sweeps{Valid: []float64{1, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +230,7 @@ func TestValidTimeSweepGrowsAssignments(t *testing.T) {
 
 func TestWorkerSweepGrowsAssignments(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareWorkers([]int{20, 50})
+	res, err := r.RunFigure(11, Sweeps{Workers: []int{20, 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +245,7 @@ func TestWorkerSweepGrowsAssignments(t *testing.T) {
 
 func TestFormatTable(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareTasks([]int{30})
+	res, err := r.RunFigure(9, Sweeps{Tasks: []int{30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +268,7 @@ func TestFormatTable(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.AblationTasks([]int{40})
+	res, err := r.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +401,11 @@ func TestNewRunnerValidation(t *testing.T) {
 func TestRunnerDeterministic(t *testing.T) {
 	a := testRunner(t)
 	b := testRunner(t)
-	ra, err := a.AblationTasks([]int{40})
+	ra, err := a.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.AblationTasks([]int{40})
+	rb, err := b.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +439,7 @@ func TestSweepParallelismInvariant(t *testing.T) {
 		paralleltest.Invariant(t, func(par int) any {
 			run := *r
 			run.P.Parallelism = par
-			res, err := run.CompareTasks([]int{30, 60})
+			res, err := run.RunFigure(9, Sweeps{Tasks: []int{30, 60}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +450,7 @@ func TestSweepParallelismInvariant(t *testing.T) {
 		paralleltest.Invariant(t, func(par int) any {
 			run := *r
 			run.P.Parallelism = par
-			res, err := run.AblationTasks([]int{40})
+			res, err := run.RunFigure(5, Sweeps{Tasks: []int{40}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -234,14 +234,6 @@ func (j *Journal) Record(dataset string, fig int, x float64, day int, metrics []
 	return nil
 }
 
-// Jobs returns how many completed jobs the journal holds: the records
-// replayed at open plus those appended since.
-func (j *Journal) Jobs() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
-
 // Resumed returns how many completed jobs the journal carried when it
 // was opened — the jobs a restarted worker does not re-run.
 func (j *Journal) Resumed() int { return j.resumedAtOpen }

@@ -277,3 +277,11 @@ var errFakeCrash = errFake("fake crash")
 type errFake string
 
 func (e errFake) Error() string { return string(e) }
+
+// Jobs returns how many completed jobs the journal holds: the records
+// replayed at open plus those appended since.
+func (j *Journal) Jobs() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.done)
+}

@@ -1,10 +1,10 @@
 // Cross-process sweep sharding: the (figure × sweep value × day) job
 // grid behind the paper's evaluation partitions deterministically across
 // worker processes, each of which writes a serializable ShardResult
-// carrying the raw per-job core.Metrics it measured. Merge recombines
-// any complete shard set and reduces it with the same float reduction
-// order as the sequential sweep loop, so the merged Results — and the
-// tables and CSV derived from them — are bit-identical to a
+// carrying the raw per-job core.Metrics it measured. MergeRaw recombines
+// any complete shard set, and Reduce averages it with the same float
+// reduction order as the sequential sweep loop, so the merged Results —
+// and the tables and CSV derived from them — are bit-identical to a
 // single-process run (the wall-clock CPU(ms) column aside, which is
 // measured, not computed).
 package experiments
@@ -12,7 +12,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,7 +206,7 @@ func (sr *SweepRaw) Reduce() (*Result, error) {
 // float64), so a merged run loses nothing to serialization.
 //
 // Checksum is the SHA-256 of the artifact's own canonical encoding
-// (itself with Checksum empty), recorded by Encode/Write and verified
+// (itself with Checksum empty), recorded by Encode and verified
 // by every load, so an artifact torn by a crashed or lying writer —
 // truncated, bit-flipped, spliced — is rejected at the merge instead of
 // silently averaged into the figures.
@@ -244,21 +243,11 @@ func (sr *ShardResult) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// Write seals the artifact and serializes it as indented JSON.
-func (sr *ShardResult) Write(w io.Writer) error {
-	out, err := sr.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(out)
-	return err
-}
-
-// DecodeShardResult parses an artifact, verifies its content checksum
+// decodeShardResult parses an artifact, verifies its content checksum
 // and validates its shard spec. An artifact without a checksum is
 // rejected too: it either predates the sealed format or lost its seal
 // to tampering, and a merge must not average bytes it cannot vouch for.
-func DecodeShardResult(data []byte) (*ShardResult, error) {
+func decodeShardResult(data []byte) (*ShardResult, error) {
 	var sr ShardResult
 	if err := json.Unmarshal(data, &sr); err != nil {
 		return nil, fmt.Errorf("experiments: reading shard artifact: %w", err)
@@ -277,15 +266,6 @@ func DecodeShardResult(data []byte) (*ShardResult, error) {
 		return nil, err
 	}
 	return &sr, nil
-}
-
-// ReadShardResult is DecodeShardResult over a stream.
-func ReadShardResult(r io.Reader) (*ShardResult, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: reading shard artifact: %w", err)
-	}
-	return DecodeShardResult(data)
 }
 
 // figureKey identifies one figure across shard artifacts.
@@ -309,6 +289,12 @@ func MergeRaw(shards []*ShardResult) ([]*SweepRaw, error) {
 		return nil, err
 	}
 	count := shards[0].Shard.normalized().Count
+	// The count comes from the artifact, so bound it by the set before
+	// sizing anything by it. A set larger than its count is diagnosed
+	// below, shard by shard, as a duplicate or a disagreeing count.
+	if count > len(shards) {
+		return nil, fmt.Errorf("experiments: shard count %d but only %d artifacts — shards missing from the set", count, len(shards))
+	}
 	seed := shards[0].Seed
 	seen := make([]bool, count)
 	ordered := append([]*ShardResult(nil), shards...)
@@ -380,24 +366,6 @@ func MergeRaw(shards []*ShardResult) ([]*SweepRaw, error) {
 	out := make([]*SweepRaw, len(order))
 	for i, key := range order {
 		out[i] = combined[key]
-	}
-	return out, nil
-}
-
-// Merge is MergeRaw plus the reduction: the figures' Results,
-// bit-identical to a single-process run of the same evaluation.
-func Merge(shards []*ShardResult) ([]*Result, error) {
-	raws, err := MergeRaw(shards)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(raws))
-	for i, raw := range raws {
-		res, err := raw.Reduce()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
 	}
 	return out, nil
 }

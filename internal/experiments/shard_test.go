@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,14 +60,7 @@ func runShardSet(t *testing.T, r *Runner, fig int, sw Sweeps, n int) []*ShardRes
 			t.Fatalf("shard %d/%d of figure %d: %v", i, n, fig, err)
 		}
 		sr := &ShardResult{Shard: run.P.Shard, Seed: run.P.Seed, Figures: []*SweepRaw{raw}}
-		var buf bytes.Buffer
-		if err := sr.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadShardResult(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back := cloneShard(t, sr)
 		if !reflect.DeepEqual(sr, back) {
 			t.Fatalf("shard %d/%d artifact did not survive its JSON round-trip", i, n)
 		}
@@ -117,14 +112,17 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 					t.Errorf("figure %d: no zero-job shard at count 5 over a 4-job grid", fig)
 				}
 			}
-			merged, err := Merge(shards)
+			merged, err := MergeRaw(shards)
 			if err != nil {
 				t.Fatalf("figure %d sharded %d ways: merge: %v", fig, n, err)
 			}
 			if len(merged) != 1 {
 				t.Fatalf("figure %d sharded %d ways: merged %d figures, want 1", fig, n, len(merged))
 			}
-			got := merged[0]
+			got, err := merged[0].Reduce()
+			if err != nil {
+				t.Fatalf("figure %d sharded %d ways: reduce: %v", fig, n, err)
+			}
 			if got.Figure != want.Figure || got.Dataset != want.Dataset || got.XLabel != want.XLabel {
 				t.Errorf("figure %d sharded %d ways: labels %q %q %q, want %q %q %q",
 					fig, n, got.Figure, got.Dataset, got.XLabel, want.Figure, want.Dataset, want.XLabel)
@@ -142,11 +140,11 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 // cloneShard deep-copies an artifact through its own wire format.
 func cloneShard(t *testing.T, sr *ShardResult) *ShardResult {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sr.Write(&buf); err != nil {
+	data, err := sr.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadShardResult(&buf)
+	back, err := decodeShardResult(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,47 +156,53 @@ func TestMergeDetectsBrokenShardSets(t *testing.T) {
 	sw := Sweeps{Tasks: []int{30, 45}}
 	shards := runShardSet(t, r, 5, sw, 3)
 
-	if _, err := Merge(nil); err == nil {
+	if _, err := MergeRaw(nil); err == nil {
 		t.Error("merge of zero artifacts accepted")
 	}
 	// A malformed leading shard must error like any other, not panic in
 	// the coverage-slice allocation.
-	if _, err := Merge([]*ShardResult{{Shard: Shard{Index: 0, Count: -2}}}); err == nil || !strings.Contains(err.Error(), "count") {
+	if _, err := MergeRaw([]*ShardResult{{Shard: Shard{Index: 0, Count: -2}}}); err == nil || !strings.Contains(err.Error(), "count") {
 		t.Errorf("negative shard count: err = %v, want a count error", err)
 	}
-	if _, err := Merge(shards[:2]); err == nil || !strings.Contains(err.Error(), "missing") {
+	// Nor may a huge count, which a sealed artifact can carry: sizing the
+	// coverage slices by it used to panic with "makeslice: len out of
+	// range" before any artifact was checked against it.
+	if _, err := MergeRaw([]*ShardResult{{Shard: Shard{Index: 0, Count: math.MaxInt}}}); err == nil || !strings.Contains(err.Error(), "count") {
+		t.Errorf("shard count MaxInt: err = %v, want a count error", err)
+	}
+	if _, err := MergeRaw(shards[:2]); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("merge of 2 of 3 shards: err = %v, want a missing-shard error", err)
 	}
 	dup := append(append([]*ShardResult(nil), shards...), shards[1])
-	if _, err := Merge(dup); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := MergeRaw(dup); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate shard: err = %v, want a duplicate error", err)
 	}
 
 	badSeed := cloneShard(t, shards[0])
 	badSeed.Seed++
-	if _, err := Merge([]*ShardResult{badSeed, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "seed") {
+	if _, err := MergeRaw([]*ShardResult{badSeed, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("seed mismatch: err = %v, want a seed error", err)
 	}
 
 	twoWay := runShardSet(t, r, 5, sw, 2)
-	if _, err := Merge([]*ShardResult{shards[0], twoWay[1]}); err == nil || !strings.Contains(err.Error(), "count") {
+	if _, err := MergeRaw([]*ShardResult{shards[0], twoWay[1]}); err == nil || !strings.Contains(err.Error(), "count") {
 		t.Errorf("mixed shard counts: err = %v, want a count error", err)
 	}
 
 	overlap := cloneShard(t, shards[0])
 	overlap.Figures[0].Jobs = append(overlap.Figures[0].Jobs, shards[1].Figures[0].Jobs[0])
-	if _, err := Merge([]*ShardResult{overlap, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "owned by shard") {
+	if _, err := MergeRaw([]*ShardResult{overlap, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "owned by shard") {
 		t.Errorf("overlapping jobs: err = %v, want an ownership error", err)
 	}
 
 	lacking := cloneShard(t, shards[2])
 	lacking.Figures = nil
-	if _, err := Merge([]*ShardResult{shards[0], shards[1], lacking}); err == nil || !strings.Contains(err.Error(), "lacks") {
+	if _, err := MergeRaw([]*ShardResult{shards[0], shards[1], lacking}); err == nil || !strings.Contains(err.Error(), "lacks") {
 		t.Errorf("shard without the figure: err = %v, want a lacks-figure error", err)
 	}
 }
 
-// TestShardedRunRefusesToReduce: a figure method under a real shard
+// TestShardedRunRefusesToReduce: RunFigure under a real shard
 // holds a partial grid, and partial grids must never average — the old
 // accumulator would have fabricated all-zero rows for the missing
 // cells.
@@ -206,11 +210,11 @@ func TestShardedRunRefusesToReduce(t *testing.T) {
 	r := testRunner(t)
 	run := *r
 	run.P.Shard = Shard{Index: 0, Count: 2}
-	if _, err := run.AblationTasks([]int{40}); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, err := run.RunFigure(5, Sweeps{Tasks: []int{40}}); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("sharded figure method reduced a partial grid: err = %v", err)
 	}
 	run.P.Shard = Shard{Index: 2, Count: 2}
-	if _, err := run.AblationTasks([]int{40}); err == nil {
+	if _, err := run.RunFigure(5, Sweeps{Tasks: []int{40}}); err == nil {
 		t.Error("invalid shard spec accepted by the sweep")
 	}
 }
@@ -268,4 +272,46 @@ func TestReduceValidatesGrid(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0].Assigned != 1 {
 		t.Errorf("complete grid reduced to %+v", res.Rows)
 	}
+}
+
+// FuzzMergeShardArtifact drives the merge coordinator's whole input
+// path over arbitrary artifact contents: the bytes are resealed with
+// Encode, so the checksum holds and the fuzzer reaches decoding,
+// merging and reduction rather than stopping at the seal, which anyone
+// can recompute. Any outcome but a panic is acceptable.
+func FuzzMergeShardArtifact(f *testing.F) {
+	m := []core.Metrics{{Algorithm: "IA", Assigned: 1, AI: 0.5}}
+	valid := &ShardResult{Shard: Shard{Index: 0, Count: 1}, Seed: 3, Figures: []*SweepRaw{{
+		Fig: 5, Figure: "Fig. 5", Dataset: "BK", XLabel: "|S|",
+		Series: []string{"IA"}, Xs: []float64{1, 2}, Days: []int{3},
+		Jobs: []JobMetrics{{X: 1, Day: 3, Metrics: m}, {X: 2, Day: 3, Metrics: m}},
+	}}}
+	for _, sr := range []*ShardResult{valid, {Shard: Shard{Index: 0, Count: math.MaxInt}}} {
+		data, err := sr.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var sr ShardResult
+		if json.Unmarshal(raw, &sr) != nil {
+			return
+		}
+		data, err := sr.Encode()
+		if err != nil {
+			return
+		}
+		back, err := decodeShardResult(data)
+		if err != nil {
+			return
+		}
+		raws, err := MergeRaw([]*ShardResult{back})
+		if err != nil {
+			return
+		}
+		for _, r := range raws {
+			r.Reduce()
+		}
+	})
 }

@@ -14,8 +14,8 @@ func TestMaxFlowKnownNetworks(t *testing.T) {
 		if got := g.MaxFlow(0, 1); got != 5 {
 			t.Fatalf("flow = %d, want 5", got)
 		}
-		if g.Flow(e) != 5 || g.Capacity(e) != 0 {
-			t.Errorf("edge state: flow %d cap %d", g.Flow(e), g.Capacity(e))
+		if g.Flow(e) != 5 || g.edges[e].cap != 0 {
+			t.Errorf("edge state: flow %d cap %d", g.Flow(e), g.edges[e].cap)
 		}
 	})
 	t.Run("series bottleneck", func(t *testing.T) {

@@ -31,9 +31,6 @@ func NewNetwork(n int) *Network {
 	return &Network{n: n, head: make([][]int32, n)}
 }
 
-// N returns the node count.
-func (g *Network) N() int { return g.n }
-
 // AddEdge adds a directed edge u→v with the given capacity and cost and
 // returns its id, which can be passed to Flow after solving. The reverse
 // residual edge (capacity 0, cost −cost) is created automatically.
@@ -49,9 +46,6 @@ func (g *Network) AddEdge(u, v int, capacity int, cost float64) int {
 // Flow returns the amount of flow routed through the edge with the given
 // id after MaxFlow or MinCostMaxFlow has run.
 func (g *Network) Flow(id int) int { return int(g.edges[id^1].cap) }
-
-// Capacity returns the remaining capacity of edge id.
-func (g *Network) Capacity(id int) int { return int(g.edges[id].cap) }
 
 // MaxFlow computes the maximum s→t flow with Dinic's algorithm and
 // returns its value. Edge costs are ignored.

@@ -3,6 +3,7 @@ package fwio
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"dita/internal/assign"
+	"dita/internal/atomicio"
 	"dita/internal/core"
 	"dita/internal/dataset"
 	"dita/internal/experiments"
@@ -227,6 +229,28 @@ func corrupt(t *testing.T, raw []byte, mutate func(m map[string]any)) []byte {
 	return out
 }
 
+// reseal mutates a decoded artifact and seals it again: the checksum
+// holds, so only the component checks stand between the bytes and the
+// framework — the position of anyone who recomputes the plain SHA-256.
+func reseal(t *testing.T, raw []byte, mutate func(a *artifact)) []byte {
+	t.Helper()
+	var a artifact
+	if err := json.Unmarshal(raw, &a); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&a)
+	body, err := a.payload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Checksum = atomicio.Sum(body)
+	out, err := json.Marshal(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestLoadRejectsCorruptArtifacts: every way an artifact can go bad on
 // disk must be rejected at load — naming the offending path, never
 // partially used.
@@ -254,6 +278,9 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		{"unsealed", corrupt(t, raw, func(m map[string]any) { delete(m, "checksum") }), "no content checksum"},
 		{"version-skew", corrupt(t, raw, func(m map[string]any) { m["version"] = 2 }), "version 2 not supported"},
 		{"wrong-kind", corrupt(t, raw, func(m map[string]any) { m["kind"] = "dita-shard" }), `kind "dita-shard"`},
+		// A node count int32 ids cannot address used to panic in the
+		// graph's CSR allocation.
+		{"resealed-huge-graph", reseal(t, raw, func(a *artifact) { a.Graph.N = math.MaxInt }), "artifact graph"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

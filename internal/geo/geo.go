@@ -37,33 +37,6 @@ func Dist2(p, q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// TravelTime returns the hours needed to cover the distance between p and
-// q at the given speed in km/h. It returns +Inf for non-positive speeds so
-// infeasible configurations never pass a deadline check.
-func TravelTime(p, q Point, speedKmH float64) float64 {
-	if speedKmH <= 0 {
-		return math.Inf(1)
-	}
-	return Dist(p, q) / speedKmH
-}
-
-// Lerp linearly interpolates between p and q; t=0 yields p, t=1 yields q.
-func Lerp(p, q Point, t float64) Point {
-	return Point{X: p.X + (q.X-p.X)*t, Y: p.Y + (q.Y-p.Y)*t}
-}
-
-// Add returns the vector sum p + q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector difference p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
 
@@ -71,15 +44,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
 // Max the upper-right corner; a Rect with Min == Max contains one point.
 type Rect struct {
 	Min, Max Point
-}
-
-// NewRect returns the smallest Rect containing both corners, regardless of
-// the order in which they are given.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
-	}
 }
 
 // BoundOf returns the bounding box of the given points. The zero Rect is
@@ -112,26 +76,8 @@ func (r Rect) Extend(p Point) Rect {
 	return r
 }
 
-// Contains reports whether p lies inside r (borders inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Center returns the geometric center of r.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
-// DistToPoint returns the distance from p to the closest point of r; it is
-// zero when p is inside r. Used by the grid index to prune cells.
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}

@@ -42,19 +42,3 @@ func BenchmarkBruteWithin(b *testing.B) {
 		bruteWithin(pts, q, 25)
 	}
 }
-
-// BenchmarkGridNearest measures the expanding-ring nearest query used
-// by the trajectory generator.
-func BenchmarkGridNearest(b *testing.B) {
-	pts := randomPoints(3000, 300, 1)
-	g := BuildGrid(pts, 8)
-	rng := randx.New(3)
-	queries := make([]Point, 256)
-	for i := range queries {
-		queries[i] = Point{rng.Float64() * 300, rng.Float64() * 300}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Nearest(queries[i%len(queries)])
-	}
-}

@@ -80,12 +80,6 @@ func BuildGrid(pts []Point, targetPerCell int) *Grid {
 	return g
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.pts) }
-
-// Bounds returns the bounding box of the indexed points.
-func (g *Grid) Bounds() Rect { return g.bounds }
-
 func (g *Grid) cellOf(p Point) int {
 	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
 	cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
@@ -133,55 +127,6 @@ func (g *Grid) Within(q Point, d float64, dst []int) []int {
 	}
 	sort.Ints(dst[before:])
 	return dst
-}
-
-// Nearest returns the index of the point closest to q and its distance.
-// It returns (-1, +Inf) for an empty index. Ties break toward the lower
-// index for determinism.
-func (g *Grid) Nearest(q Point) (int, float64) {
-	if len(g.pts) == 0 {
-		return -1, math.Inf(1)
-	}
-	best, bestD2 := -1, math.Inf(1)
-	// Expanding ring search around q's cell.
-	qcx := clampInt(int((q.X-g.bounds.Min.X)/g.cellSize), 0, g.nx-1)
-	qcy := clampInt(int((q.Y-g.bounds.Min.Y)/g.cellSize), 0, g.ny-1)
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// Once a candidate exists, stop when the nearest possible point in
-		// the next ring cannot beat it.
-		if best >= 0 {
-			minPossible := float64(ring-1) * g.cellSize
-			if minPossible > 0 && minPossible*minPossible > bestD2 {
-				break
-			}
-		}
-		for cy := qcy - ring; cy <= qcy+ring; cy++ {
-			if cy < 0 || cy >= g.ny {
-				continue
-			}
-			for cx := qcx - ring; cx <= qcx+ring; cx++ {
-				if cx < 0 || cx >= g.nx {
-					continue
-				}
-				// Only the ring border (interior was scanned earlier).
-				if ring > 0 && cx != qcx-ring && cx != qcx+ring && cy != qcy-ring && cy != qcy+ring {
-					continue
-				}
-				c := cy*g.nx + cx
-				for _, i := range g.cellItems[g.cellStart[c]:g.cellStart[c+1]] {
-					d2 := Dist2(g.pts[i], q)
-					if d2 < bestD2 || (d2 == bestD2 && int(i) < best) {
-						best, bestD2 = int(i), d2
-					}
-				}
-			}
-		}
-	}
-	return best, math.Sqrt(bestD2)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -292,13 +292,3 @@ func (ev *Evaluator) Influence(w, t int) float64 {
 // PropagationSum returns Σ_{wi≠ws} Ppro(ws, wi) for instance worker w —
 // the per-worker term of the Average Propagation metric (Equation 7).
 func (ev *Evaluator) PropagationSum(w int) float64 { return ev.propSum[w] }
-
-// NumWorkers returns the instance worker count the evaluator was built
-// for.
-func (ev *Evaluator) NumWorkers() int { return ev.nW }
-
-// NumTasks returns the instance task count the evaluator was built for.
-func (ev *Evaluator) NumTasks() int { return ev.nT }
-
-// Components returns the active component mask.
-func (ev *Evaluator) Components() Components { return ev.comps }

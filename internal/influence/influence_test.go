@@ -309,11 +309,10 @@ func TestDeterministicPrepare(t *testing.T) {
 func TestEvaluatorDimensions(t *testing.T) {
 	eng, inst := testWorld(t)
 	ev := coldPrepare(eng, inst, allPairs(inst), All, 7)
-	if ev.NumWorkers() != len(inst.Workers) || ev.NumTasks() != len(inst.Tasks) {
-		t.Errorf("dims %d×%d, want %d×%d",
-			ev.NumWorkers(), ev.NumTasks(), len(inst.Workers), len(inst.Tasks))
+	if ev.nW != len(inst.Workers) || ev.nT != len(inst.Tasks) {
+		t.Errorf("dims %d×%d, want %d×%d", ev.nW, ev.nT, len(inst.Workers), len(inst.Tasks))
 	}
-	if ev.Components() != All {
-		t.Errorf("components = %v", ev.Components())
+	if ev.comps != All {
+		t.Errorf("components = %v", ev.comps)
 	}
 }

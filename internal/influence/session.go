@@ -154,9 +154,6 @@ func (e *Engine) NewSession(comps Components, seed uint64, parallelism int) *Ses
 	return s
 }
 
-// Components returns the component mask the session prepares for.
-func (s *Session) Components() Components { return s.comps }
-
 // CachedTasks returns how many tasks currently have cached state (the
 // open-task carry-over after the last Evaluate).
 func (s *Session) CachedTasks() int { return len(s.tasks) }

@@ -41,7 +41,7 @@ func checkWarmAgainstCold(t *testing.T, eng *Engine, sess *Session, in *model.In
 			t.Fatalf("%s: pair (%d,%d) warm %v, cold %v", what, p.W, p.T, w, c)
 		}
 	}
-	if sess.Components()&Willingness == 0 {
+	if sess.comps&Willingness == 0 {
 		return
 	}
 	models := eng.truncatedModels(1)

@@ -26,7 +26,6 @@ package lda
 
 import (
 	"fmt"
-	"math"
 
 	"dita/internal/parallel"
 	"dita/internal/randx"
@@ -361,10 +360,6 @@ func (m *Model) Topics() int { return m.cfg.Topics }
 // Vocab returns the vocabulary size.
 func (m *Model) Vocab() int { return m.vocab }
 
-// Phi returns P(word|topic) for the given topic; the returned slice
-// aliases model storage.
-func (m *Model) Phi(topic int) []float64 { return m.phi[topic] }
-
 // DocTopics returns the training document d's topic distribution θ_d.
 func (m *Model) DocTopics(d int) []float64 { return m.theta[d] }
 
@@ -446,34 +441,6 @@ func Affinity(thetaW, thetaS []float64) float64 {
 		sum += thetaW[t] * thetaS[t]
 	}
 	return sum
-}
-
-// Perplexity computes the per-word perplexity of held-out documents under
-// the model, using each document's fold-in topic distribution. Lower is
-// better; tests use it to confirm training actually fits structure.
-func (m *Model) Perplexity(docs [][]int32, seed uint64) float64 {
-	logSum, words := 0.0, 0
-	for d, doc := range docs {
-		if len(doc) == 0 {
-			continue
-		}
-		theta := m.Infer(doc, seed+uint64(d))
-		for _, w := range doc {
-			p := 0.0
-			for t := 0; t < m.cfg.Topics; t++ {
-				p += theta[t] * m.phi[t][w]
-			}
-			if p < 1e-300 {
-				p = 1e-300
-			}
-			logSum += math.Log(p)
-			words++
-		}
-	}
-	if words == 0 {
-		return 0
-	}
-	return math.Exp(-logSum / float64(words))
 }
 
 // Wire is the trained model's serialized form, part of the framework

@@ -10,7 +10,11 @@
 //     paths — time.Now/time.Since only at annotated timing sites,
 //     global math/rand never (wallclock);
 //   - every artifact write atomic and checksummed — os.WriteFile and
-//     friends only inside internal/atomicio (atomicwrite).
+//     friends only inside internal/atomicio (atomicwrite);
+//   - no test-only API — every exported function or method under
+//     internal/ has a caller outside tests, unless it satisfies an
+//     interface or carries a //dita:testonly <reason> directive
+//     (testonly, the one whole-program analyzer).
 //
 // The suite is stdlib-only (go/parser + go/types; packages enumerated
 // via `go list`). cmd/dita-lint drives it over ./... as a hard-failing
@@ -44,10 +48,13 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Pass carries one analyzer's run over one package.
+// Pass carries one analyzer's run over one package. Program is the
+// whole loaded program, for analyzers whose rule depends on code
+// outside the package (testonly).
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
+	Program  *Program
 	diags    *[]Diagnostic
 }
 
@@ -78,6 +85,7 @@ func All() []*Analyzer {
 		FloatReduce,
 		MapOrder,
 		PoolPurity,
+		TestOnly,
 		WallClock,
 	}
 }
@@ -92,12 +100,15 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Run applies the analyzers to the package and returns the diagnostics
-// sorted by file, line, column, analyzer.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+// Run applies the analyzers to every package the program's patterns
+// named and returns the diagnostics sorted by file, line, column,
+// analyzer.
+func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	for _, a := range analyzers {
-		a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
+	for _, pkg := range prog.Packages {
+		for _, a := range analyzers {
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, Program: prog, diags: &diags})
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

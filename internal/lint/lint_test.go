@@ -21,6 +21,13 @@ func TestLintAtomicWriteFixture(t *testing.T) { testAnalyzerFixture(t, AtomicWri
 func TestLintPoolPurityFixture(t *testing.T)  { testAnalyzerFixture(t, PoolPurity, "poolpurity") }
 func TestLintFloatReduceFixture(t *testing.T) { testAnalyzerFixture(t, FloatReduce, "floatreduce") }
 
+// TestLintTestOnlyFixture loads the library and its consumer as one
+// program: testonly is whole-program, so the consumer's call is what
+// keeps an export off the list.
+func TestLintTestOnlyFixture(t *testing.T) {
+	testAnalyzerFixture(t, TestOnly, "testonly/internal/lib", "testonly/consumer")
+}
+
 // TestLintAtomicWriteExemptsAtomicioPackage pins the one sanctioned
 // home of the raw write primitives: a package named atomicio full of
 // os.Create/io.WriteString stays diagnostic-free.
@@ -28,14 +35,19 @@ func TestLintAtomicWriteExemptsAtomicioPackage(t *testing.T) {
 	testAnalyzerFixture(t, AtomicWrite, "atomicio")
 }
 
-func testAnalyzerFixture(t *testing.T, analyzer *Analyzer, fixture string) {
+func testAnalyzerFixture(t *testing.T, analyzer *Analyzer, fixtures ...string) {
 	t.Parallel()
-	pkg, err := LoadFixture("testdata/src", fixture)
+	prog, err := loadFixture("testdata/src", fixtures...)
 	if err != nil {
-		t.Fatalf("load fixture %s: %v", fixture, err)
+		t.Fatalf("load fixtures %v: %v", fixtures, err)
 	}
-	diags := Run(pkg, []*Analyzer{analyzer})
-	wants := parseWants(t, pkg)
+	diags := Run(prog, []*Analyzer{analyzer})
+	wants := map[wantKey][]*regexp.Regexp{}
+	for _, pkg := range prog.Packages {
+		for key, res := range parseWants(t, pkg) {
+			wants[key] = append(wants[key], res...)
+		}
+	}
 	for _, d := range diags {
 		key := wantKey{file: d.Pos.Filename, line: d.Pos.Line}
 		matched := false
@@ -109,14 +121,12 @@ func TestRepoLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks every package; skipped in -short")
 	}
-	pkgs, err := Load("../..", []string{"./..."})
+	prog, err := Load("../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("load ./...: %v", err)
 	}
-	for _, pkg := range pkgs {
-		for _, d := range Run(pkg, All()) {
-			t.Errorf("%s", d)
-		}
+	for _, d := range Run(prog, All()) {
+		t.Errorf("%s", d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -25,36 +26,60 @@ type listedPackage struct {
 	Imports    []string
 }
 
-// Load enumerates the packages matching the patterns with `go list`,
-// parses and type-checks them (non-test files only — test code is
-// exempt from every invariant anyway) and returns them ready to
-// analyze. Module-internal imports are resolved against the loaded set
-// in dependency order; stdlib imports are type-checked from GOROOT
-// source, so the loader needs nothing beyond the go toolchain and the
-// standard library.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("lint: go list %s: %w", strings.Join(patterns, " "), err)
-	}
+// Program is a loaded, type-checked repository. Packages are the ones
+// the patterns named, and every analyzer reports on them alone. All
+// holds them plus every other non-test package of the repository's
+// modules, the nested benchmark module included: a whole-program
+// analyzer (testonly) must see every caller, whatever subset is linted.
+type Program struct {
+	Packages []*Package
+	All      []*Package
+}
 
-	var listed []*listedPackage
-	byPath := map[string]*listedPackage{}
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for {
-		lp := &listedPackage{}
-		if err := dec.Decode(lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decode go list output: %w", err)
-		}
-		listed = append(listed, lp)
-		byPath[lp.ImportPath] = lp
+// Load enumerates the packages matching the patterns with `go list`,
+// adds the rest of the module at dir and of the modules one directory
+// below it as context, parses and type-checks them (non-test files
+// only — test code is exempt from every invariant anyway) and returns
+// them ready to analyze. Imports
+// within the repository resolve against the loaded set in dependency
+// order; stdlib imports are type-checked from GOROOT source, so the
+// loader needs nothing beyond the go toolchain and the standard
+// library.
+func Load(dir string, patterns []string) (*Program, error) {
+	targets, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
 	}
+	nested, err := filepath.Glob(filepath.Join(dir, "*", "go.mod"))
+	if err != nil {
+		return nil, fmt.Errorf("lint: finding modules under %s: %w", dir, err)
+	}
+	mods := []string{dir}
+	for _, gomod := range nested {
+		mods = append(mods, filepath.Dir(gomod))
+	}
+	byPath := map[string]*listedPackage{}
+	named := map[string]bool{}
+	for _, lp := range targets {
+		byPath[lp.ImportPath] = lp
+		named[lp.ImportPath] = true
+	}
+	for _, mod := range mods {
+		listed, err := goList(mod, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range listed {
+			if byPath[lp.ImportPath] == nil {
+				byPath[lp.ImportPath] = lp
+			}
+		}
+	}
+	paths := make([]string, 0, len(byPath))
+	for path := range byPath {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
 
 	fset := token.NewFileSet()
 	ld := &loader{
@@ -63,16 +88,41 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		listed: byPath,
 		loaded: map[string]*Package{},
 	}
-	var pkgs []*Package
-	for _, lp := range listed {
-		pkg, err := ld.check(lp)
+	prog := &Program{}
+	for _, path := range paths {
+		pkg, err := ld.check(byPath[path])
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		prog.All = append(prog.All, pkg)
+		if named[path] {
+			prog.Packages = append(prog.Packages, pkg)
+		}
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
+	return prog, nil
+}
+
+// goList runs `go list -json` on the patterns in dir.
+func goList(dir string, patterns []string) ([]*listedPackage, error) {
+	args := append([]string{"list", "-json"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list %s in %s: %w", strings.Join(patterns, " "), dir, err)
+	}
+	var listed []*listedPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		lp := &listedPackage{}
+		if err := dec.Decode(lp); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: decode go list output: %w", err)
+		}
+		listed = append(listed, lp)
+	}
 }
 
 // loader type-checks listed packages in dependency order, memoized, and
@@ -141,74 +191,4 @@ func typeCheck(fset *token.FileSet, path string, files []string, imp types.Impor
 		return nil, fmt.Errorf("lint: type-check %s: %w", path, err)
 	}
 	return &Package{Path: path, Fset: fset, Files: parsed, Types: tpkg, Info: info}, nil
-}
-
-// LoadFixture loads the fixture package at srcRoot/path for the
-// analyzer self-tests. Unlike Load it reads every .go file in the
-// directory — including _test.go-named fixtures, which exist precisely
-// to pin the test-file exemptions — and resolves imports first against
-// sibling fixture packages under srcRoot (so a fixture can import a
-// stub "parallel" package), then against the standard library.
-func LoadFixture(srcRoot, path string) (*Package, error) {
-	fset := token.NewFileSet()
-	ld := &fixtureLoader{
-		fset:    fset,
-		srcRoot: srcRoot,
-		std:     importer.ForCompiler(fset, "source", nil),
-		loaded:  map[string]*Package{},
-	}
-	return ld.load(path)
-}
-
-type fixtureLoader struct {
-	fset    *token.FileSet
-	srcRoot string
-	std     types.Importer
-	loaded  map[string]*Package
-}
-
-func (ld *fixtureLoader) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(ld.srcRoot, filepath.FromSlash(path)); dirExists(dir) {
-		pkg, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return ld.std.Import(path)
-}
-
-func (ld *fixtureLoader) load(path string) (*Package, error) {
-	if pkg, ok := ld.loaded[path]; ok {
-		if pkg == nil {
-			return nil, fmt.Errorf("lint: fixture import cycle through %s", path)
-		}
-		return pkg, nil
-	}
-	ld.loaded[path] = nil
-	dir := filepath.Join(ld.srcRoot, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: fixture %s: %w", path, err)
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: fixture %s has no .go files", path)
-	}
-	pkg, err := typeCheck(ld.fset, path, files, ld)
-	if err != nil {
-		return nil, err
-	}
-	ld.loaded[path] = pkg
-	return pkg, nil
-}
-
-func dirExists(dir string) bool {
-	st, err := os.Stat(dir)
-	return err == nil && st.IsDir()
 }

@@ -133,16 +133,6 @@ func Fit(histories map[model.WorkerID]model.History, cfg Config) *Model {
 // history.
 func (m *Model) Worker(id model.WorkerID) *WorkerModel { return m.workers[id] }
 
-// Willingness returns Pwil(w, s) for user id and a task location; zero
-// when the user has no history.
-func (m *Model) Willingness(id model.WorkerID, loc geo.Point) float64 {
-	wm := m.workers[id]
-	if wm == nil {
-		return 0
-	}
-	return wm.Willingness(loc)
-}
-
 // NumWorkers returns how many workers have fitted models.
 func (m *Model) NumWorkers() int { return len(m.workers) }
 

@@ -46,7 +46,7 @@ func BenchmarkWillingness(b *testing.B) {
 	loc := geo.Point{X: 150, Y: 150}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Willingness(model.WorkerID(i%100), loc)
+		m.Worker(model.WorkerID(i % 100)).Willingness(loc)
 	}
 }
 

@@ -115,9 +115,9 @@ func TestWillingnessDecreasesWithDistance(t *testing.T) {
 		record(0, 0, 0, 0, 3),
 	}
 	m := Fit(map[model.WorkerID]model.History{0: h}, Config{})
-	near := m.Willingness(0, geo.Point{X: 1, Y: 0})
-	far := m.Willingness(0, geo.Point{X: 50, Y: 0})
-	veryFar := m.Willingness(0, geo.Point{X: 500, Y: 0})
+	near := m.Worker(0).Willingness(geo.Point{X: 1, Y: 0})
+	far := m.Worker(0).Willingness(geo.Point{X: 50, Y: 0})
+	veryFar := m.Worker(0).Willingness(geo.Point{X: 500, Y: 0})
 	if !(near > far && far > veryFar) {
 		t.Errorf("willingness not decreasing: near %v, far %v, very far %v", near, far, veryFar)
 	}
@@ -147,10 +147,9 @@ func TestWillingnessAtVisitedLocationIsStationaryBound(t *testing.T) {
 }
 
 func TestWillingnessUnknownWorkerZero(t *testing.T) {
+	// A user without a model has zero willingness: influence reads the
+	// nil model as such.
 	m := Fit(map[model.WorkerID]model.History{}, Config{})
-	if got := m.Willingness(7, geo.Point{}); got != 0 {
-		t.Errorf("unknown worker willingness = %v, want 0", got)
-	}
 	if m.Worker(7) != nil {
 		t.Error("unknown worker has a model")
 	}
@@ -195,7 +194,7 @@ func TestWillingnessPropertyNonNegativeBounded(t *testing.T) {
 	m := Fit(map[model.WorkerID]model.History{0: h}, Config{})
 	f := func(x, y float64) bool {
 		p := geo.Point{X: math.Mod(math.Abs(x), 1000), Y: math.Mod(math.Abs(y), 1000)}
-		w := m.Willingness(0, p)
+		w := m.Worker(0).Willingness(p)
 		return w >= 0 && w <= 1+1e-9 && !math.IsNaN(w)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

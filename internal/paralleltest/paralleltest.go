@@ -33,6 +33,8 @@ var WorkerCounts = []int{1, 2, 8}
 // must be normalized (zeroed) by build before returning; everything else
 // is compared bit for bit via reflect.DeepEqual, unexported fields
 // included.
+//
+//dita:testonly the shared harness the tests of every Parallelism-bearing package call
 func Invariant(t testing.TB, build func(parallelism int) any) {
 	t.Helper()
 	want := build(WorkerCounts[0])

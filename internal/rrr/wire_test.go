@@ -123,6 +123,5 @@ func FuzzFromWire(f *testing.F) {
 		for id := int32(0); id < int32(c.NumSets()); id++ {
 			c.SetMembers(id)
 		}
-		c.TopKSeeds(3)
 	})
 }

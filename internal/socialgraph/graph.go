@@ -8,6 +8,7 @@ package socialgraph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dita/internal/randx"
@@ -35,10 +36,11 @@ type Graph struct {
 }
 
 // New builds a graph over n nodes from the given edge list. Self-loops and
-// duplicate edges are dropped; out-of-range endpoints cause an error.
+// duplicate edges are dropped; out-of-range endpoints cause an error, and
+// so does a node count that int32 node ids cannot address.
 func New(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("socialgraph: negative node count %d", n)
+	if n < 0 || n >= math.MaxInt32 {
+		return nil, fmt.Errorf("socialgraph: node count %d outside [0, %d)", n, math.MaxInt32)
 	}
 	clean := make([]Edge, 0, len(edges))
 	seen := make(map[Edge]bool, len(edges))
@@ -160,87 +162,6 @@ func (g *Graph) Wire() Wire { return Wire{N: g.n, Edges: g.Edges()} }
 // edge endpoint against the node count.
 func FromWire(w Wire) (*Graph, error) { return New(w.N, w.Edges) }
 
-// Reverse returns a new graph with every edge direction flipped. The RRR
-// sampler does not need it (it walks In directly), but the reverse graph
-// matches Definition 5 of the paper and is useful in tests.
-func (g *Graph) Reverse() *Graph {
-	edges := g.Edges()
-	rev := make([]Edge, len(edges))
-	for i, e := range edges {
-		rev[i] = Edge{From: e.To, To: e.From}
-	}
-	return MustNew(g.n, rev)
-}
-
-// BFS runs a breadth-first traversal from src over out-edges and returns
-// the hop distance to every node (-1 when unreachable).
-func (g *Graph) BFS(src int32) []int32 {
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Out(u) {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// WeaklyConnectedComponents labels every node with a component id
-// (0-based, by discovery order) ignoring edge directions, and returns the
-// label slice plus the component count.
-func (g *Graph) WeaklyConnectedComponents() ([]int32, int) {
-	comp := make([]int32, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := int32(0)
-	var queue []int32
-	for s := int32(0); s < int32(g.n); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = next
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.Out(u) {
-				if comp[v] < 0 {
-					comp[v] = next
-					queue = append(queue, v)
-				}
-			}
-			for _, v := range g.In(u) {
-				if comp[v] < 0 {
-					comp[v] = next
-					queue = append(queue, v)
-				}
-			}
-		}
-		next++
-	}
-	return comp, int(next)
-}
-
-// DegreeHistogram returns a map from out-degree to node count; tests use
-// it to confirm heavy-tailed generator output.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := int32(0); u < int32(g.n); u++ {
-		h[g.OutDegree(u)]++
-	}
-	return h
-}
-
 // GeneratePreferentialAttachment builds an undirected preferential-
 // attachment (Barabási–Albert) network over n nodes with m edges added
 // per arriving node, materialized as a symmetric directed graph — the
@@ -286,20 +207,6 @@ func GeneratePreferentialAttachment(n, m int, rng *randx.Rand) *Graph {
 		}
 		for _, t := range ordered {
 			addUndirected(int32(u), t)
-		}
-	}
-	return MustNew(n, edges)
-}
-
-// GenerateErdosRenyi builds a directed G(n, p) graph; used by tests to
-// cross-check estimators on unstructured topologies.
-func GenerateErdosRenyi(n int, p float64, rng *randx.Rand) *Graph {
-	var edges []Edge
-	for u := int32(0); u < int32(n); u++ {
-		for v := int32(0); v < int32(n); v++ {
-			if u != v && rng.Bool(p) {
-				edges = append(edges, Edge{From: u, To: v})
-			}
 		}
 	}
 	return MustNew(n, edges)
