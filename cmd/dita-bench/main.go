@@ -103,38 +103,8 @@ func main() {
 		shardTimeout = flag.Duration("shard-timeout", 15*time.Minute, "per-attempt deadline for an orchestrated worker (0 = none)")
 		retries      = flag.Int("retries", 3, "how many times the orchestrator relaunches a failed worker")
 		retryBase    = flag.Duration("retry-base", time.Second, "base delay of the orchestrator's capped exponential backoff")
-
-		serveLoad      = flag.String("serve-load", "", "replay a trace against a running dita-serve at this base URL (e.g. http://127.0.0.1:8080) and exit")
-		serveRegion    = flag.String("serve-region", "default", "serve-load: target region")
-		servePreset    = flag.String("serve-preset", "bk", "serve-load: dataset preset the trace samples from (must match the server's framework)")
-		serveDay       = flag.Int("serve-day", 25, "serve-load: evaluation day; the trace and grid start at day*24h")
-		serveArrivals  = flag.Int("serve-arrivals", 400, "serve-load: workers and tasks in the trace")
-		serveTraceSeed = flag.Uint64("serve-trace-seed", 1, "serve-load: trace sampling seed")
-		serveSpread    = flag.Float64("serve-spread", 12, "serve-load: arrival window length in hours")
-		serveRadius    = flag.Float64("serve-radius", 25, "serve-load: worker reachable radius in km")
-		serveValid     = flag.Float64("serve-valid", 5, "serve-load: minimum task validity in hours")
-		serveValidSpan = flag.Float64("serve-valid-span", 2, "serve-load: task validity is uniform in [valid, valid+span)")
-		serveStep      = flag.Float64("serve-step", 0.5, "serve-load: hours between explicit instants (deterministic mode)")
-		serveHorizon   = flag.Float64("serve-horizon", 24, "serve-load: simulated hours replayed after the evaluation day")
-		serveSpeedup   = flag.Float64("serve-speedup", 0, "serve-load: wall-clock pacing multiple of trace time; 0 = deterministic grid replay with explicit instants")
 	)
 	flag.Parse()
-
-	if *serveLoad != "" {
-		if *shardFlag != "" || *shardOut != "" || *mergeFlag != "" || *orchestrate != 0 || *trainOut != "" || *framework != "" {
-			log.Fatal("-serve-load is a standalone client mode; it cannot be combined with -shard/-merge/-orchestrate/-train-out/-framework")
-		}
-		if err := runServeLoad(serveLoadConfig{
-			url: *serveLoad, region: *serveRegion, preset: *servePreset,
-			day: *serveDay, arrivals: *serveArrivals, traceSeed: *serveTraceSeed,
-			spread: *serveSpread, radius: *serveRadius,
-			valid: *serveValid, validSpan: *serveValidSpan,
-			step: *serveStep, horizon: *serveHorizon, speedup: *serveSpeedup,
-		}); err != nil {
-			log.Fatalf("serve-load: %v", err)
-		}
-		return
-	}
 
 	if *trainOut != "" && *framework != "" {
 		log.Fatal("-train-out and -framework are mutually exclusive: train fresh or serve a saved framework, not both")

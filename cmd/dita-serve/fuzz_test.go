@@ -36,7 +36,7 @@ func FuzzServeArrivals(f *testing.F) {
 		srv, err := newServer(fw, serverConfig{
 			regions: []string{"default"},
 			engine: engine.Config{
-				Algorithm: assign.IA, Seed: 7, Parallelism: 2, Trigger: engine.ManualTrigger{},
+				Algorithm: assign.IA, Seed: 7, Parallelism: 2,
 			},
 		})
 		if err != nil {

@@ -19,10 +19,12 @@
 //	GET    /healthz
 //
 // Triggers: -trigger manual fires only on explicit /instant requests
-// (the deterministic replay mode the CI smoke uses); -trigger batch
-// fires inline as soon as -batch events accumulate; -trigger tick fires
-// every -tick of wall time at the scaled simulation clock
-// (-sim-start + elapsed × -time-scale).
+// (the deterministic replay mode the serve smoke drives with dita-sim
+// -stream -serve); -trigger batch fires inline as soon as -batch events
+// accumulate (engine.Config.Batch); -trigger tick fires every -tick of
+// wall time at the scaled simulation clock (-sim-start + elapsed ×
+// -time-scale). Tick and batch refuse a non-positive -tick or -batch,
+// which would never fire.
 //
 // Usage:
 //
@@ -60,7 +62,7 @@ func main() {
 		par        = flag.Int("parallel", 0, "worker pool bound per instant (0 = all cores)")
 		sessionCap = flag.Int("session-cap", 0, "bound each region's influence cache to this many entries, FIFO eviction (0 = unbounded)")
 		trigName   = flag.String("trigger", "manual", "instant trigger: manual, tick or batch")
-		tick       = flag.Duration("tick", 2*time.Second, "wall-time instant period for -trigger tick (also the batch fallback when set)")
+		tick       = flag.Duration("tick", 2*time.Second, "wall-time instant period for -trigger tick")
 		batch      = flag.Int("batch", 64, "event-count threshold for -trigger batch")
 		simStart   = flag.Float64("sim-start", 0, "simulation time (hours) at process start, for tick-triggered instants")
 		timeScale  = flag.Float64("time-scale", 1, "simulation hours per wall hour for tick-triggered instants")
@@ -79,14 +81,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var trig engine.Trigger
+	// A tick or batch server with a non-positive period or threshold
+	// would never fire an instant on its own, so it is refused.
+	var tickEvery time.Duration
+	var batchN int
 	switch *trigName {
 	case "manual":
-		trig = engine.ManualTrigger{}
 	case "tick":
-		trig = engine.TickTrigger{Every: *tick}
+		if *tick <= 0 {
+			log.Fatalf("-trigger tick needs -tick > 0, got %s", *tick)
+		}
+		tickEvery = *tick
 	case "batch":
-		trig = engine.BatchTrigger{N: *batch}
+		if *batch <= 0 {
+			log.Fatalf("-trigger batch needs -batch > 0, got %d", *batch)
+		}
+		batchN = *batch
 	default:
 		log.Fatalf("unknown -trigger %q (want manual, tick or batch)", *trigName)
 	}
@@ -107,11 +117,12 @@ func main() {
 			Seed:            *seed,
 			Parallelism:     *par,
 			SessionCapacity: *sessionCap,
-			Trigger:         trig,
+			Batch:           batchN,
 			Clock:           func() time.Duration { return time.Since(procStart) }, //dita:wallclock
 		},
 		regions: splitRegions(*regions),
 		csvPath: *csvPath,
+		tick:    tickEvery,
 		simNow:  func() float64 { return base + time.Since(procStart).Hours()*scale }, //dita:wallclock
 	}
 	srv, err := newServer(fw, cfg)

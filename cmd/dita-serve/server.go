@@ -29,6 +29,9 @@ type serverConfig struct {
 	// and Drain write the streaming assignment CSV there (single-region
 	// servers only — the CSV has no region column).
 	csvPath string
+	// tick is the wall-time period of the per-region firing loops that
+	// startTickers launches; 0 launches none.
+	tick time.Duration
 	// simNow returns the current simulation time in hours for
 	// tick-triggered instants; nil servers fire only on explicit
 	// /instant requests and batch thresholds.
@@ -119,10 +122,10 @@ func newServer(fw *core.Framework, cfg serverConfig) (*Server, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // startTickers launches one wall-clock firing loop per region when the
-// engine's trigger asks for periodic instants. The loops stop at Drain.
+// server has a tick period and a simulation clock. The loops stop at
+// Drain.
 func (s *Server) startTickers() {
-	trig := s.cfg.engine.Trigger
-	if trig == nil || trig.TickEvery() <= 0 || s.cfg.simNow == nil {
+	if s.cfg.tick <= 0 || s.cfg.simNow == nil {
 		return
 	}
 	for _, name := range s.names {
@@ -130,7 +133,7 @@ func (s *Server) startTickers() {
 		s.tickers.Add(1)
 		go func() {
 			defer s.tickers.Done()
-			tk := time.NewTicker(trig.TickEvery()) //dita:wallclock
+			tk := time.NewTicker(s.cfg.tick) //dita:wallclock
 			defer tk.Stop()
 			for {
 				select {

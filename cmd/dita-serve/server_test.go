@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dita/internal/assign"
 	"dita/internal/core"
@@ -92,7 +93,7 @@ func do(t *testing.T, method, url string, body, out any) int {
 
 func TestServeRoundTrips(t *testing.T) {
 	fw, data := testFramework(t)
-	srv, ts := testServer(t, fw, serverConfig{engine: engine.Config{Trigger: engine.ManualTrigger{}}})
+	srv, ts := testServer(t, fw, serverConfig{})
 	_ = srv
 
 	var health map[string]string
@@ -190,7 +191,7 @@ func TestServeRoundTrips(t *testing.T) {
 // and the region must stay unlocked, so GET /metrics answers after it.
 func TestServeTinyRadiusInstant(t *testing.T) {
 	fw, _ := testFramework(t)
-	_, ts := testServer(t, fw, serverConfig{engine: engine.Config{Trigger: engine.ManualTrigger{}}})
+	_, ts := testServer(t, fw, serverConfig{})
 	for i, x := range []float64{0, 1000} {
 		w := workerReq{User: int32(i), X: x, Y: x, Radius: 1e-9}
 		if code := do(t, "POST", ts.URL+"/v1/default/workers", w, nil); code != 200 {
@@ -219,7 +220,7 @@ func TestServeTinyRadiusInstant(t *testing.T) {
 
 func TestServeMalformedPayloadsRejected(t *testing.T) {
 	fw, _ := testFramework(t)
-	_, ts := testServer(t, fw, serverConfig{engine: engine.Config{Trigger: engine.ManualTrigger{}}})
+	_, ts := testServer(t, fw, serverConfig{})
 	cases := []struct {
 		name, method, path, body string
 		want                     int
@@ -258,7 +259,7 @@ func TestServeMalformedPayloadsRejected(t *testing.T) {
 
 func TestServeBatchTriggerFiresInline(t *testing.T) {
 	fw, data := testFramework(t)
-	_, ts := testServer(t, fw, serverConfig{engine: engine.Config{Trigger: engine.BatchTrigger{N: 4}}})
+	_, ts := testServer(t, fw, serverConfig{engine: engine.Config{Batch: 4}})
 	ws, _, err := trace.Build(data, trace.Params{Arrivals: 4, Seed: 3, Start: 96, Spread: 1, RadiusKm: 25, ValidMin: 4, ValidSpan: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -281,12 +282,64 @@ func TestServeBatchTriggerFiresInline(t *testing.T) {
 	}
 }
 
+// TestServeTickLoop runs the wall-clock firing loop a -trigger tick
+// server starts: with a worker and a task pooled, an instant fires
+// without any /instant request, and once Drain has stopped the loops the
+// instant count stays fixed across several tick periods.
+func TestServeTickLoop(t *testing.T) {
+	fw, data := testFramework(t)
+	const tick = 2 * time.Millisecond
+	srv, ts := testServer(t, fw, serverConfig{
+		tick:   tick,
+		simNow: func() float64 { return 97 },
+	})
+	t.Cleanup(func() { _ = srv.Drain() })
+	ws, tks, err := trace.Build(data, trace.Params{Arrivals: 1, Seed: 3, Start: 96, Spread: 1, RadiusKm: 25, ValidMin: 4, ValidSpan: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa, ta := ws[0], tks[0]
+	cats := make([]int32, len(ta.Categories))
+	for k, c := range ta.Categories {
+		cats[k] = int32(c)
+	}
+	if code := do(t, "POST", ts.URL+"/v1/default/workers", workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}, nil); code != 200 {
+		t.Fatalf("worker arrival: status %d", code)
+	}
+	if code := do(t, "POST", ts.URL+"/v1/default/tasks", taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}, nil); code != 200 {
+		t.Fatalf("task arrival: status %d", code)
+	}
+	srv.startTickers()
+
+	instants := func() int {
+		var m metricsResp
+		if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 {
+			t.Fatalf("metrics: status %d", code)
+		}
+		return m.Totals.Instants
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for instants() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("tick loop fired no instant within 30s")
+		}
+		time.Sleep(tick)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	drained := instants()
+	time.Sleep(10 * tick)
+	if got := instants(); got != drained {
+		t.Fatalf("instants grew from %d to %d after Drain stopped the tick loop", drained, got)
+	}
+}
+
 // TestServeRegionsAreIsolated: two regions hold independent engines —
 // ids, pools and instants in one never leak into the other.
 func TestServeRegionsAreIsolated(t *testing.T) {
 	fw, data := testFramework(t)
 	_, ts := testServer(t, fw, serverConfig{
-		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
 		regions: []string{"east", "west"},
 	})
 	ws, _, err := trace.Build(data, trace.Params{Arrivals: 3, Seed: 3, Start: 96, Spread: 1, RadiusKm: 25, ValidMin: 4, ValidSpan: 2})
@@ -324,7 +377,6 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 	fw, data := testFramework(t)
 	csvPath := filepath.Join(t.TempDir(), "serve.csv")
 	srv, ts := testServer(t, fw, serverConfig{
-		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
 		csvPath: csvPath,
 	})
 	ws, tks, err := trace.Build(data, trace.Params{Arrivals: 25, Seed: 3, Start: 96, Spread: 2, RadiusKm: 25, ValidMin: 6, ValidSpan: 2})
@@ -440,7 +492,6 @@ func TestServeMatchesEngineReplay(t *testing.T) {
 
 	csvPath := filepath.Join(t.TempDir(), "serve.csv")
 	srv, ts := testServer(t, fw, serverConfig{
-		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
 		csvPath: csvPath,
 	})
 	i, wilTotal := 0, 0

@@ -4,10 +4,14 @@
 // metrics. It is the manual-inspection tool of the repository.
 //
 // With -stream it instead replays a deterministic arrival trace
-// (internal/trace) through the streaming engine on a fixed instant grid
-// (engine.Engine.Replay) and writes the streaming assignment CSV — the
-// batch reference the CI serve smoke diffs byte for byte against a live
-// dita-serve fed the identical trace by dita-bench -serve-load.
+// (internal/trace) on a fixed instant grid and writes the streaming
+// assignment CSV. The replay runs through the in-process streaming
+// engine (engine.Engine.Replay), or — with -serve URL — over HTTP
+// against the named region of a live dita-serve, which owns the
+// framework and drains the CSV itself. The two forms post the same
+// events, so the CI serve smoke diffs their CSVs byte for byte.
+// -serve-speedup > 0 paces the arrivals on the wall clock instead and
+// leaves the instants to the server's trigger.
 //
 // -train-out seals the trained framework into a fwio artifact;
 // -framework loads one instead of training (the source fingerprint must
@@ -19,6 +23,7 @@
 //	dita-sim -data ./data/bk -day 25 -alg EIA -mask IA-AW -v
 //	dita-sim -preset bk -alg MI -parallel 4 -assign-csv /tmp/mi.csv
 //	dita-sim -stream -train-out /tmp/fw.json -assign-csv /tmp/stream.csv
+//	dita-sim -stream -serve http://127.0.0.1:8080/v1/default
 package main
 
 import (
@@ -68,8 +73,20 @@ func main() {
 		step       = flag.Float64("step", 0.5, "stream: hours between assignment instants")
 		horizon    = flag.Float64("horizon", 24, "stream: simulated hours after the evaluation day")
 		sessionCap = flag.Int("session-cap", 0, "stream: bound the influence cache to this many entries, FIFO eviction (0 = unbounded)")
+
+		serve        = flag.String("serve", "", "stream: replay the trace against this dita-serve region URL (e.g. http://127.0.0.1:8080/v1/default) instead of in process")
+		serveSpeedup = flag.Float64("serve-speedup", 0, "serve: wall-clock pacing multiple of trace time; 0 = grid replay with explicit instants")
 	)
 	flag.Parse()
+
+	if *serve != "" {
+		if !*stream {
+			log.Fatal("-serve replays a trace; it requires -stream")
+		}
+		if *fwPath != "" || *trainOut != "" || *csvPath != "" {
+			log.Fatal("-serve: the server owns the framework and the assignment CSV; -framework, -train-out and -assign-csv do not apply")
+		}
+	}
 
 	alg, err := assign.ParseAlgorithm(*algName)
 	if err != nil {
@@ -101,43 +118,21 @@ func main() {
 	}
 
 	cutoff := float64(*day) * 24
-	source := data.Params.FrameworkSource(cutoff)
-	var fw *core.Framework
-	if *fwPath != "" {
-		loaded, info, err := fwio.Load(*fwPath)
-		if err != nil {
-			log.Fatalf("framework: %v", err)
-		}
-		if info.Source != source {
-			log.Fatalf("%s: artifact trained on %q, this run needs %q", *fwPath, info.Source, source)
-		}
-		fmt.Printf("loaded framework from %s (sha256 %.12s…)\n", *fwPath, info.Checksum)
-		fw = loaded
-	} else {
-		start := time.Now() //dita:wallclock
-		fw, err = core.Train(core.TrainingDataFrom(data, cutoff), core.Config{TopWillingnessLocations: 8})
-		if err != nil {
-			log.Fatalf("train: %v", err)
-		}
-		fmt.Printf("framework trained in %.1fs\n", time.Since(start).Seconds()) //dita:wallclock
-	}
-	if *trainOut != "" {
-		sum, err := fwio.Write(*trainOut, fw, source)
-		if err != nil {
-			log.Fatalf("train-out: %v", err)
-		}
-		fmt.Printf("framework sealed to %s (sha256 %.12s…)\n", *trainOut, sum)
-	}
-
 	if *stream {
+		var fw *core.Framework
+		if *serve == "" {
+			fw = framework(data, cutoff, *fwPath, *trainOut)
+		}
 		runStream(fw, data, streamParams{
 			alg: alg, comps: comps, seed: *seed, par: *par, sessionCap: *sessionCap,
 			arrivals: *arrivals, traceSeed: *traceSeed, start: cutoff, spread: *spread,
 			radius: *radius, validMin: *valid, validSpan: *validSpan,
 			step: *step, horizon: *horizon, csvPath: *csvPath,
+			serve: *serve, serveSpeedup: *serveSpeedup,
 		})
 		return
 	}
+	fw := framework(data, cutoff, *fwPath, *trainOut)
 
 	inst, err := data.Snapshot(dataset.SnapshotParams{
 		Day: *day, NumTasks: *tasks, NumWorkers: *workers,
@@ -186,6 +181,41 @@ func main() {
 	}
 }
 
+// framework loads the sealed artifact at fwPath — refusing one trained
+// on another source — or trains a fresh framework on the days before
+// cutoff, and seals it to trainOut when that is set.
+func framework(data *dataset.Data, cutoff float64, fwPath, trainOut string) *core.Framework {
+	source := data.Params.FrameworkSource(cutoff)
+	var fw *core.Framework
+	if fwPath != "" {
+		loaded, info, err := fwio.Load(fwPath)
+		if err != nil {
+			log.Fatalf("framework: %v", err)
+		}
+		if info.Source != source {
+			log.Fatalf("%s: artifact trained on %q, this run needs %q", fwPath, info.Source, source)
+		}
+		fmt.Printf("loaded framework from %s (sha256 %.12s…)\n", fwPath, info.Checksum)
+		fw = loaded
+	} else {
+		start := time.Now() //dita:wallclock
+		var err error
+		fw, err = core.Train(core.TrainingDataFrom(data, cutoff), core.Config{TopWillingnessLocations: 8})
+		if err != nil {
+			log.Fatalf("train: %v", err)
+		}
+		fmt.Printf("framework trained in %.1fs\n", time.Since(start).Seconds()) //dita:wallclock
+	}
+	if trainOut != "" {
+		sum, err := fwio.Write(trainOut, fw, source)
+		if err != nil {
+			log.Fatalf("train-out: %v", err)
+		}
+		fmt.Printf("framework sealed to %s (sha256 %.12s…)\n", trainOut, sum)
+	}
+	return fw
+}
+
 // streamParams bundles everything the -stream replay needs.
 type streamParams struct {
 	alg        assign.Algorithm
@@ -201,14 +231,20 @@ type streamParams struct {
 	validMin, validSpan float64
 	step, horizon       float64
 	csvPath             string
+
+	// serve, when set, is the dita-serve region URL the trace is posted
+	// to instead of the in-process engine; serveSpeedup paces it.
+	serve        string
+	serveSpeedup float64
 }
 
-// runStream replays a deterministic arrival trace through the streaming
-// engine on the instant grid and prints the run summary. The trace is
-// rebuilt from (dataset, trace params) rather than shipped, so an
-// independent process with the same flags — dita-bench -serve-load
-// against a live dita-serve — replays the identical workload, and the
-// two assignment CSVs can be diffed byte for byte.
+// runStream builds the deterministic arrival trace and its instant grid
+// once, then replays them: over HTTP to the dita-serve region p.serve
+// names, or through an in-process streaming engine over fw (nil with
+// p.serve, since the server owns the framework), printing the run
+// summary. The trace is rebuilt from (dataset, trace params) rather than
+// shipped, so both forms replay the identical workload from the same
+// flags, and their assignment CSVs can be diffed byte for byte.
 func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 	ws, ts, err := trace.Build(data, trace.Params{
 		Arrivals: p.arrivals, Seed: p.traceSeed, Start: p.start, Spread: p.spread,
@@ -216,6 +252,13 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 	})
 	if err != nil {
 		log.Fatalf("trace: %v", err)
+	}
+	grid := engine.Grid{Start: p.start, Step: p.step, Horizon: p.horizon}
+	if p.serve != "" {
+		if err := runServe(p.serve, p.serveSpeedup, grid, ws, ts); err != nil {
+			log.Fatalf("serve: %v", err)
+		}
+		return
 	}
 	clockStart := time.Now() //dita:wallclock
 	eng, err := engine.New(fw, engine.Config{
@@ -227,7 +270,7 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 		log.Fatal(err)
 	}
 	wall := time.Now() //dita:wallclock
-	instants, err := eng.Replay(engine.Grid{Start: p.start, Step: p.step, Horizon: p.horizon}, ws, ts)
+	instants, err := eng.Replay(grid, ws, ts)
 	if err != nil {
 		log.Fatalf("stream: %v", err)
 	}

@@ -150,10 +150,12 @@ type Config struct {
 	SessionCapacity int
 	// Clock measures per-instant latency; nil records zero latencies.
 	Clock Clock
-	// Trigger is the instant-firing policy consulted after every applied
-	// arrival/departure (Applied.FireNow); nil never volunteers an
+	// Batch is the event-count firing threshold: after an applied
+	// arrival/departure, Applied.FireNow reports whether at least Batch
+	// events are pending since the last instant. 0 never volunteers an
 	// instant, leaving firing entirely to the caller (Replay's mode).
-	Trigger Trigger
+	// Wall-time firing belongs to the front-end, which owns the clock.
+	Batch int
 }
 
 // Totals are the engine's cumulative counters since construction.
@@ -227,7 +229,7 @@ type InstantResult struct {
 
 // Applied reports what an Apply did: the stable id minted for an
 // arrival, the instant result of an InstantFire, and whether the
-// configured trigger wants an instant fired now.
+// configured batch threshold wants an instant fired now.
 type Applied struct {
 	// WorkerID is the platform id assigned to a WorkerArrive.
 	WorkerID model.WorkerID
@@ -235,7 +237,7 @@ type Applied struct {
 	TaskID model.TaskID
 	// Instant is the result of an InstantFire, nil otherwise.
 	Instant *InstantResult
-	// FireNow reports that the trigger's batch threshold is reached: the
+	// FireNow reports that the Config.Batch threshold is reached: the
 	// caller should fire an instant (the engine never fires on its own —
 	// the caller supplies the instant time).
 	FireNow bool
@@ -266,8 +268,8 @@ type Engine struct {
 	// usedW/usedT are reusable retirement marks sized to the pools, so
 	// the hot instant loop rebuilds no maps.
 	usedW, usedT []bool
-	// pending counts events applied since the last instant — the batch
-	// trigger's input.
+	// pending counts events applied since the last instant — what
+	// Config.Batch is compared against.
 	pending int
 	totals  Totals
 }
@@ -346,7 +348,7 @@ func (e *Engine) eventApplied() {
 }
 
 func (e *Engine) fireNow() bool {
-	return e.cfg.Trigger != nil && e.cfg.Trigger.FireOnPending(e.pending)
+	return e.cfg.Batch > 0 && e.pending >= e.cfg.Batch
 }
 
 // removeWorker drops the pooled worker with the given stable id,
@@ -522,7 +524,7 @@ func (e *Engine) Online() int { return len(e.workers) }
 func (e *Engine) Open() int { return len(e.tasks) }
 
 // Pending returns the number of events applied since the last instant —
-// the queue depth a batch trigger fires on.
+// the queue depth Config.Batch fires on.
 func (e *Engine) Pending() int { return e.pending }
 
 // Totals returns the engine's cumulative counters.

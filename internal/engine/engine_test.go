@@ -455,16 +455,13 @@ func checkInstantShape(t *testing.T, instants []engine.InstantResult, par int) {
 	}
 }
 
-// TestEngineTriggers pins the trigger contract: a batch trigger
-// volunteers an instant exactly at its threshold, tick and manual
-// triggers never volunteer on queue depth, and firing resets the
+// TestEngineTriggers pins the batch threshold: the engine volunteers an
+// instant exactly when Batch events are pending, and firing resets the
 // pending count.
 func TestEngineTriggers(t *testing.T) {
 	fw, data := testFramework(t)
 	ws, _ := streams(data, 6, 3)
-	e, err := engine.New(fw, engine.Config{
-		Algorithm: assign.IA, Seed: 1, Trigger: engine.BatchTrigger{N: 3},
-	})
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 1, Batch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,17 +480,6 @@ func TestEngineTriggers(t *testing.T) {
 	e.Fire(ws[2].At)
 	if e.Pending() != 0 {
 		t.Fatalf("pending %d after fire, want 0", e.Pending())
-	}
-	for _, trig := range []engine.Trigger{engine.TickTrigger{Every: time.Second}, engine.ManualTrigger{}} {
-		if trig.FireOnPending(1 << 20) {
-			t.Errorf("%T fired on queue depth", trig)
-		}
-	}
-	if (engine.BatchTrigger{N: 3, Fallback: time.Minute}).TickEvery() != time.Minute {
-		t.Error("batch fallback period lost")
-	}
-	if (engine.TickTrigger{Every: time.Second}).TickEvery() != time.Second {
-		t.Error("tick period lost")
 	}
 }
 

@@ -119,46 +119,91 @@ type SweepRaw struct {
 	Resumed int `json:"-"`
 }
 
+// gridIndex maps a figure's sweep values and evaluation days to their
+// grid coordinates: the one lookup from a job to its grid index j that
+// both Reduce and MergeRaw validate jobs with.
+type gridIndex struct {
+	x   map[float64]int
+	day map[int]int
+}
+
+func (sr *SweepRaw) index() gridIndex {
+	ix := gridIndex{x: make(map[float64]int, len(sr.Xs)), day: make(map[int]int, len(sr.Days))}
+	for i, x := range sr.Xs {
+		ix.x[x] = i
+	}
+	for i, d := range sr.Days {
+		ix.day[d] = i
+	}
+	return ix
+}
+
+// position returns the grid index j = xi·len(Days) + di of job after
+// checking that its x and day are grid coordinates and that shard (valid
+// and normalized) owns j. j is computed in uint64, so a grid declaring
+// more cells than an int holds cannot wrap it.
+func (ix gridIndex) position(sr *SweepRaw, job JobMetrics, shard Shard) (uint64, error) {
+	xi, ok := ix.x[job.X]
+	if !ok {
+		return 0, fmt.Errorf("experiments: %s (%s): job x=%g is not a sweep value of the grid", sr.Figure, sr.Dataset, job.X)
+	}
+	di, ok := ix.day[job.Day]
+	if !ok {
+		return 0, fmt.Errorf("experiments: %s (%s): job day %d is not an evaluation day of the grid", sr.Figure, sr.Dataset, job.Day)
+	}
+	j := uint64(xi)*uint64(len(sr.Days)) + uint64(di)
+	if owner := j % uint64(shard.Count); owner != uint64(shard.Index) {
+		return 0, fmt.Errorf("experiments: %s (%s): job (x=%g, day %d) is owned by shard %d/%d, not %s — overlapping or misassigned shard set",
+			sr.Figure, sr.Dataset, job.X, job.Day, owner, shard.Count, shard)
+	}
+	return j, nil
+}
+
 // grid arranges the raw jobs into the figure's full job grid, indexed
 // j = xi·len(Days) + di, validating that every job sits in the grid, is
-// owned by the declared shard, and appears exactly once.
+// owned by the declared shard, appears exactly once and has one metric
+// per series, and that the jobs fill the grid. The grid is sized only
+// after that, so an artifact declaring more cells than it carries jobs
+// is refused without allocating them.
 func (sr *SweepRaw) grid() ([][]core.Metrics, error) {
-	nd := len(sr.Days)
 	shard := sr.Shard.normalized()
 	if err := shard.Validate(); err != nil {
 		return nil, err
 	}
-	xIndex := make(map[float64]int, len(sr.Xs))
-	for i, x := range sr.Xs {
-		xIndex[x] = i
-	}
-	dayIndex := make(map[int]int, nd)
-	for i, d := range sr.Days {
-		dayIndex[d] = i
-	}
-	g := make([][]core.Metrics, len(sr.Xs)*nd)
-	for _, job := range sr.Jobs {
-		xi, ok := xIndex[job.X]
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s (%s): job x=%g is not a sweep value of the grid", sr.Figure, sr.Dataset, job.X)
+	ix := sr.index()
+	pos := make([]uint64, len(sr.Jobs))
+	seen := make(map[uint64]bool, len(sr.Jobs))
+	for k, job := range sr.Jobs {
+		j, err := ix.position(sr, job, shard)
+		if err != nil {
+			return nil, err
 		}
-		di, ok := dayIndex[job.Day]
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s (%s): job day %d is not an evaluation day of the grid", sr.Figure, sr.Dataset, job.Day)
-		}
-		j := xi*nd + di
-		if !shard.owns(j) {
-			return nil, fmt.Errorf("experiments: %s (%s): job (x=%g, day %d) is not owned by shard %s — overlapping or misassigned shard set",
-				sr.Figure, sr.Dataset, job.X, job.Day, shard)
-		}
-		if g[j] != nil {
+		if seen[j] {
 			return nil, fmt.Errorf("experiments: %s (%s): job (x=%g, day %d) appears twice", sr.Figure, sr.Dataset, job.X, job.Day)
 		}
 		if len(job.Metrics) != len(sr.Series) {
 			return nil, fmt.Errorf("experiments: %s (%s): job (x=%g, day %d) has %d metrics for %d series",
 				sr.Figure, sr.Dataset, job.X, job.Day, len(job.Metrics), len(sr.Series))
 		}
-		g[j] = job.Metrics
+		seen[j] = true
+		pos[k] = j
+	}
+	// Distinct jobs fill the grid exactly when it has no more cells than
+	// jobs; comparing by division keeps the cell count from overflowing.
+	// A short grid names its first missing job, which the pigeonhole
+	// principle puts at an index no larger than len(Jobs).
+	nd := len(sr.Days)
+	if nd > 0 && len(sr.Xs) > len(sr.Jobs)/nd {
+		j := 0
+		for seen[uint64(j)] {
+			j++
+		}
+		return nil, fmt.Errorf("experiments: %s (%s): job (x=%g, day %d) missing — shard %s holds %d jobs of the %d×%d grid; merge a complete shard set instead",
+			sr.Figure, sr.Dataset, sr.Xs[j/nd], sr.Days[j%nd], shard, len(sr.Jobs), len(sr.Xs), nd)
+	}
+	g := make([][]core.Metrics, len(sr.Xs)*nd)
+	for k, job := range sr.Jobs {
+		g[pos[k]] = job.Metrics
 	}
 	return g, nil
 }
@@ -179,12 +224,6 @@ func (sr *SweepRaw) Reduce() (*Result, error) {
 	g, err := sr.grid()
 	if err != nil {
 		return nil, err
-	}
-	for j, ms := range g {
-		if ms == nil {
-			return nil, fmt.Errorf("experiments: %s (%s): job (x=%g, day %d) missing — shard %s holds %d of %d jobs; merge a complete shard set instead",
-				sr.Figure, sr.Dataset, sr.Xs[j/nd], sr.Days[j%nd], sr.Shard.normalized(), len(sr.Jobs), len(g))
-		}
 	}
 	res := &Result{Figure: sr.Figure, Dataset: sr.Dataset, XLabel: sr.XLabel}
 	for xi, x := range sr.Xs {
@@ -338,8 +377,11 @@ func MergeRaw(shards []*ShardResult) ([]*SweepRaw, error) {
 				return nil, fmt.Errorf("experiments: shard %s carries %s (%s) twice", s, raw.Figure, raw.Dataset)
 			}
 			coverage[key][s.Index] = true
-			if err := checkOwnership(raw, s); err != nil {
-				return nil, err
+			ix := raw.index()
+			for _, job := range raw.Jobs {
+				if _, err := ix.position(raw, job, s); err != nil {
+					return nil, fmt.Errorf("%w (shard %s)", err, s)
+				}
 			}
 			c.Jobs = append(c.Jobs, raw.Jobs...)
 		}
@@ -395,34 +437,4 @@ func sameGrid(a, b *SweepRaw) bool {
 		}
 	}
 	return true
-}
-
-// checkOwnership verifies every job a shard contributed actually
-// belongs to that shard under the stable partitioning rule.
-func checkOwnership(raw *SweepRaw, s Shard) error {
-	nd := len(raw.Days)
-	if nd == 0 {
-		return nil
-	}
-	xIndex := make(map[float64]int, len(raw.Xs))
-	for i, x := range raw.Xs {
-		xIndex[x] = i
-	}
-	dayIndex := make(map[int]int, nd)
-	for i, d := range raw.Days {
-		dayIndex[d] = i
-	}
-	for _, job := range raw.Jobs {
-		xi, okX := xIndex[job.X]
-		di, okD := dayIndex[job.Day]
-		if !okX || !okD {
-			return fmt.Errorf("experiments: shard %s carries job (x=%g, day %d) outside the %s (%s) grid",
-				s, job.X, job.Day, raw.Figure, raw.Dataset)
-		}
-		if j := xi*nd + di; !s.owns(j) {
-			return fmt.Errorf("experiments: shard %s carries job (x=%g, day %d) owned by shard %d/%d — overlapping shard set",
-				s, job.X, job.Day, j%s.Count, s.Count)
-		}
-	}
-	return nil
 }

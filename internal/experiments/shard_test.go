@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -271,6 +272,37 @@ func TestReduceValidatesGrid(t *testing.T) {
 	}
 	if len(res.Rows) != 2 || res.Rows[0].Assigned != 1 {
 		t.Errorf("complete grid reduced to %+v", res.Rows)
+	}
+}
+
+// TestReduceBoundsGridBeforeAllocating: a sealed artifact declares its
+// own grid, and one holding a single job can declare millions of cells.
+// Reduce must refuse it as incomplete while allocating only in
+// proportion to what the artifact spells out — about 128 bytes per
+// declared sweep value or day, 1 MiB at 4096×4096 — not one slot per
+// declared cell (384 MiB there). The 70000×70000 case has more cells
+// than 2^32, so on 32-bit platforms the cell count would also wrap int.
+func TestReduceBoundsGridBeforeAllocating(t *testing.T) {
+	for _, n := range []int{4096, 70000} {
+		sr := &SweepRaw{
+			Fig: 5, Figure: "Fig. 5", Dataset: "BK", XLabel: "|S|", Series: []string{"IA"},
+			Xs: make([]float64, n), Days: make([]int, n),
+			Jobs: []JobMetrics{{X: 0, Day: 0, Metrics: []core.Metrics{{Algorithm: "IA"}}}},
+		}
+		for i := range n {
+			sr.Xs[i] = float64(i)
+			sr.Days[i] = i
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sr.Reduce()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), "day 1)") {
+			t.Errorf("%d×%d grid with one job: err = %v, want job (x=0, day 1) missing", n, n, err)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*2*n); grew >= limit {
+			t.Errorf("%d×%d grid with one job: Reduce allocated %d bytes, want < %d", n, n, grew, limit)
+		}
 	}
 }
 

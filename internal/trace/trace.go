@@ -4,9 +4,9 @@
 // same dataset always produce the same trace, element for element —
 // which is what lets two independent processes agree on a workload
 // without shipping it: dita-sim -stream replays a trace through the
-// in-process engine while dita-bench -serve-load replays the identical
-// trace against a running dita-serve, and the CI serve smoke diffs the
-// two assignment CSVs byte for byte.
+// in-process engine, dita-sim -stream -serve posts the identical trace
+// to a running dita-serve, and the serve smoke diffs the two assignment
+// CSVs byte for byte.
 package trace
 
 import (
