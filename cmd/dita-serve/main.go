@@ -8,23 +8,31 @@
 // CSV is atomically persisted, byte-identical to a dita-sim -stream
 // replay of the same event sequence.
 //
-// Endpoints (region defaults to "default"):
+// Endpoints (region defaults to "default"); each state-changing one
+// carries one engine event, with its wire form in internal/serveapi:
 //
-//	POST   /v1/{region}/workers       {"user","x","y","radius","at"}    -> {"worker_id"}
-//	DELETE /v1/{region}/workers/{id}                                    -> 404 if not pooled
-//	POST   /v1/{region}/tasks         {"x","y","publish","valid",...}   -> {"task_id"}
-//	DELETE /v1/{region}/tasks/{id}                                      -> 404 if not pooled
-//	POST   /v1/{region}/instant       {"at"}                            -> instant result
-//	GET    /v1/{region}/metrics                                         -> totals + latency
+//	POST   /v1/{region}/workers       WorkerArrive {"user","x","y","radius","at"} -> {"worker_id"}
+//	DELETE /v1/{region}/workers/{id}  WorkerDepart                                -> {"departed"}
+//	POST   /v1/{region}/tasks         TaskArrive {"x","y","publish","valid",...}  -> {"task_id"}
+//	DELETE /v1/{region}/tasks/{id}    TaskExpire                                  -> {"withdrawn"}
+//	POST   /v1/{region}/instant       InstantFire {"at"}                          -> instant result
+//	GET    /v1/{region}/metrics                                                   -> totals + latency
 //	GET    /healthz
+//
+// Every event request takes one path: 503 while draining, 404 for an
+// unknown region, 400 for a malformed request (413 over 1 MiB), then
+// engine.Apply, the only arrival validation, under the region lock:
+// engine.ErrInvalidArrival answers 400, an id not pooled 404.
 //
 // Triggers: -trigger manual fires only on explicit /instant requests
 // (the deterministic replay mode the serve smoke drives with dita-sim
-// -stream -serve); -trigger batch fires inline as soon as -batch events
-// accumulate (engine.Config.Batch); -trigger tick fires every -tick of
-// wall time at the scaled simulation clock (-sim-start + elapsed ×
-// -time-scale). Tick and batch refuse a non-positive -tick or -batch,
-// which would never fire.
+// -stream -serve); -trigger batch fires inline, at the arrival's own
+// time, as soon as -batch events accumulate (engine.Config.Batch) —
+// departures carry no time, so they never fire one, and the next
+// arrival does; -trigger tick fires every -tick of wall time at the
+// scaled simulation clock (-sim-start + elapsed × -time-scale). Tick
+// and batch refuse a non-positive -tick or -batch, which would never
+// fire.
 //
 // Usage:
 //

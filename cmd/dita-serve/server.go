@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +13,7 @@ import (
 	"dita/internal/atomicio"
 	"dita/internal/core"
 	"dita/internal/engine"
-	"dita/internal/geo"
-	"dita/internal/model"
+	"dita/internal/serveapi"
 )
 
 // serverConfig parameterizes a Server independently of flag parsing so
@@ -49,7 +46,6 @@ type region struct {
 	eng  *engine.Engine
 	// instants retained for the drain CSV (csvPath servers only).
 	instants []engine.InstantResult
-	keep     bool
 	// latency/queue aggregates for the metrics endpoint.
 	sumPrepare   time.Duration
 	sumPairMaint time.Duration
@@ -100,16 +96,14 @@ func newServer(fw *core.Framework, cfg serverConfig) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.regions[name] = &region{name: name, eng: eng, keep: cfg.csvPath != ""}
+		s.regions[name] = &region{name: name, eng: eng}
 		s.names = append(s.names, name)
 	}
 	sort.Strings(s.names)
 
-	s.mux.HandleFunc("POST /v1/{region}/workers", s.handleWorkerArrive)
-	s.mux.HandleFunc("DELETE /v1/{region}/workers/{id}", s.handleWorkerDepart)
-	s.mux.HandleFunc("POST /v1/{region}/tasks", s.handleTaskArrive)
-	s.mux.HandleFunc("DELETE /v1/{region}/tasks/{id}", s.handleTaskWithdraw)
-	s.mux.HandleFunc("POST /v1/{region}/instant", s.handleInstant)
+	for _, rt := range serveapi.Routes {
+		s.mux.HandleFunc(rt.Method+" /v1/{region}"+rt.Path, s.handleEvent(rt.Kind))
+	}
 	s.mux.HandleFunc("GET /v1/{region}/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -194,7 +188,7 @@ func (s *Server) fireLocked(r *region, at float64) engine.InstantResult {
 	r.lastAt = at
 	r.lastAssigned = len(ir.Assigned)
 	r.lastDepth = depth
-	if r.keep {
+	if s.cfg.csvPath != "" {
 		r.instants = append(r.instants, ir)
 	}
 	return ir
@@ -211,229 +205,61 @@ func (s *Server) region(w http.ResponseWriter, req *http.Request) *region {
 	return r
 }
 
-// refuseDraining rejects state-changing requests once Drain has begun.
-func (s *Server) refuseDraining(w http.ResponseWriter) bool {
-	if s.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
-		return true
-	}
-	return false
-}
+// maxBodyBytes bounds a request body. The largest legitimate payload, a
+// task with one entry per vocabulary category, is a few kilobytes.
+const maxBodyBytes = 1 << 20
 
-type workerReq struct {
-	User   int32   `json:"user"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Radius float64 `json:"radius"`
-	At     float64 `json:"at"`
-}
-
-type taskReq struct {
-	X          float64 `json:"x"`
-	Y          float64 `json:"y"`
-	Publish    float64 `json:"publish"`
-	Valid      float64 `json:"valid"`
-	Categories []int32 `json:"categories"`
-	Venue      int32   `json:"venue"`
-}
-
-type instantReq struct {
-	At float64 `json:"at"`
-}
-
-// instantResp is the wire form of an instant: counts, latencies and the
-// matched pairs in platform-stable identities.
-type instantResp struct {
-	At          float64               `json:"at"`
-	Online      int                   `json:"online"`
-	Open        int                   `json:"open"`
-	Expired     int                   `json:"expired"`
-	Assigned    []engine.AssignedPair `json:"assigned"`
-	WilEntries  int                   `json:"wil_entries"`
-	PrepareMs   float64               `json:"prepare_ms"`
-	PairMaintMs float64               `json:"pair_maint_ms"`
-	AssignMs    float64               `json:"assign_ms"`
-}
-
-func toInstantResp(ir engine.InstantResult) instantResp {
-	return instantResp{
-		At: ir.At, Online: ir.OnlineWorkers, Open: ir.OpenTasks,
-		Expired: ir.Expired, Assigned: ir.Assigned, WilEntries: ir.WilEntries,
-		PrepareMs:   durMs(ir.Prepare),
-		PairMaintMs: durMs(ir.PairMaint),
-		AssignMs:    durMs(ir.Metrics.CPU),
+// handleEvent serves every state-changing endpoint, the route of one
+// event kind: it refuses requests while draining (503), resolves the
+// region, decodes the request into an engine event (400 for a malformed
+// request, 413 for a body over maxBodyBytes) and applies it under the
+// region lock. engine.Apply is the only arrival gate: ErrInvalidArrival
+// answers 400 and an unknown worker or task id 404. An arrival that
+// reaches the batch threshold fires its instant inline at the arrival's
+// own time; departures carry no time, so they never do.
+func (s *Server) handleEvent(kind engine.EventKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if s.draining.Load() {
+			writeErr(w, http.StatusServiceUnavailable, "server is draining")
+			return
+		}
+		r := s.region(w, req)
+		if r == nil {
+			return
+		}
+		ev, err := serveapi.Decode(kind, http.MaxBytesReader(w, req.Body, maxBodyBytes), req.PathValue("id"))
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("payload exceeds %d bytes", maxBodyBytes))
+			} else {
+				writeErr(w, http.StatusBadRequest, err.Error())
+			}
+			return
+		}
+		r.mu.Lock()
+		var ap engine.Applied
+		fire := kind == engine.InstantFire
+		if !fire {
+			ap, err = r.eng.Apply(ev)
+			fire = err == nil && ap.FireNow && (kind == engine.WorkerArrive || kind == engine.TaskArrive)
+		}
+		if fire {
+			ir := s.fireLocked(r, ev.At)
+			ap.Instant = &ir
+		}
+		r.mu.Unlock()
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusOK, serveapi.Reply(ev, ap))
+		case errors.Is(err, engine.ErrInvalidArrival):
+			writeErr(w, http.StatusBadRequest, err.Error())
+		case errors.Is(err, engine.ErrUnknownWorker), errors.Is(err, engine.ErrUnknownTask):
+			writeErr(w, http.StatusNotFound, err.Error())
+		default:
+			writeErr(w, http.StatusInternalServerError, err.Error())
+		}
 	}
-}
-
-func durMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func (s *Server) handleWorkerArrive(w http.ResponseWriter, req *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	r := s.region(w, req)
-	if r == nil {
-		return
-	}
-	var body workerReq
-	if !decodeJSON(w, req, &body) {
-		return
-	}
-	if body.Radius < 0 {
-		writeErr(w, http.StatusBadRequest, "negative radius")
-		return
-	}
-	r.mu.Lock()
-	ap, err := r.eng.Apply(engine.Event{
-		Kind: engine.WorkerArrive, At: body.At,
-		Worker: engine.WorkerArrival{
-			User: model.WorkerID(body.User), Loc: geo.Point{X: body.X, Y: body.Y},
-			Radius: body.Radius, At: body.At,
-		},
-	})
-	resp := map[string]any{"worker_id": ap.WorkerID}
-	if err == nil && ap.FireNow {
-		resp["instant"] = toInstantResp(s.fireLocked(r, body.At))
-	}
-	r.mu.Unlock()
-	if err != nil {
-		writeErr(w, arrivalStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleTaskArrive(w http.ResponseWriter, req *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	r := s.region(w, req)
-	if r == nil {
-		return
-	}
-	var body taskReq
-	if !decodeJSON(w, req, &body) {
-		return
-	}
-	if body.Valid <= 0 {
-		writeErr(w, http.StatusBadRequest, "non-positive validity")
-		return
-	}
-	cats := make([]model.CategoryID, len(body.Categories))
-	for i, c := range body.Categories {
-		cats[i] = model.CategoryID(c)
-	}
-	r.mu.Lock()
-	ap, err := r.eng.Apply(engine.Event{
-		Kind: engine.TaskArrive, At: body.Publish,
-		Task: engine.TaskArrival{
-			Loc: geo.Point{X: body.X, Y: body.Y}, Publish: body.Publish,
-			Valid: body.Valid, Categories: cats, Venue: model.VenueID(body.Venue),
-		},
-	})
-	resp := map[string]any{"task_id": ap.TaskID}
-	if err == nil && ap.FireNow {
-		resp["instant"] = toInstantResp(s.fireLocked(r, body.Publish))
-	}
-	r.mu.Unlock()
-	if err != nil {
-		writeErr(w, arrivalStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// arrivalStatus maps an arrival's engine error to its HTTP status: an
-// arrival the trained model cannot index is the client's fault (400),
-// anything else the server's (500).
-func arrivalStatus(err error) int {
-	if errors.Is(err, engine.ErrInvalidArrival) {
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
-func (s *Server) handleWorkerDepart(w http.ResponseWriter, req *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	r := s.region(w, req)
-	if r == nil {
-		return
-	}
-	id, ok := parseID(w, req)
-	if !ok {
-		return
-	}
-	r.mu.Lock()
-	_, err := r.eng.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: model.WorkerID(id)})
-	r.mu.Unlock()
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"departed": id})
-}
-
-func (s *Server) handleTaskWithdraw(w http.ResponseWriter, req *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	r := s.region(w, req)
-	if r == nil {
-		return
-	}
-	id, ok := parseID(w, req)
-	if !ok {
-		return
-	}
-	r.mu.Lock()
-	_, err := r.eng.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: model.TaskID(id)})
-	r.mu.Unlock()
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"withdrawn": id})
-}
-
-func (s *Server) handleInstant(w http.ResponseWriter, req *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	r := s.region(w, req)
-	if r == nil {
-		return
-	}
-	var body instantReq
-	if !decodeJSON(w, req, &body) {
-		return
-	}
-	r.mu.Lock()
-	ir := s.fireLocked(r, body.At)
-	r.mu.Unlock()
-	writeJSON(w, http.StatusOK, toInstantResp(ir))
-}
-
-// metricsResp is the per-region observability snapshot: pool and queue
-// depths, cumulative engine totals, and latency aggregates.
-type metricsResp struct {
-	Region  string        `json:"region"`
-	Online  int           `json:"online"`
-	Open    int           `json:"open"`
-	Pending int           `json:"pending"`
-	Totals  engine.Totals `json:"totals"`
-	Latency struct {
-		PrepareTotalMs   float64 `json:"prepare_total_ms"`
-		PrepareMaxMs     float64 `json:"prepare_max_ms"`
-		PairMaintTotalMs float64 `json:"pair_maint_total_ms"`
-		AssignTotalMs    float64 `json:"assign_total_ms"`
-	} `json:"latency"`
-	LastInstant struct {
-		At         float64 `json:"at"`
-		Assigned   int     `json:"assigned"`
-		QueueDepth int     `json:"queue_depth"`
-	} `json:"last_instant"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
@@ -442,16 +268,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	var m metricsResp
+	var m serveapi.Metrics
 	m.Region = r.name
 	m.Online = r.eng.Online()
 	m.Open = r.eng.Open()
 	m.Pending = r.eng.Pending()
 	m.Totals = r.eng.Totals()
-	m.Latency.PrepareTotalMs = durMs(r.sumPrepare)
-	m.Latency.PrepareMaxMs = durMs(r.maxPrepare)
-	m.Latency.PairMaintTotalMs = durMs(r.sumPairMaint)
-	m.Latency.AssignTotalMs = durMs(r.sumAssign)
+	m.Latency.PrepareTotalMs = serveapi.Millis(r.sumPrepare)
+	m.Latency.PrepareMaxMs = serveapi.Millis(r.maxPrepare)
+	m.Latency.PairMaintTotalMs = serveapi.Millis(r.sumPairMaint)
+	m.Latency.AssignTotalMs = serveapi.Millis(r.sumAssign)
 	m.LastInstant.At = r.lastAt
 	m.LastInstant.Assigned = r.lastAssigned
 	m.LastInstant.QueueDepth = r.lastDepth
@@ -459,50 +285,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-func parseID(w http.ResponseWriter, req *http.Request) (int64, bool) {
-	id, err := strconv.ParseInt(req.PathValue("id"), 10, 32)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad id %q", req.PathValue("id")))
-		return 0, false
-	}
-	return id, true
-}
-
-// maxBodyBytes bounds a request body. The largest legitimate payload, a
-// task with one entry per vocabulary category, is a few kilobytes.
-const maxBodyBytes = 1 << 20
-
-// decodeJSON strictly decodes the request body as exactly one JSON
-// value; unknown fields, malformed payloads and anything but whitespace
-// after the value are rejected with 400, and bodies over maxBodyBytes
-// with 413, so a client typo cannot be silently half-applied.
-func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		// The body must end right after the value.
-		if _, err = dec.Token(); err == io.EOF {
-			return true
-		}
-		if err == nil {
-			err = errors.New("trailing data after the JSON value")
-		}
-	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("payload exceeds %d bytes", maxBodyBytes))
-	} else {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad payload: %v", err))
-	}
-	return false
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {

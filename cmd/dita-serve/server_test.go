@@ -17,6 +17,7 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/engine"
 	"dita/internal/lda"
+	"dita/internal/serveapi"
 	"dita/internal/trace"
 )
 
@@ -91,6 +92,25 @@ func do(t *testing.T, method, url string, body, out any) int {
 	return resp.StatusCode
 }
 
+// send issues the request serveapi.Encode makes of ev against the region
+// base URL and decodes the JSON response into out (out may be nil).
+func send(t *testing.T, base string, ev engine.Event, out any) int {
+	t.Helper()
+	method, path, body, err := serveapi.Encode(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return do(t, method, base+path, string(body), out)
+}
+
+func arrive(w engine.WorkerArrival) engine.Event {
+	return engine.Event{Kind: engine.WorkerArrive, At: w.At, Worker: w}
+}
+
+func publish(t engine.TaskArrival) engine.Event {
+	return engine.Event{Kind: engine.TaskArrive, At: t.Publish, Task: t}
+}
+
 func TestServeRoundTrips(t *testing.T) {
 	fw, data := testFramework(t)
 	srv, ts := testServer(t, fw, serverConfig{})
@@ -110,7 +130,7 @@ func TestServeRoundTrips(t *testing.T) {
 		var got struct {
 			WorkerID int `json:"worker_id"`
 		}
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
+		body := serveapi.Worker{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
 		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, &got); code != 200 {
 			t.Fatalf("worker arrival %d: status %d", i, code)
 		}
@@ -126,7 +146,7 @@ func TestServeRoundTrips(t *testing.T) {
 		for k, c := range ta.Categories {
 			cats[k] = int32(c)
 		}
-		body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
+		body := serveapi.Task{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
 		if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, &got); code != 200 {
 			t.Fatalf("task arrival %d: status %d", i, code)
 		}
@@ -150,8 +170,8 @@ func TestServeRoundTrips(t *testing.T) {
 	}
 
 	// An explicit instant assigns and reports stable-id pairs.
-	var ir instantResp
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 101}, &ir); code != 200 {
+	var ir serveapi.InstantResult
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", serveapi.Instant{At: 101}, &ir); code != 200 {
 		t.Fatalf("instant: status %d", code)
 	}
 	if len(ir.Assigned) == 0 {
@@ -167,7 +187,7 @@ func TestServeRoundTrips(t *testing.T) {
 	}
 
 	// Metrics reflect the run.
-	var m metricsResp
+	var m serveapi.Metrics
 	if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 {
 		t.Fatalf("metrics: status %d", code)
 	}
@@ -193,23 +213,23 @@ func TestServeTinyRadiusInstant(t *testing.T) {
 	fw, _ := testFramework(t)
 	_, ts := testServer(t, fw, serverConfig{})
 	for i, x := range []float64{0, 1000} {
-		w := workerReq{User: int32(i), X: x, Y: x, Radius: 1e-9}
+		w := serveapi.Worker{User: int32(i), X: x, Y: x, Radius: 1e-9}
 		if code := do(t, "POST", ts.URL+"/v1/default/workers", w, nil); code != 200 {
 			t.Fatalf("worker arrival %d: status %d", i, code)
 		}
-		task := taskReq{X: x, Y: x, Valid: 1, Categories: []int32{0}}
+		task := serveapi.Task{X: x, Y: x, Valid: 1, Categories: []int32{0}}
 		if code := do(t, "POST", ts.URL+"/v1/default/tasks", task, nil); code != 200 {
 			t.Fatalf("task arrival %d: status %d", i, code)
 		}
 	}
-	var ir instantResp
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 0}, &ir); code != 200 {
+	var ir serveapi.InstantResult
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", serveapi.Instant{At: 0}, &ir); code != 200 {
 		t.Fatalf("instant: status %d", code)
 	}
 	if len(ir.Assigned) != 2 {
 		t.Fatalf("instant assigned %d pairs, want the 2 co-located ones", len(ir.Assigned))
 	}
-	var m metricsResp
+	var m serveapi.Metrics
 	if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 {
 		t.Fatalf("metrics: status %d", code)
 	}
@@ -246,7 +266,7 @@ func TestServeMalformedPayloadsRejected(t *testing.T) {
 		}
 	}
 	// Nothing was half-applied: the pools are untouched.
-	var m metricsResp
+	var m serveapi.Metrics
 	do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m)
 	if m.Online != 0 || m.Open != 0 || m.Totals.Events != 0 {
 		t.Fatalf("rejected payloads mutated state: %+v", m)
@@ -266,8 +286,7 @@ func TestServeBatchTriggerFiresInline(t *testing.T) {
 	}
 	for i, wa := range ws {
 		var got map[string]json.RawMessage
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
-		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, &got); code != 200 {
+		if code := send(t, ts.URL+"/v1/default", arrive(wa), &got); code != 200 {
 			t.Fatalf("arrival %d: status %d", i, code)
 		}
 		_, fired := got["instant"]
@@ -275,10 +294,38 @@ func TestServeBatchTriggerFiresInline(t *testing.T) {
 			t.Fatalf("arrival %d: instant fired %v, want %v", i, fired, want)
 		}
 	}
-	var m metricsResp
+	var m serveapi.Metrics
 	do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m)
 	if m.Totals.Instants != 1 || m.Pending != 0 {
 		t.Fatalf("after batch fire: %+v", m)
+	}
+}
+
+// TestServeDepartureNeverFiresInline: a departure carries no time, so
+// even one that brings the pending count to the batch threshold fires
+// no instant; the next arrival does, at its own time.
+func TestServeDepartureNeverFiresInline(t *testing.T) {
+	fw, data := testFramework(t)
+	_, ts := testServer(t, fw, serverConfig{engine: engine.Config{Batch: 3}})
+	ws, _, err := trace.Build(data, trace.Params{Arrivals: 3, Seed: 3, Start: 96, Spread: 1, RadiusKm: 25, ValidMin: 4, ValidSpan: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ts.URL + "/v1/default"
+	for i, ev := range []engine.Event{arrive(ws[0]), arrive(ws[1]), {Kind: engine.WorkerDepart, WorkerID: 0}, arrive(ws[2])} {
+		var got map[string]json.RawMessage
+		if code := send(t, base, ev, &got); code != 200 {
+			t.Fatalf("event %d (%v): status %d", i, ev.Kind, code)
+		}
+		_, fired := got["instant"]
+		if want := i == 3; fired != want {
+			t.Fatalf("event %d (%v): instant fired %v, want %v", i, ev.Kind, fired, want)
+		}
+	}
+	var m serveapi.Metrics
+	do(t, "GET", base+"/metrics", nil, &m)
+	if m.Totals.Instants != 1 || m.Pending != 0 || m.LastInstant.At != ws[2].At {
+		t.Fatalf("after the arrival's inline fire: %+v, want 1 instant at %g", m, ws[2].At)
 	}
 }
 
@@ -298,21 +345,16 @@ func TestServeTickLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, ta := ws[0], tks[0]
-	cats := make([]int32, len(ta.Categories))
-	for k, c := range ta.Categories {
-		cats[k] = int32(c)
-	}
-	if code := do(t, "POST", ts.URL+"/v1/default/workers", workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}, nil); code != 200 {
+	if code := send(t, ts.URL+"/v1/default", arrive(ws[0]), nil); code != 200 {
 		t.Fatalf("worker arrival: status %d", code)
 	}
-	if code := do(t, "POST", ts.URL+"/v1/default/tasks", taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}, nil); code != 200 {
+	if code := send(t, ts.URL+"/v1/default", publish(tks[0]), nil); code != 200 {
 		t.Fatalf("task arrival: status %d", code)
 	}
 	srv.startTickers()
 
 	instants := func() int {
-		var m metricsResp
+		var m serveapi.Metrics
 		if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 {
 			t.Fatalf("metrics: status %d", code)
 		}
@@ -347,12 +389,11 @@ func TestServeRegionsAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wa := range ws {
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
-		if code := do(t, "POST", ts.URL+"/v1/east/workers", body, nil); code != 200 {
+		if code := send(t, ts.URL+"/v1/east", arrive(wa), nil); code != 200 {
 			t.Fatal("east arrival failed")
 		}
 	}
-	var east, west metricsResp
+	var east, west serveapi.Metrics
 	do(t, "GET", ts.URL+"/v1/east/metrics", nil, &east)
 	do(t, "GET", ts.URL+"/v1/west/metrics", nil, &west)
 	if east.Online != 3 || west.Online != 0 {
@@ -362,8 +403,7 @@ func TestServeRegionsAreIsolated(t *testing.T) {
 	var got struct {
 		WorkerID int `json:"worker_id"`
 	}
-	body := workerReq{User: int32(ws[0].User), X: ws[0].Loc.X, Y: ws[0].Loc.Y, Radius: 25, At: 96}
-	do(t, "POST", ts.URL+"/v1/west/workers", body, &got)
+	send(t, ts.URL+"/v1/west", arrive(ws[0]), &got)
 	if got.WorkerID != 0 {
 		t.Fatalf("west minted id %d, want 0", got.WorkerID)
 	}
@@ -384,14 +424,12 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wa := range ws {
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
-		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, nil); code != 200 {
+		if code := send(t, ts.URL+"/v1/default", arrive(wa), nil); code != 200 {
 			t.Fatal("arrival failed")
 		}
 	}
 	for _, ta := range tks {
-		body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Venue: int32(ta.Venue)}
-		if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, nil); code != 200 {
+		if code := send(t, ts.URL+"/v1/default", publish(ta), nil); code != 200 {
 			t.Fatal("task failed")
 		}
 	}
@@ -404,10 +442,10 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 		close(entered)
 		<-release
 	}
-	instantDone := make(chan instantResp, 1)
+	instantDone := make(chan serveapi.InstantResult, 1)
 	go func() {
-		var ir instantResp
-		do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 99}, &ir)
+		var ir serveapi.InstantResult
+		do(t, "POST", ts.URL+"/v1/default/instant", serveapi.Instant{At: 99}, &ir)
 		instantDone <- ir
 	}()
 	<-entered
@@ -451,10 +489,10 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 	}
 
 	// Post-drain events are refused, and a second drain is a no-op.
-	if code := do(t, "POST", ts.URL+"/v1/default/workers", workerReq{User: 1, Radius: 1}, nil); code != 503 {
+	if code := do(t, "POST", ts.URL+"/v1/default/workers", serveapi.Worker{User: 1, Radius: 1}, nil); code != 503 {
 		t.Fatalf("post-drain arrival: status %d, want 503", code)
 	}
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 100}, nil); code != 503 {
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", serveapi.Instant{At: 100}, nil); code != 503 {
 		t.Fatalf("post-drain instant: status %d, want 503", code)
 	}
 	if err := srv.Drain(); err != nil {
@@ -496,34 +534,18 @@ func TestServeMatchesEngineReplay(t *testing.T) {
 	})
 	i, wilTotal := 0, 0
 	err = g.Events(ws, tks, func(ev engine.Event) error {
-		switch ev.Kind {
-		case engine.WorkerArrive:
-			wa := ev.Worker
-			body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
-			if code := do(t, "POST", ts.URL+"/v1/default/workers", body, nil); code != 200 {
-				return fmt.Errorf("arrival failed: status %d", code)
-			}
-		case engine.TaskArrive:
-			ta := ev.Task
-			cats := make([]int32, len(ta.Categories))
-			for k, c := range ta.Categories {
-				cats[k] = int32(c)
-			}
-			body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
-			if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, nil); code != 200 {
-				return fmt.Errorf("task failed: status %d", code)
-			}
-		case engine.InstantFire:
-			var ir instantResp
-			if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: ev.At}, &ir); code != 200 {
-				return fmt.Errorf("instant failed: status %d", code)
-			}
-			if want := instants[i].WilEntries; ir.WilEntries != want {
-				return fmt.Errorf("instant %d: served wil_entries %d, replay computed %d", i, ir.WilEntries, want)
-			}
-			wilTotal += ir.WilEntries
-			i++
+		var ir serveapi.InstantResult
+		if code := send(t, ts.URL+"/v1/default", ev, &ir); code != 200 {
+			return fmt.Errorf("%v failed: status %d", ev.Kind, code)
 		}
+		if ev.Kind != engine.InstantFire {
+			return nil
+		}
+		if want := instants[i].WilEntries; ir.WilEntries != want {
+			return fmt.Errorf("instant %d: served wil_entries %d, replay computed %d", i, ir.WilEntries, want)
+		}
+		wilTotal += ir.WilEntries
+		i++
 		return nil
 	})
 	if err != nil {

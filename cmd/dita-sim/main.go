@@ -9,7 +9,10 @@
 // engine (engine.Engine.Replay), or — with -serve URL — over HTTP
 // against the named region of a live dita-serve, which owns the
 // framework and drains the CSV itself. The two forms post the same
-// events, so the CI serve smoke diffs their CSVs byte for byte.
+// events, so the CI serve smoke diffs their CSVs byte for byte. The
+// server's own flags decide its framework, engine configuration and
+// CSV, so -serve refuses -framework, -train-out, -assign-csv, -alg,
+// -mask, -seed, -parallel and -session-cap when any is set.
 // -serve-speedup > 0 paces the arrivals on the wall clock instead and
 // leaves the instants to the server's trigger.
 //
@@ -83,8 +86,16 @@ func main() {
 		if !*stream {
 			log.Fatal("-serve replays a trace; it requires -stream")
 		}
-		if *fwPath != "" || *trainOut != "" || *csvPath != "" {
-			log.Fatal("-serve: the server owns the framework and the assignment CSV; -framework, -train-out and -assign-csv do not apply")
+		// The server's flags decide these, even a flag set to its default.
+		var owned []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "framework", "train-out", "assign-csv", "alg", "mask", "seed", "parallel", "session-cap":
+				owned = append(owned, "-"+f.Name)
+			}
+		})
+		if len(owned) > 0 {
+			log.Fatalf("-serve: the server owns the framework, the engine configuration and the assignment CSV; %s do not apply", strings.Join(owned, ", "))
 		}
 	}
 

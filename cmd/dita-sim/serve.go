@@ -10,39 +10,8 @@ import (
 	"time"
 
 	"dita/internal/engine"
+	"dita/internal/serveapi"
 )
-
-// Wire forms of the dita-serve endpoints (kept in sync with
-// cmd/dita-serve; cmd packages cannot import each other).
-type serveWorkerReq struct {
-	User   int32   `json:"user"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Radius float64 `json:"radius"`
-	At     float64 `json:"at"`
-}
-
-type serveTaskReq struct {
-	X          float64 `json:"x"`
-	Y          float64 `json:"y"`
-	Publish    float64 `json:"publish"`
-	Valid      float64 `json:"valid"`
-	Categories []int32 `json:"categories"`
-	Venue      int32   `json:"venue"`
-}
-
-type serveMetrics struct {
-	Online  int           `json:"online"`
-	Open    int           `json:"open"`
-	Pending int           `json:"pending"`
-	Totals  engine.Totals `json:"totals"`
-	Latency struct {
-		PrepareTotalMs   float64 `json:"prepare_total_ms"`
-		PrepareMaxMs     float64 `json:"prepare_max_ms"`
-		PairMaintTotalMs float64 `json:"pair_maint_total_ms"`
-		AssignTotalMs    float64 `json:"assign_total_ms"`
-	} `json:"latency"`
-}
 
 // runServe replays the trace against the dita-serve region at url (its
 // base, e.g. http://127.0.0.1:8080/v1/default) and prints the server's
@@ -73,7 +42,7 @@ func runServe(url string, speedup float64, g engine.Grid, ws []engine.WorkerArri
 	}
 	elapsed := time.Since(wall) //dita:wallclock
 
-	var m serveMetrics
+	var m serveapi.Metrics
 	if err := c.get("/metrics", &m); err != nil {
 		return err
 	}
@@ -100,16 +69,10 @@ type serveClient struct {
 func (c serveClient) replayGrid(g engine.Grid, ws []engine.WorkerArrival, ts []engine.TaskArrival) (int, error) {
 	posted := 0
 	err := g.Events(ws, ts, func(ev engine.Event) error {
-		switch ev.Kind {
-		case engine.WorkerArrive:
+		if ev.Kind != engine.InstantFire {
 			posted++
-			return c.postWorker(ev.Worker)
-		case engine.TaskArrive:
-			posted++
-			return c.postTask(ev.Task)
 		}
-		body, _ := json.Marshal(map[string]float64{"at": ev.At})
-		return c.post("/instant", body)
+		return c.send(ev)
 	})
 	return posted, err
 }
@@ -125,25 +88,19 @@ func (c serveClient) replayPaced(ws []engine.WorkerArrival, ts []engine.TaskArri
 		// Next event in trace order, workers before tasks on ties — the
 		// same precedence the grid replay admits them with.
 		nextIsWorker := ti >= len(ts) || (wi < len(ws) && ws[wi].At <= ts[ti].Publish)
-		var at float64
+		var ev engine.Event
 		if nextIsWorker {
-			at = ws[wi].At
+			ev = engine.Event{Kind: engine.WorkerArrive, At: ws[wi].At, Worker: ws[wi]}
+			wi++
 		} else {
-			at = ts[ti].Publish
+			ev = engine.Event{Kind: engine.TaskArrive, At: ts[ti].Publish, Task: ts[ti]}
+			ti++
 		}
-		due := time.Duration((at - start) / speedup * float64(time.Hour))
+		due := time.Duration((ev.At - start) / speedup * float64(time.Hour))
 		if wait := due - time.Since(wallStart); wait > 0 { //dita:wallclock
 			time.Sleep(wait) //dita:wallclock
 		}
-		var err error
-		if nextIsWorker {
-			err = c.postWorker(ws[wi])
-			wi++
-		} else {
-			err = c.postTask(ts[ti])
-			ti++
-		}
-		if err != nil {
+		if err := c.send(ev); err != nil {
 			return posted, err
 		}
 		posted++
@@ -151,31 +108,22 @@ func (c serveClient) replayPaced(ws []engine.WorkerArrival, ts []engine.TaskArri
 	return posted, nil
 }
 
-func (c serveClient) postWorker(w engine.WorkerArrival) error {
-	body, _ := json.Marshal(serveWorkerReq{
-		User: int32(w.User), X: w.Loc.X, Y: w.Loc.Y, Radius: w.Radius, At: w.At,
-	})
-	return c.post("/workers", body)
-}
-
-func (c serveClient) postTask(t engine.TaskArrival) error {
-	cats := make([]int32, len(t.Categories))
-	for i, cat := range t.Categories {
-		cats[i] = int32(cat)
-	}
-	body, _ := json.Marshal(serveTaskReq{
-		X: t.Loc.X, Y: t.Loc.Y, Publish: t.Publish, Valid: t.Valid,
-		Categories: cats, Venue: int32(t.Venue),
-	})
-	return c.post("/tasks", body)
-}
-
-func (c serveClient) post(path string, body []byte) error {
-	resp, err := http.Post(c.base+path, "application/json", bytes.NewReader(body))
+// send issues the request serveapi.Encode makes of ev.
+func (c serveClient) send(ev engine.Event) error {
+	method, path, body, err := serveapi.Encode(ev)
 	if err != nil {
 		return err
 	}
-	return c.finish("POST", path, resp, nil)
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	return c.finish(method, path, resp, nil)
 }
 
 func (c serveClient) get(path string, out any) error {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"sync"
@@ -121,5 +124,47 @@ func TestServeClientStopsOnError(t *testing.T) {
 	}
 	if len(rec.reqs) != 1 {
 		t.Fatalf("%d requests after a failed health check, want 1", len(rec.reqs))
+	}
+}
+
+// TestServeRefusesServerOwnedFlags runs main in a child process with
+// -stream -serve and one flag the server owns, set explicitly to its
+// default, and requires the run to stop before it generates a dataset,
+// naming the flag. A client-side flag alone passes that check and fails
+// only at the reachability check of an address nothing listens on.
+func TestServeRefusesServerOwnedFlags(t *testing.T) {
+	if args := os.Getenv("DITA_SIM_HELPER_ARGS"); args != "" {
+		os.Args = append([]string{"dita-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String() + "/v1/default"
+	ln.Close()
+	run := func(extra string) string {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestServeRefusesServerOwnedFlags$")
+		cmd.Env = append(os.Environ(), "DITA_SIM_HELPER_ARGS=-stream -serve "+closed+" "+extra)
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s: run succeeded, want a refusal:\n%s", extra, out)
+		}
+		return string(out)
+	}
+	for _, f := range []string{
+		"-alg IA", "-mask IA", "-seed 1", "-parallel 0", "-session-cap 0",
+		"-framework fw.json", "-train-out fw.json", "-assign-csv out.csv",
+	} {
+		out := run(f)
+		name := strings.Fields(f)[0]
+		if !strings.Contains(out, "-serve: the server owns") || !strings.Contains(out, name+" do not apply") || strings.Contains(out, "generated") {
+			t.Errorf("%s: want a refusal naming %s before any dataset is generated, got:\n%s", f, name, out)
+		}
+	}
+	if out := run("-trace-seed 2"); strings.Contains(out, "the server owns") || !strings.Contains(out, "server not reachable") {
+		t.Errorf("-trace-seed: want only the reachability failure, got:\n%s", out)
 	}
 }

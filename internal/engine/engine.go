@@ -152,9 +152,11 @@ type Config struct {
 	Clock Clock
 	// Batch is the event-count firing threshold: after an applied
 	// arrival/departure, Applied.FireNow reports whether at least Batch
-	// events are pending since the last instant. 0 never volunteers an
-	// instant, leaving firing entirely to the caller (Replay's mode).
-	// Wall-time firing belongs to the front-end, which owns the clock.
+	// events are pending since the last instant; a refused arrival or
+	// departure (ErrInvalidArrival, ErrUnknownWorker, ErrUnknownTask)
+	// does not count. 0 never volunteers an instant, leaving firing
+	// entirely to the caller (Replay's mode). Wall-time firing belongs
+	// to the front-end, which owns the clock.
 	Batch int
 }
 
@@ -245,13 +247,15 @@ type Applied struct {
 
 // ErrUnknownWorker and ErrUnknownTask report departure/withdrawal events
 // naming a platform id that is not pooled (already assigned, expired,
-// departed — or never issued). ErrInvalidArrival reports an arrival the
-// trained framework cannot index: a worker whose user is not in the
-// social graph, or a task with a category outside the LDA vocabulary.
+// departed — or never issued). ErrInvalidArrival reports an arrival
+// Apply, the one arrival gate, refuses: a worker whose user is not in
+// the social graph or whose radius is not >= 0, or a task with a
+// category outside the LDA vocabulary or a validity not > 0 (NaN fails
+// both comparisons).
 var (
 	ErrUnknownWorker  = errors.New("engine: no such worker in the pool")
 	ErrUnknownTask    = errors.New("engine: no such task in the pool")
-	ErrInvalidArrival = errors.New("engine: arrival outside the trained model")
+	ErrInvalidArrival = errors.New("engine: invalid arrival")
 )
 
 // Engine is the carry-over state between instants: the live pools, the
@@ -289,7 +293,7 @@ func New(fw *core.Framework, cfg Config) (*Engine, error) {
 
 // Apply applies one event. Arrival events mint and return the entity's
 // stable platform id, or fail with ErrInvalidArrival (pools untouched)
-// when the trained framework cannot index them; departure events fail
+// when the engine refuses them; departure events fail
 // with ErrUnknownWorker / ErrUnknownTask when the id is not pooled;
 // InstantFire runs the instant and returns its result.
 func (e *Engine) Apply(ev Event) (Applied, error) {
@@ -298,6 +302,9 @@ func (e *Engine) Apply(ev Event) (Applied, error) {
 		a := ev.Worker
 		if n := e.fw.Graph().N(); a.User < 0 || int64(a.User) >= int64(n) {
 			return Applied{}, fmt.Errorf("%w: user %d not in the %d-user social graph", ErrInvalidArrival, a.User, n)
+		}
+		if !(a.Radius >= 0) {
+			return Applied{}, fmt.Errorf("%w: worker radius %g is not >= 0", ErrInvalidArrival, a.Radius)
 		}
 		id := e.nextWID
 		e.workers = append(e.workers, model.Worker{
@@ -308,6 +315,9 @@ func (e *Engine) Apply(ev Event) (Applied, error) {
 		return Applied{WorkerID: id, FireNow: e.fireNow()}, nil
 	case TaskArrive:
 		a := ev.Task
+		if !(a.Valid > 0) {
+			return Applied{}, fmt.Errorf("%w: task validity %g is not > 0", ErrInvalidArrival, a.Valid)
+		}
 		for _, c := range a.Categories {
 			if v := e.fw.LDA().Vocab(); c < 0 || int64(c) >= int64(v) {
 				return Applied{}, fmt.Errorf("%w: category %d outside the %d-category vocabulary", ErrInvalidArrival, c, v)

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -237,10 +238,12 @@ func TestEngineDepartureAndWithdrawal(t *testing.T) {
 	}
 }
 
-// TestEngineRejectsInvalidArrivals: an arrival the trained framework
-// cannot index — a user outside the social graph, a category outside the
-// LDA vocabulary — fails with ErrInvalidArrival before it reaches the
-// pools, so no later instant can index past the models' tables.
+// TestEngineRejectsInvalidArrivals: an arrival the engine refuses — a
+// user outside the social graph, a category outside the LDA vocabulary,
+// a negative or NaN radius, a zero, negative or NaN validity — fails
+// with ErrInvalidArrival before it reaches the pools, so no later
+// instant can index past the models' tables or pool a worker that
+// reaches nothing and a task that is expired on arrival.
 func TestEngineRejectsInvalidArrivals(t *testing.T) {
 	fw, data := testFramework(t)
 	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5})
@@ -254,6 +257,12 @@ func TestEngineRejectsInvalidArrivals(t *testing.T) {
 			t.Errorf("worker with user %d: %v, want ErrInvalidArrival", u, err)
 		}
 	}
+	for _, r := range []float64{-1, -1e-300, math.Inf(-1), math.NaN()} {
+		_, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: engine.WorkerArrival{User: 0, Loc: data.Homes[0], Radius: r}})
+		if !errors.Is(err, engine.ErrInvalidArrival) {
+			t.Errorf("worker with radius %g: %v, want ErrInvalidArrival", r, err)
+		}
+	}
 	for _, c := range []model.CategoryID{vocab, 1 << 30, -1} {
 		_, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: engine.TaskArrival{
 			Loc: data.Homes[0], Publish: 120, Valid: 3, Categories: []model.CategoryID{0, c},
@@ -262,17 +271,27 @@ func TestEngineRejectsInvalidArrivals(t *testing.T) {
 			t.Errorf("task with category %d: %v, want ErrInvalidArrival", c, err)
 		}
 	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -3, math.Inf(-1), math.NaN()} {
+		_, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: engine.TaskArrival{
+			Loc: data.Homes[0], Publish: 120, Valid: v, Categories: []model.CategoryID{0},
+		}})
+		if !errors.Is(err, engine.ErrInvalidArrival) {
+			t.Errorf("task with validity %g: %v, want ErrInvalidArrival", v, err)
+		}
+	}
 	if e.Online() != 0 || e.Open() != 0 || e.Totals().Events != 0 || e.Pending() != 0 {
 		t.Fatalf("rejected arrivals mutated the engine: %d online, %d open, totals %+v",
 			e.Online(), e.Open(), e.Totals())
 	}
-	// Rejections mint no ids, and the edge of each range is accepted.
-	ap, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: engine.WorkerArrival{User: n - 1, Loc: data.Homes[0], Radius: 25}})
+	// Rejections mint no ids, and the edge of each range is accepted:
+	// the last user with a zero radius, the last category with the
+	// smallest positive validity.
+	ap, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: engine.WorkerArrival{User: n - 1, Loc: data.Homes[0], Radius: 0}})
 	if err != nil || ap.WorkerID != 0 {
 		t.Fatalf("valid worker after rejections: id %d, err %v", ap.WorkerID, err)
 	}
 	ap, err = e.Apply(engine.Event{Kind: engine.TaskArrive, Task: engine.TaskArrival{
-		Loc: data.Homes[0], Publish: 120, Valid: 3, Categories: []model.CategoryID{vocab - 1},
+		Loc: data.Homes[0], Publish: 120, Valid: math.SmallestNonzeroFloat64, Categories: []model.CategoryID{vocab - 1},
 	}})
 	if err != nil || ap.TaskID != 0 {
 		t.Fatalf("valid task after rejections: id %d, err %v", ap.TaskID, err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -284,4 +285,60 @@ func (j *Journal) Jobs() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.done)
+}
+
+// FuzzOpenJournal writes arbitrary bytes as a journal file and opens it
+// the way a restarted shard worker does. The open must never panic and
+// may fail only on a header that names another run (or is no sweep
+// journal at all); anything else is torn or corrupt and is truncated or
+// reinitialized. A successful open must leave the file clean: a second
+// open truncates nothing and resumes the same jobs. The seeds are real
+// journal lines, whole, torn and reordered.
+func FuzzOpenJournal(f *testing.F) {
+	line := func(v any) []byte {
+		b, err := journalLine(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	head := line(journalHeader{Kind: journalKind, Version: 1, Signature: "sig-A", Shard: Shard{}.normalized(), Seed: 42})
+	foreign := line(journalHeader{Kind: journalKind, Version: 1, Signature: "sig-B", Shard: Shard{}.normalized(), Seed: 42})
+	r1 := line(journalRecord{Dataset: "BK", Fig: 5, X: 1.5, Day: 25, Metrics: []core.Metrics{{Algorithm: "IA", Assigned: 7, AI: 0.125}}})
+	r2 := line(journalRecord{Dataset: "FS", Fig: 9, X: 2, Day: 26, Metrics: []core.Metrics{{Algorithm: "MTA"}}})
+	f.Add([]byte{})
+	f.Add(head)
+	f.Add(cat(head, r1, r2))
+	f.Add(cat(head, r1, r2[:len(r2)/2]))
+	f.Add(cat(head, r1, r1, r2))
+	f.Add(cat(head[:len(head)-1], r1))
+	f.Add(cat(r1, head))
+	f.Add(cat(foreign, r1))
+	f.Add([]byte("deadbeef not-a-journal\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "s0.json.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, "sig-A", Shard{}, 42)
+		if err != nil {
+			if msg := err.Error(); !strings.Contains(msg, "not a v1 sweep journal") && !strings.Contains(msg, "belongs to a different run") {
+				t.Fatalf("open failed on something other than a foreign header: %v", err)
+			}
+			return
+		}
+		resumed := j.Resumed()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := OpenJournal(path, "sig-A", Shard{}, 42)
+		if err != nil {
+			t.Fatalf("reopening a journal that opened cleanly: %v", err)
+		}
+		defer again.Close()
+		if again.Truncated || again.Resumed() != resumed {
+			t.Fatalf("reopen: truncated %v, resumed %d; want a clean file resuming %d", again.Truncated, again.Resumed(), resumed)
+		}
+	})
 }

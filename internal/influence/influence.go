@@ -128,9 +128,6 @@ type rootCount struct {
 // price the same pairs identically.
 type Evaluator struct {
 	comps Components
-	nW    int // instance workers
-	nT    int // instance tasks
-	nU    int // users in the social graph
 
 	// users[w] is the graph/user id of instance worker w.
 	users []int32

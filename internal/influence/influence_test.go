@@ -309,8 +309,8 @@ func TestDeterministicPrepare(t *testing.T) {
 func TestEvaluatorDimensions(t *testing.T) {
 	eng, inst := testWorld(t)
 	ev := coldPrepare(eng, inst, allPairs(inst), All, 7)
-	if ev.nW != len(inst.Workers) || ev.nT != len(inst.Tasks) {
-		t.Errorf("dims %d×%d, want %d×%d", ev.nW, ev.nT, len(inst.Workers), len(inst.Tasks))
+	if len(ev.users) != len(inst.Workers) || len(ev.wilRows) != len(inst.Tasks) {
+		t.Errorf("dims %d×%d, want %d×%d", len(ev.users), len(ev.wilRows), len(inst.Workers), len(inst.Tasks))
 	}
 	if ev.comps != All {
 		t.Errorf("components = %v", ev.comps)

@@ -201,10 +201,9 @@ func (s *Session) SetCapacity(n int) { s.capacity = n }
 // simulator's platform-level identities provide.
 func (s *Session) Evaluate(inst *model.Instance, pairs []assign.Pair) *Evaluator {
 	nW, nT := len(inst.Workers), len(inst.Tasks)
-	nU := s.eng.Prop.Graph().N()
 	s.gen++
 
-	ev := &Evaluator{comps: s.comps, nW: nW, nT: nT, nU: nU}
+	ev := &Evaluator{comps: s.comps}
 	ev.users = make([]int32, nW)
 	for i, w := range inst.Workers {
 		ev.users[i] = int32(w.User)
