@@ -409,8 +409,12 @@ func splitList(s string) []string {
 
 // evalParams resolves the evaluation protocol for one dataset: the
 // scale's parameter set and sweep grids, with the seed, pool bound and
-// day-window override applied.
-func evalParams(dp dataset.Params, scale string, daysOverride int, seed uint64, par int) (experiments.Params, experiments.Sweeps) {
+// day-window override applied. It refuses an override longer than the
+// dataset, whose evaluation window would start before day 0.
+func evalParams(dp dataset.Params, scale string, daysOverride int, seed uint64, par int) (experiments.Params, experiments.Sweeps, error) {
+	if daysOverride > dp.Days {
+		return experiments.Params{}, experiments.Sweeps{}, fmt.Errorf("-days %d exceeds the %d days of dataset %s", daysOverride, dp.Days, dp.Name)
+	}
 	params := experiments.Default()
 	sweeps := experiments.DefaultSweeps()
 	if scale == "quick" {
@@ -426,7 +430,7 @@ func evalParams(dp dataset.Params, scale string, daysOverride int, seed uint64, 
 			params.Days = append(params.Days, d)
 		}
 	}
-	return params, sweeps
+	return params, sweeps, nil
 }
 
 // trainConfig is the framework training configuration every mode of
@@ -440,7 +444,10 @@ func trainConfig(par int) core.Config {
 // train, seal — and writes the framework artifact to outPath, returning
 // its content checksum.
 func trainArtifact(dp dataset.Params, scale string, daysOverride int, seed uint64, par int, outPath string) (string, error) {
-	params, _ := evalParams(dp, scale, daysOverride, seed, par)
+	params, _, err := evalParams(dp, scale, daysOverride, seed, par)
+	if err != nil {
+		return "", err
+	}
 	cutoff, err := params.TrainingCutoff()
 	if err != nil {
 		return "", err
@@ -484,7 +491,10 @@ func loadFrameworks(list string, names []string, scale string, daysOverride int,
 		if err != nil {
 			return nil, nil, err
 		}
-		params, _ := evalParams(dp, scale, daysOverride, seed, par)
+		params, _, err := evalParams(dp, scale, daysOverride, seed, par)
+		if err != nil {
+			return nil, nil, err
+		}
 		cutoff, err := params.TrainingCutoff()
 		if err != nil {
 			return nil, nil, err
@@ -520,7 +530,10 @@ func runDataset(dp dataset.Params, fw *core.Framework, wanted map[int]bool, scal
 		return nil
 	}
 
-	params, sweeps := evalParams(dp, scale, daysOverride, seed, par)
+	params, sweeps, err := evalParams(dp, scale, daysOverride, seed, par)
+	if err != nil {
+		log.Fatal(err)
+	}
 	params.Shard = shard
 	if journal != nil {
 		params.Checkpoint = journal

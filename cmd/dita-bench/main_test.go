@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,15 +53,23 @@ func TestBackoffDelay(t *testing.T) {
 func TestEvalParams(t *testing.T) {
 	dp := dataset.BrightkiteLike()
 	dp.Days = 30
+	eval := func(scale string, days int) (experiments.Params, experiments.Sweeps) {
+		t.Helper()
+		params, sweeps, err := evalParams(dp, scale, days, 9, 3)
+		if err != nil {
+			t.Fatalf("%s scale, -days %d: %v", scale, days, err)
+		}
+		return params, sweeps
+	}
 
-	params, sweeps := evalParams(dp, "full", 0, 9, 3)
+	params, sweeps := eval("full", 0)
 	want := experiments.Default()
 	want.Seed, want.Parallelism = 9, 3
 	if !reflect.DeepEqual(params, want) || !reflect.DeepEqual(sweeps, experiments.DefaultSweeps()) {
 		t.Errorf("full scale: %+v %+v, want the default params and sweeps", params, sweeps)
 	}
 
-	params, sweeps = evalParams(dp, "quick", 0, 9, 3)
+	params, sweeps = eval("quick", 0)
 	want = experiments.Quick()
 	want.Seed, want.Parallelism = 9, 3
 	if !reflect.DeepEqual(params, want) || !reflect.DeepEqual(sweeps, experiments.QuickSweeps()) {
@@ -69,13 +78,23 @@ func TestEvalParams(t *testing.T) {
 
 	// -days N evaluates the dataset's last N days, at either scale.
 	for _, scale := range []string{"full", "quick"} {
-		params, _ = evalParams(dp, scale, 3, 9, 3)
+		params, _ = eval(scale, 3)
 		if want := []int{27, 28, 29}; !reflect.DeepEqual(params.Days, want) {
 			t.Errorf("%s scale, -days 3: days %v, want %v", scale, params.Days, want)
 		}
 	}
-	params, _ = evalParams(dp, "quick", 1, 9, 3)
+	params, _ = eval("quick", 1)
 	if want := []int{29}; !reflect.DeepEqual(params.Days, want) {
 		t.Errorf("-days 1: days %v, want %v", params.Days, want)
+	}
+	params, _ = eval("quick", 30)
+	if params.Days[0] != 0 || len(params.Days) != 30 {
+		t.Errorf("-days 30: days %v, want 0..29", params.Days)
+	}
+
+	// A window longer than the dataset is refused before any training;
+	// it used to train on a negative cutoff and fail later.
+	if _, _, err := evalParams(dp, "quick", 40, 9, 3); err == nil || !strings.Contains(err.Error(), "-days 40") {
+		t.Errorf("-days 40 on a 30-day dataset: err %v, want a -days error", err)
 	}
 }

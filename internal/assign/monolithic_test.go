@@ -33,7 +33,8 @@ func solveMonolithic(alg Algorithm, p *Problem, pairs []Pair) *model.AssignmentS
 // worker→task pair (aligned with pairs).
 func buildNetwork(p *Problem, pairs []Pair, alg Algorithm) (g *flow.Network, s, t int, pairEdges []int) {
 	nW, nT := len(p.Inst.Workers), len(p.Inst.Tasks)
-	g = flow.NewNetwork(nW + nT + 2)
+	g = new(flow.Network)
+	g.Reset(nW + nT + 2)
 	s, t = 0, nW+nT+1
 	for w := 0; w < nW; w++ {
 		g.AddEdge(s, 1+w, 1, 0)

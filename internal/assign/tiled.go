@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"dita/internal/flow"
 	"dita/internal/geo"
@@ -292,11 +293,17 @@ func SolveTiled(alg Algorithm, p *Problem, parallelism int) (*model.AssignmentSe
 	if workers > nComp {
 		workers = nComp
 	}
-	scratch := make([]compScratch, workers)
+	scratch := make([]*compScratch, workers)
+	for i := range scratch {
+		scratch[i] = scratchPool.Get().(*compScratch)
+	}
 	parallel.For(workers, nComp, func(worker, c int) {
 		idx := compPairs[compStart[c]:compStart[c+1]]
-		solveComponent(alg, p, pairs, infl, cost, idx, localW, localT, usedW, usedT, &scratch[worker], taken)
+		solveComponent(alg, p, pairs, infl, cost, idx, localW, localT, usedW, usedT, scratch[worker], taken)
 	})
+	for _, sc := range scratch {
+		scratchPool.Put(sc)
+	}
 	return collectTaken(pairs, infl, taken), stats
 }
 
@@ -369,13 +376,18 @@ func components(nW, nT int, pairs []Pair) (start, grouped []int32, largest int) 
 }
 
 // compScratch is the per-pool-worker reusable state of the component
-// solves; components touch it one at a time per worker.
+// solves; components touch it one at a time per worker. SolveTiled takes
+// one per pool worker from scratchPool and puts it back afterwards, so
+// the flow network and buffers carry over from instant to instant.
 type compScratch struct {
 	wIDs  []int32
 	tIDs  []int32
 	edges []int
 	order []int32
+	net   flow.Network
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(compScratch) }}
 
 // solveComponent solves one component and marks its chosen pairs in the
 // global taken bitmap. All writes are component-disjoint: taken slots
@@ -429,7 +441,8 @@ func solveComponent(alg Algorithm, p *Problem, pairs []Pair, infl, cost []float6
 		localT[t] = int32(li)
 	}
 	nw, nt := len(wIDs), len(tIDs)
-	g := flow.NewNetwork(nw + nt + 2)
+	g := &sc.net
+	g.Reset(nw + nt + 2)
 	s, t := 0, nw+nt+1
 	for i := 0; i < nw; i++ {
 		g.AddEdge(s, 1+i, 1, 0)

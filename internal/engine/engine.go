@@ -32,8 +32,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dita/internal/assign"
@@ -262,16 +264,24 @@ var (
 // stable-id counters, and the incremental influence session the
 // instants are served through.
 type Engine struct {
-	fw      *core.Framework
-	cfg     Config
-	sess    *core.Session
+	fw   *core.Framework
+	cfg  Config
+	sess *core.Session
+	// workers and tasks are the pools. Ids are minted in arrival order
+	// and every pool edit (append, the expiry sweep, compaction, retire)
+	// keeps pool order, so both pools are always sorted by id.
 	workers []model.Worker // online, not yet assigned; ID is the stable arrival id
 	tasks   []model.Task   // published, unexpired, unassigned; ID stable since publication
 	nextTID model.TaskID
 	nextWID model.WorkerID
-	// usedW/usedT are reusable retirement marks sized to the pools, so
-	// the hot instant loop rebuilds no maps.
+	// usedW/usedT are marks aligned with the pools (same length). Between
+	// instants a set mark is a tombstone: the entity departed or was
+	// withdrawn and leaves the pool at the next Fire. Fire also marks
+	// expired tasks and, in retire, matched pairs; every compaction
+	// clears the marks it drops.
 	usedW, usedT []bool
+	// deadW/deadT count the tombstones currently set.
+	deadW, deadT int
 	// pending counts events applied since the last instant — what
 	// Config.Batch is compared against.
 	pending int
@@ -310,6 +320,7 @@ func (e *Engine) Apply(ev Event) (Applied, error) {
 		e.workers = append(e.workers, model.Worker{
 			ID: id, User: a.User, Loc: a.Loc, Radius: a.Radius,
 		})
+		e.usedW = append(e.usedW, false)
 		e.nextWID++
 		e.eventApplied()
 		return Applied{WorkerID: id, FireNow: e.fireNow()}, nil
@@ -328,6 +339,7 @@ func (e *Engine) Apply(ev Event) (Applied, error) {
 			ID: id, Loc: a.Loc, Publish: a.Publish,
 			Valid: a.Valid, Categories: a.Categories, Venue: a.Venue,
 		})
+		e.usedT = append(e.usedT, false)
 		e.nextTID++
 		e.eventApplied()
 		return Applied{TaskID: id, FireNow: e.fireNow()}, nil
@@ -361,30 +373,35 @@ func (e *Engine) fireNow() bool {
 	return e.cfg.Batch > 0 && e.pending >= e.cfg.Batch
 }
 
-// removeWorker drops the pooled worker with the given stable id,
-// preserving pool order. Departures are rare relative to instants, so a
-// linear scan beats maintaining an id→position map that every
-// retirement compaction would invalidate.
+// removeWorker tombstones the pooled worker with the given stable id,
+// reporting whether it was pooled and live. The pool is sorted by id, so
+// the lookup is a binary search, and the worker leaves the pool at the
+// next Fire without shifting it now: a dense stream departs tens of
+// thousands of workers from a pool of tens of thousands.
 func (e *Engine) removeWorker(id model.WorkerID) bool {
-	for i, w := range e.workers {
-		if w.ID == id {
-			e.workers = append(e.workers[:i], e.workers[i+1:]...)
-			return true
-		}
+	i, ok := slices.BinarySearchFunc(e.workers, id, func(w model.Worker, id model.WorkerID) int {
+		return cmp.Compare(w.ID, id)
+	})
+	if !ok || e.usedW[i] {
+		return false
 	}
-	return false
+	e.usedW[i] = true
+	e.deadW++
+	return true
 }
 
-// removeTask drops the pooled task with the given stable id, preserving
-// pool order.
+// removeTask tombstones the pooled task with the given stable id, as
+// removeWorker does for workers.
 func (e *Engine) removeTask(id model.TaskID) bool {
-	for i, t := range e.tasks {
-		if t.ID == id {
-			e.tasks = append(e.tasks[:i], e.tasks[i+1:]...)
-			return true
-		}
+	i, ok := slices.BinarySearchFunc(e.tasks, id, func(t model.Task, id model.TaskID) int {
+		return cmp.Compare(t.ID, id)
+	})
+	if !ok || e.usedT[i] {
+		return false
 	}
-	return false
+	e.usedT[i] = true
+	e.deadT++
+	return true
 }
 
 // clock reads the injected monotonic clock; a clockless engine reads a
@@ -408,19 +425,25 @@ func (e *Engine) Fire(now float64) InstantResult {
 	e.pending = 0
 	e.totals.Instants++
 
-	// Expire stale tasks. The sweep runs before the snapshot so an
-	// instant never offers a task that is already past its deadline.
+	// Expire stale tasks, then drop them with the withdrawn ones. The
+	// sweep runs before the snapshot so an instant never offers a task
+	// that is already past its deadline. A withdrawn task is skipped
+	// before its deadline is checked: it was counted as Cancelled, never
+	// as Expired.
 	expired := 0
-	kept := e.tasks[:0]
-	for _, t := range e.tasks {
-		if t.Expiry() < now {
+	for i, t := range e.tasks {
+		if !e.usedT[i] && t.Expiry() < now {
+			e.usedT[i] = true
 			expired++
-			continue
 		}
-		kept = append(kept, t)
 	}
-	e.tasks = kept
+	e.tasks, e.usedT = compact(e.tasks, e.usedT)
+	e.deadT = 0
 	e.totals.Expired += expired
+	if e.deadW > 0 {
+		e.workers, e.usedW = compact(e.workers, e.usedW)
+		e.deadW = 0
+	}
 
 	if len(e.workers) == 0 || len(e.tasks) == 0 {
 		inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
@@ -482,44 +505,31 @@ func stablePairs(inst *model.Instance, set *model.AssignmentSet) []AssignedPair 
 
 // retire removes assigned workers and tasks from the pool (workers go
 // offline once assigned, tasks are served once). Pairs index the
-// instant's snapshot, whose order equals pool order. The mark slices are
-// reused across instants and reset while compacting, so the hot loop
-// allocates nothing once the pools reach steady size.
+// instant's snapshot, whose order equals pool order. It runs with no
+// tombstone set, marks the matched entities and compacts, so the hot
+// loop allocates nothing once the pools reach steady size.
 func (e *Engine) retire(set *model.AssignmentSet) {
-	e.usedW = resize(e.usedW, len(e.workers))
-	e.usedT = resize(e.usedT, len(e.tasks))
 	for _, pr := range set.Pairs {
 		e.usedW[pr.Worker] = true
 		e.usedT[pr.Task] = true
 	}
-	keptW := e.workers[:0]
-	for i, w := range e.workers {
-		used := e.usedW[i]
-		e.usedW[i] = false
-		if !used {
-			keptW = append(keptW, w)
-		}
-	}
-	e.workers = keptW
-	keptT := e.tasks[:0]
-	for i, t := range e.tasks {
-		used := e.usedT[i]
-		e.usedT[i] = false
-		if !used {
-			keptT = append(keptT, t)
-		}
-	}
-	e.tasks = keptT
+	e.workers, e.usedW = compact(e.workers, e.usedW)
+	e.tasks, e.usedT = compact(e.tasks, e.usedT)
 }
 
-// resize returns marks with length n, reusing its backing array when it
-// is large enough. Reused entries are already false: retire resets every
-// mark while compacting, and fresh allocations are zeroed.
-func resize(marks []bool, n int) []bool {
-	if cap(marks) < n {
-		return make([]bool, n)
+// compact drops the marked entries of pool in place, preserving order,
+// and returns the kept pool with its marks, all cleared and truncated to
+// the same length.
+func compact[T any](pool []T, marks []bool) ([]T, []bool) {
+	kept := pool[:0]
+	for i, x := range pool {
+		if marks[i] {
+			marks[i] = false
+			continue
+		}
+		kept = append(kept, x)
 	}
-	return marks[:n]
+	return kept, marks[:len(kept)]
 }
 
 // Session returns the engine's influence session, which carries the
@@ -527,11 +537,11 @@ func resize(marks []bool, n int) []bool {
 func (e *Engine) Session() *core.Session { return e.sess }
 
 // Online returns the number of currently online (unassigned) workers.
-func (e *Engine) Online() int { return len(e.workers) }
+func (e *Engine) Online() int { return len(e.workers) - e.deadW }
 
 // Open returns the number of currently open (unassigned, unexpired)
 // tasks.
-func (e *Engine) Open() int { return len(e.tasks) }
+func (e *Engine) Open() int { return len(e.tasks) - e.deadT }
 
 // Pending returns the number of events applied since the last instant —
 // the queue depth Config.Batch fires on.

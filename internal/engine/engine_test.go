@@ -225,6 +225,9 @@ func TestEngineDepartureAndWithdrawal(t *testing.T) {
 			t.Errorf("withdrawn task %d was assigned", pr.Task)
 		}
 	}
+	if ir.OnlineWorkers != len(ws)-1 {
+		t.Errorf("instant saw %d online workers, want %d without the departed one", ir.OnlineWorkers, len(ws)-1)
+	}
 	// Stable ids round-trip: every assigned pair names ids the engine
 	// actually minted.
 	minted := map[model.WorkerID]bool{}
@@ -235,6 +238,161 @@ func TestEngineDepartureAndWithdrawal(t *testing.T) {
 		if !minted[pr.Worker] {
 			t.Errorf("assigned worker id %d was never minted", pr.Worker)
 		}
+	}
+	// Entities assigned at the last instant, and ids never issued, are
+	// not pooled either.
+	if len(ir.Assigned) == 0 {
+		t.Fatal("the instant assigned nothing; nothing to depart after assignment")
+	}
+	a := ir.Assigned[0]
+	for _, id := range []model.WorkerID{a.Worker, model.WorkerID(len(ws)), -1} {
+		if _, err := e.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: id}); !errors.Is(err, engine.ErrUnknownWorker) {
+			t.Errorf("departing worker %d: %v, want ErrUnknownWorker", id, err)
+		}
+	}
+	for _, id := range []model.TaskID{a.Task, model.TaskID(len(ts)), -1} {
+		if _, err := e.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: id}); !errors.Is(err, engine.ErrUnknownTask) {
+			t.Errorf("withdrawing task %d: %v, want ErrUnknownTask", id, err)
+		}
+	}
+	if tot := e.Totals(); tot.Departed != 1 || tot.Cancelled != 1 {
+		t.Errorf("totals %+v after refused events, want 1 departed / 1 cancelled", tot)
+	}
+
+	// A task withdrawn after its deadline but before the next sweep was
+	// cancelled, not expired.
+	e, err = engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := ts[0]
+	late.Publish, late.Valid = 120, 1
+	ap, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: late})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: ap.TaskID}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Open() != 0 {
+		t.Errorf("Open() = %d with the only task withdrawn, want 0", e.Open())
+	}
+	if ir := e.Fire(130); ir.Expired != 0 || ir.OpenTasks != 0 {
+		t.Errorf("instant after the withdrawal: %d expired, %d open, want 0 and 0", ir.Expired, ir.OpenTasks)
+	}
+	if tot := e.Totals(); tot.Cancelled != 1 || tot.Expired != 0 {
+		t.Errorf("totals %+v, want 1 cancelled and 0 expired", tot)
+	}
+}
+
+// TestEngineDepartAllocFree checks that departures and withdrawals on a
+// warm engine allocate nothing: they tombstone in place.
+func TestEngineDepartAllocFree(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 40, 19)
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ws {
+		if _, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: ws[i]}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: ts[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun calls the function runs+1 times; each call departs
+	// and withdraws the next minted id.
+	next := 0
+	allocs := testing.AllocsPerRun(len(ws)-1, func() {
+		if _, err := e.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: model.WorkerID(next)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: model.TaskID(next)}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per departure and withdrawal, want 0", allocs)
+	}
+	if e.Online() != 0 || e.Open() != 0 {
+		t.Errorf("pools %d/%d after every id departed", e.Online(), e.Open())
+	}
+}
+
+// TestEnginePoolChurn drives random arrivals, departures, withdrawals
+// (of live, departed, assigned and never-issued ids) and instants, and
+// checks after every event that the pools stay sorted by strictly
+// increasing id with aligned marks, and that Online and Open match a
+// shadow set of live ids.
+func TestEnginePoolChurn(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 300, 13)
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(17)
+	liveW := map[model.WorkerID]bool{}
+	liveT := map[model.TaskID]float64{} // live task → expiry
+	var nW, nT int
+	now := 120.0
+	for step := 0; step < 1500; step++ {
+		switch k := rng.Intn(10); {
+		case k < 3 && nW < len(ws):
+			ap, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: ws[nW]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveW[ap.WorkerID] = true
+			nW++
+		case k < 6 && nT < len(ts):
+			task := ts[nT]
+			task.Publish = now
+			ap, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: task})
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveT[ap.TaskID] = task.Publish + task.Valid
+			nT++
+		case k < 8:
+			id := model.WorkerID(rng.Intn(nW+2) - 1)
+			_, err := e.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: id})
+			if liveW[id] != (err == nil) {
+				t.Fatalf("step %d: departing worker %d (live %v): %v", step, id, liveW[id], err)
+			}
+			delete(liveW, id)
+		case k < 9:
+			id := model.TaskID(rng.Intn(nT+2) - 1)
+			_, err := e.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: id})
+			if _, live := liveT[id]; live != (err == nil) {
+				t.Fatalf("step %d: withdrawing task %d (live %v): %v", step, id, live, err)
+			}
+			delete(liveT, id)
+		default:
+			now += 0.5
+			ir := e.Fire(now)
+			for id, expiry := range liveT {
+				if expiry < now {
+					delete(liveT, id)
+				}
+			}
+			for _, pr := range ir.Assigned {
+				delete(liveW, pr.Worker)
+				delete(liveT, pr.Task)
+			}
+		}
+		if err := engine.CheckPools(e); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if e.Online() != len(liveW) || e.Open() != len(liveT) {
+			t.Fatalf("step %d: Online() = %d, Open() = %d, want %d and %d", step, e.Online(), e.Open(), len(liveW), len(liveT))
+		}
+	}
+	if tot := e.Totals(); tot.Assigned == 0 || tot.Departed == 0 || tot.Cancelled == 0 || tot.Expired == 0 {
+		t.Fatalf("totals %+v: the churn left an outcome unexercised", tot)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // sink, with unit capacities and (0,1] costs.
 func buildBipartite(nL, nR int, p float64, seed uint64) (*Network, int, int) {
 	rng := randx.New(seed)
-	g := NewNetwork(nL + nR + 2)
+	g := newNetwork(nL + nR + 2)
 	s, t := 0, nL+nR+1
 	for l := 0; l < nL; l++ {
 		g.AddEdge(s, 1+l, 1, 0)

@@ -7,9 +7,16 @@ import (
 	"dita/internal/randx"
 )
 
+// newNetwork returns an empty network over n nodes.
+func newNetwork(n int) *Network {
+	g := new(Network)
+	g.Reset(n)
+	return g
+}
+
 func TestMaxFlowKnownNetworks(t *testing.T) {
 	t.Run("single edge", func(t *testing.T) {
-		g := NewNetwork(2)
+		g := newNetwork(2)
 		e := g.AddEdge(0, 1, 5, 0)
 		if got := g.MaxFlow(0, 1); got != 5 {
 			t.Fatalf("flow = %d, want 5", got)
@@ -19,7 +26,7 @@ func TestMaxFlowKnownNetworks(t *testing.T) {
 		}
 	})
 	t.Run("series bottleneck", func(t *testing.T) {
-		g := NewNetwork(3)
+		g := newNetwork(3)
 		g.AddEdge(0, 1, 10, 0)
 		g.AddEdge(1, 2, 3, 0)
 		if got := g.MaxFlow(0, 2); got != 3 {
@@ -27,7 +34,7 @@ func TestMaxFlowKnownNetworks(t *testing.T) {
 		}
 	})
 	t.Run("parallel paths", func(t *testing.T) {
-		g := NewNetwork(4)
+		g := newNetwork(4)
 		g.AddEdge(0, 1, 4, 0)
 		g.AddEdge(0, 2, 3, 0)
 		g.AddEdge(1, 3, 2, 0)
@@ -38,7 +45,7 @@ func TestMaxFlowKnownNetworks(t *testing.T) {
 	})
 	t.Run("classic CLRS network", func(t *testing.T) {
 		// Cormen et al. Fig 26.1: max flow 23.
-		g := NewNetwork(6)
+		g := newNetwork(6)
 		g.AddEdge(0, 1, 16, 0)
 		g.AddEdge(0, 2, 13, 0)
 		g.AddEdge(1, 2, 10, 0)
@@ -54,7 +61,7 @@ func TestMaxFlowKnownNetworks(t *testing.T) {
 		}
 	})
 	t.Run("disconnected", func(t *testing.T) {
-		g := NewNetwork(4)
+		g := newNetwork(4)
 		g.AddEdge(0, 1, 7, 0)
 		g.AddEdge(2, 3, 7, 0)
 		if got := g.MaxFlow(0, 3); got != 0 {
@@ -62,7 +69,7 @@ func TestMaxFlowKnownNetworks(t *testing.T) {
 		}
 	})
 	t.Run("source equals sink", func(t *testing.T) {
-		g := NewNetwork(2)
+		g := newNetwork(2)
 		g.AddEdge(0, 1, 1, 0)
 		if got := g.MaxFlow(0, 0); got != 0 {
 			t.Fatalf("flow = %d, want 0", got)
@@ -109,7 +116,7 @@ func TestMaxFlowMatchesBruteForceMatching(t *testing.T) {
 		}
 		want := bruteMaxMatching(nL, nR, adj)
 
-		g := NewNetwork(nL + nR + 2)
+		g := newNetwork(nL + nR + 2)
 		s, tt := 0, nL+nR+1
 		for l := 0; l < nL; l++ {
 			g.AddEdge(s, 1+l, 1, 0)
@@ -171,7 +178,7 @@ func TestMinCostMaxFlowOptimalOnRandomBipartite(t *testing.T) {
 		}
 		wantSize, wantCost := bruteMinCostMaxMatching(nL, nR, cost)
 
-		g := NewNetwork(nL + nR + 2)
+		g := newNetwork(nL + nR + 2)
 		s, tt := 0, nL+nR+1
 		for l := 0; l < nL; l++ {
 			g.AddEdge(s, 1+l, 1, 0)
@@ -195,7 +202,7 @@ func TestMinCostMaxFlowOptimalOnRandomBipartite(t *testing.T) {
 func TestMinCostPrefersCheapPath(t *testing.T) {
 	// A unit super-source edge bottlenecks the flow to 1; of the two
 	// parallel paths the cheap one must carry it.
-	g := NewNetwork(5)
+	g := newNetwork(5)
 	g.AddEdge(4, 0, 1, 0) // bottleneck
 	g.AddEdge(0, 1, 1, 0.9)
 	cheap := g.AddEdge(0, 2, 1, 0.1)
@@ -217,7 +224,7 @@ func TestMinCostNeverSacrificesFlow(t *testing.T) {
 	// A tempting cheap edge must not prevent maximum cardinality:
 	// L0 can serve R0 (cheap) or R1 (expensive); L1 can only serve R0.
 	// Max matching = 2 requires L0→R1 even though L0→R0 is cheaper.
-	g := NewNetwork(6)
+	g := newNetwork(6)
 	s, tt := 0, 5
 	g.AddEdge(s, 1, 1, 0) // L0
 	g.AddEdge(s, 2, 1, 0) // L1
@@ -241,7 +248,7 @@ func TestFlowConservationProperty(t *testing.T) {
 	rng := randx.New(31)
 	for trial := 0; trial < 20; trial++ {
 		n := 6 + rng.Intn(6)
-		g := NewNetwork(n)
+		g := newNetwork(n)
 		type edgeRec struct{ id, u, v, cap int }
 		var recs []edgeRec
 		for u := 0; u < n; u++ {
@@ -293,8 +300,8 @@ func TestMCMFFlowEqualsMaxFlow(t *testing.T) {
 				}
 			}
 		}
-		g1 := NewNetwork(n)
-		g2 := NewNetwork(n)
+		g1 := newNetwork(n)
+		g2 := newNetwork(n)
 		for _, ed := range edges {
 			g1.AddEdge(ed.u, ed.v, ed.c, ed.w)
 			g2.AddEdge(ed.u, ed.v, ed.c, ed.w)
@@ -308,7 +315,7 @@ func TestMCMFFlowEqualsMaxFlow(t *testing.T) {
 }
 
 func TestMinCostMaxFlowSourceEqualsSink(t *testing.T) {
-	g := NewNetwork(2)
+	g := newNetwork(2)
 	g.AddEdge(0, 1, 1, 0.5)
 	f, c := g.MinCostMaxFlow(1, 1)
 	if f != 0 || c != 0 {

@@ -18,17 +18,48 @@ type edge struct {
 	cost float64
 }
 
-// Network is a flow network under construction. The zero value is not
-// usable; create one with NewNetwork.
+// Network is a flow network under construction. The zero value is an
+// empty network over no nodes; Reset sizes it. A Network keeps its edge
+// arrays and its solvers' scratch across Reset, so one reused Network
+// solves a stream of networks without allocating once it has grown to
+// the largest of them.
 type Network struct {
 	n     int
 	edges []edge
 	head  [][]int32 // head[u] lists edge ids leaving u
+
+	// Solver scratch, sized to n on each solve: MinCostMaxFlow uses
+	// potential, dist, visited, prevEdge and pq; MinCostFlowNonPositive
+	// uses dist, visited (as its in-queue mark), prevEdge and queue;
+	// MaxFlow uses level, iter and queue.
+	potential, dist    []float64
+	visited            []bool
+	prevEdge           []int32
+	level, iter, queue []int32
+	pq                 minHeap
 }
 
-// NewNetwork returns an empty network over n nodes.
-func NewNetwork(n int) *Network {
-	return &Network{n: n, head: make([][]int32, n)}
+// Reset empties the network and sizes it to n nodes, keeping the
+// capacity of the edge array and of every adjacency list.
+func (g *Network) Reset(n int) {
+	g.n = n
+	g.edges = g.edges[:0]
+	if cap(g.head) < n {
+		g.head = append(g.head[:cap(g.head)], make([][]int32, n-cap(g.head))...)
+	}
+	g.head = g.head[:n]
+	for u := range g.head {
+		g.head[u] = g.head[u][:0]
+	}
+}
+
+// sized returns s with length n, reusing its backing array when it is
+// large enough. The contents are stale; callers initialize them.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AddEdge adds a directed edge u→v with the given capacity and cost and
@@ -53,20 +84,21 @@ func (g *Network) MaxFlow(s, t int) int {
 	if s == t {
 		return 0
 	}
-	level := make([]int32, g.n)
-	iter := make([]int32, g.n)
-	queue := make([]int32, 0, g.n)
+	g.level = sized(g.level, g.n)
+	g.iter = sized(g.iter, g.n)
+	g.queue = sized(g.queue, g.n)
+	level, iter := g.level, g.iter
 	total := 0
 	for {
-		// BFS level graph.
+		// BFS level graph. Each node is queued at most once, so the
+		// queue is walked by index over n slots.
 		for i := range level {
 			level[i] = -1
 		}
 		level[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue := append(g.queue[:0], int32(s))
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
 			for _, id := range g.head[u] {
 				e := &g.edges[id]
 				if e.cap > 0 && level[e.to] < 0 {

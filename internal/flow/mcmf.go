@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // MinCostMaxFlow computes the minimum-cost maximum s→t flow via
 // successive shortest augmenting paths, using Dijkstra on reduced costs
@@ -20,11 +17,13 @@ func (g *Network) MinCostMaxFlow(s, t int) (flow int, cost float64) {
 		return 0, 0
 	}
 	n := g.n
-	potential := make([]float64, n)
-	dist := make([]float64, n)
-	visited := make([]bool, n)
-	prevEdge := make([]int32, n)
-	pq := &floatHeap{}
+	g.potential = sized(g.potential, n)
+	g.dist = sized(g.dist, n)
+	g.visited = sized(g.visited, n)
+	g.prevEdge = sized(g.prevEdge, n)
+	potential, dist, visited, prevEdge := g.potential, g.dist, g.visited, g.prevEdge
+	clear(potential)
+	pq := &g.pq
 
 	for {
 		for i := range dist {
@@ -34,9 +33,9 @@ func (g *Network) MinCostMaxFlow(s, t int) (flow int, cost float64) {
 		}
 		dist[s] = 0
 		pq.items = pq.items[:0]
-		heap.Push(pq, heapItem{node: int32(s), dist: 0})
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(heapItem)
+		pq.push(heapItem{node: int32(s), dist: 0})
+		for len(pq.items) > 0 {
+			it := pq.pop()
 			u := int(it.node)
 			if visited[u] {
 				continue
@@ -59,7 +58,7 @@ func (g *Network) MinCostMaxFlow(s, t int) (flow int, cost float64) {
 				if nd < dist[v] {
 					dist[v] = nd
 					prevEdge[v] = id
-					heap.Push(pq, heapItem{node: e.to, dist: nd})
+					pq.push(heapItem{node: e.to, dist: nd})
 				}
 			}
 		}
@@ -102,18 +101,53 @@ type heapItem struct {
 	dist float64
 }
 
-type floatHeap struct {
+// minHeap is a binary min-heap of heapItems ordered by dist. push and
+// pop follow container/heap's Push and Pop (its up and down sift rules,
+// comparison for comparison), so items of equal dist pop in exactly the
+// order container/heap would pop them, without boxing each item in an
+// interface.
+type minHeap struct {
 	items []heapItem
 }
 
-func (h *floatHeap) Len() int           { return len(h.items) }
-func (h *floatHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *floatHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *floatHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *floatHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
+// push appends it and sifts it up (container/heap's up).
+func (h *minHeap) push(it heapItem) {
+	h.items = append(h.items, it)
+	items := h.items
+	j := len(items) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(items[j].dist < items[i].dist) {
+			break
+		}
+		items[i], items[j] = items[j], items[i]
+		j = i
+	}
+}
+
+// pop swaps the root with the last item, sifts the new root down over
+// the rest (container/heap's down) and removes the old root.
+func (h *minHeap) pop() heapItem {
+	items := h.items
+	n := len(items) - 1
+	items[0], items[n] = items[n], items[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && items[j2].dist < items[j1].dist {
+			j = j2 // right child
+		}
+		if !(items[j].dist < items[i].dist) {
+			break
+		}
+		items[i], items[j] = items[j], items[i]
+		i = j
+	}
+	it := items[n]
+	h.items = items[:n]
 	return it
 }

@@ -96,7 +96,7 @@ func TestSPFAMatchesDijkstraMCMF(t *testing.T) {
 			}
 		}
 		build := func() (*Network, int, int) {
-			g := NewNetwork(nL + nR + 2)
+			g := newNetwork(nL + nR + 2)
 			s, tt := 0, nL+nR+1
 			for l := 0; l < nL; l++ {
 				g.AddEdge(s, 1+l, 1, 0)
@@ -141,7 +141,7 @@ func TestSPFAOnGeneralNetworks(t *testing.T) {
 			}
 		}
 		build := func() *Network {
-			g := NewNetwork(n)
+			g := newNetwork(n)
 			for _, ed := range edges {
 				g.AddEdge(ed.u, ed.v, ed.c, ed.w)
 			}
@@ -156,7 +156,7 @@ func TestSPFAOnGeneralNetworks(t *testing.T) {
 }
 
 func TestSPFASourceEqualsSink(t *testing.T) {
-	g := NewNetwork(2)
+	g := newNetwork(2)
 	g.AddEdge(0, 1, 1, 0.5)
 	if f, c := g.MinCostMaxFlowSPFA(0, 0); f != 0 || c != 0 {
 		t.Errorf("s==t: flow %d cost %v", f, c)

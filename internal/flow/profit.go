@@ -21,10 +21,11 @@ func (g *Network) MinCostFlowNonPositive(s, t int) (flow int, cost float64) {
 		return 0, 0
 	}
 	n := g.n
-	dist := make([]float64, n)
-	inQueue := make([]bool, n)
-	prevEdge := make([]int32, n)
-	queue := make([]int32, 0, n)
+	g.dist = sized(g.dist, n)
+	g.visited = sized(g.visited, n)
+	g.prevEdge = sized(g.prevEdge, n)
+	g.queue = sized(g.queue, n)
+	dist, inQueue, prevEdge, queue := g.dist, g.visited, g.prevEdge, g.queue
 
 	for {
 		for i := range dist {
@@ -33,11 +34,18 @@ func (g *Network) MinCostFlowNonPositive(s, t int) (flow int, cost float64) {
 			prevEdge[i] = -1
 		}
 		dist[s] = 0
-		queue = append(queue[:0], int32(s))
+		// FIFO ring over n slots: the in-queue mark keeps at most n
+		// nodes queued at once.
+		queue[0] = int32(s)
+		qHead, qLen := 0, 1
 		inQueue[s] = true
-		for len(queue) > 0 {
-			u := int(queue[0])
-			queue = queue[1:]
+		for qLen > 0 {
+			u := int(queue[qHead])
+			qHead++
+			if qHead == n {
+				qHead = 0
+			}
+			qLen--
 			inQueue[u] = false
 			du := dist[u]
 			for _, id := range g.head[u] {
@@ -51,7 +59,8 @@ func (g *Network) MinCostFlowNonPositive(s, t int) (flow int, cost float64) {
 					prevEdge[v] = id
 					if !inQueue[v] {
 						inQueue[v] = true
-						queue = append(queue, e.to)
+						queue[(qHead+qLen)%n] = e.to
+						qLen++
 					}
 				}
 			}

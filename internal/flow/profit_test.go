@@ -51,7 +51,7 @@ func TestMinCostFlowNonPositiveMaxWeightMatching(t *testing.T) {
 				}
 			}
 		}
-		g := NewNetwork(nW + nT + 2)
+		g := newNetwork(nW + nT + 2)
 		s, snk := 0, nW+nT+1
 		for i := 0; i < nW; i++ {
 			g.AddEdge(s, 1+i, 1, 0)
@@ -98,7 +98,7 @@ func TestMinCostFlowNonPositiveMaxWeightMatching(t *testing.T) {
 // variant degrades to plain max flow rather than assigning nothing.
 func TestMinCostFlowNonPositiveTakesZeroCostPaths(t *testing.T) {
 	build := func() (*Network, int, int) {
-		g := NewNetwork(6)
+		g := newNetwork(6)
 		g.AddEdge(0, 1, 1, 0)
 		g.AddEdge(0, 2, 1, 0)
 		g.AddEdge(3, 5, 1, 0)
