@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
 	"dita/internal/randx"
@@ -194,18 +195,6 @@ func (r solveResult) hash(h hash.Hash64) {
 	}
 }
 
-func (r solveResult) equal(o solveResult) bool {
-	if r.flow != o.flow || r.cost != o.cost || len(r.flows) != len(o.flows) {
-		return false
-	}
-	for i := range r.flows {
-		if r.flows[i] != o.flows[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // exactSolvers are the three solvers as the assignment algorithms call
 // them: IA/EIA/DIA (MinCostMaxFlow on positive costs), MIX
 // (MinCostFlowNonPositive on negated weights) and MTA (MaxFlow).
@@ -235,8 +224,8 @@ func TestFlowExactOrderBoxedReference(t *testing.T) {
 		s, tt = c.build(ref, 1)
 		f, cost = ref.minCostMaxFlowBoxed(s, tt)
 		want := result(ref, f, cost)
-		if !got.equal(want) {
-			t.Fatalf("trial %d (%dx%d, %d pairs, tied %v): typed heap (%d, %v) vs container/heap (%d, %v), or edge flows differ",
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%dx%d, %d pairs, tied %v): typed heap (%d, %v) and container/heap (%d, %v) differ in flow, cost or edge flows",
 				trial, c.nL, c.nR, len(c.pairs), trial%2 == 0,
 				got.flow, math.Float64frombits(got.cost), want.flow, math.Float64frombits(want.cost))
 		}
@@ -270,7 +259,7 @@ func TestFlowExactOrderGolden(t *testing.T) {
 			fresh := new(Network)
 			s, tt = c.build(fresh, sv.sign)
 			f, cost = sv.solve(fresh, s, tt)
-			if !got.equal(result(fresh, f, cost)) {
+			if !reflect.DeepEqual(got, result(fresh, f, cost)) {
 				t.Fatalf("trial %d (%dx%d, %d pairs): %s on a reused Network differs from a fresh one",
 					trial, c.nL, c.nR, len(c.pairs), sv.name)
 			}
