@@ -83,7 +83,7 @@ type (
 	// only where its feasible pairs read it. Open one with
 	// Framework.PrepareSession and call PreparePairs with the instant's
 	// feasible pairs; on those pairs the evaluators are bit-identical to
-	// cold Framework.Prepare ones for the same seed.
+	// those of a fresh single-use session for the same seed.
 	Session = core.Session
 )
 

@@ -48,7 +48,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Ablation masks through the facade, sharing one feasibility scan.
 	for _, mask := range []dita.Components{dita.All, dita.WP, dita.AP, dita.AW} {
-		ev := fw.Prepare(inst, mask, 2)
+		ev := fw.PrepareSession(mask, 2, 0).PreparePairs(inst, pairs)
 		set, _, _ := fw.AssignPreparedPairsTiled(inst, ev, dita.IA, pairs, 1)
 		if set.Len() == 0 {
 			t.Errorf("mask %v assigned nothing", mask)

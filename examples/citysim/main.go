@@ -75,8 +75,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("snapshot day %d: %v", day, err)
 		}
-		ev := fw.Prepare(inst, dita.All, uint64(day))
 		pairs := dita.FeasiblePairs(inst, fw.Speed())
+		ev := fw.PrepareSession(dita.All, uint64(day), 0).PreparePairs(inst, pairs)
 		fmt.Printf("day %d — %d workers, %d tasks, %d feasible pairs\n",
 			day, len(inst.Workers), len(inst.Tasks), len(pairs))
 		fmt.Printf("  %-5s %9s %9s %9s %11s %10s\n",

@@ -119,7 +119,16 @@ func main() {
 		},
 	}
 
-	ev := fw.Prepare(inst, influence.All, 1)
+	// The table below prints every worker-task pair, feasible or not, so
+	// influence is prepared over the whole cross product: an evaluator
+	// answers only the pairs it was prepared for.
+	var cross []assign.Pair
+	for wIdx := range inst.Workers {
+		for tIdx := range inst.Tasks {
+			cross = append(cross, assign.Pair{W: int32(wIdx), T: int32(tIdx)})
+		}
+	}
+	ev := fw.PrepareSession(influence.All, 1, 0).PreparePairs(inst, cross)
 
 	fmt.Println("Worker-task influence at t2 (rows: tasks s4, s5):")
 	fmt.Printf("%8s", "")

@@ -237,21 +237,6 @@ type Metrics struct {
 	NumTasks   int           `json:"num_tasks"`
 }
 
-// Prepare computes the influence evaluator for an instance under a
-// component mask: it scans the instance's feasible pairs
-// (assign.FeasiblePairs) and prepares influence over exactly those, so
-// the evaluator is valid on every feasible pair and on no other. The
-// evaluator is reusable across algorithms; building it is the
-// "worker-task influence modeling" phase of DITA and is deliberately
-// excluded from the assignment CPU-time metric, matching the paper's
-// phase split. Prepare runs a single-use Session, so every call
-// recomputes the instance's influence state from the trained models;
-// streaming callers that run many instants with carry-over pools should
-// hold a Session (PrepareSession) instead.
-func (f *Framework) Prepare(inst *model.Instance, comps influence.Components, seed uint64) *influence.Evaluator {
-	return f.PrepareSession(comps, seed, 0).Prepare(inst)
-}
-
 // Session carries the online phase's influence-modeling state across
 // assignment instants: per-task folded topic vectors and willingness
 // rows (filled on demand where feasible pairs read them), and per-worker
@@ -259,7 +244,10 @@ func (f *Framework) Prepare(inst *model.Instance, comps influence.Components, se
 // An instant pays only for newly arrived tasks and workers and for
 // willingness entries no earlier instant filled; state for entities that
 // left the pool is evicted. On every prepared pair the evaluators are
-// bit-identical to a fresh session's for the same seed.
+// bit-identical to a fresh session's for the same seed. A single-use
+// session (PrepareSession(...).Prepare) is the cold form. Preparing is
+// the "worker-task influence modeling" phase of DITA, excluded from the
+// assignment CPU-time metric as in the paper's phase split.
 type Session struct {
 	is    *influence.Session
 	speed float64
@@ -289,14 +277,9 @@ func (s *Session) PreparePairs(inst *model.Instance, pairs []assign.Pair) *influ
 	return s.is.Evaluate(inst, pairs)
 }
 
-// WilEntries returns how many willingness entries the last
-// PreparePairs or Sync computed (see influence.Session.WilEntries).
+// WilEntries returns how many willingness entries the last Prepare or
+// PreparePairs computed (see influence.Session.WilEntries).
 func (s *Session) WilEntries() int { return s.is.WilEntries() }
-
-// Sync maintains the session cache for an instant that runs no
-// assignment: arrivals are admitted ahead of the next round, departures
-// evicted (see influence.Session.Sync).
-func (s *Session) Sync(inst *model.Instance) { s.is.Sync(inst) }
 
 // SetCapacity bounds the session's per-entity influence caches to n
 // entries each with deterministic FIFO-by-admission eviction; n <= 0

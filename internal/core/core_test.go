@@ -98,8 +98,8 @@ func TestTrainedComponentsPresent(t *testing.T) {
 func TestAssignAllAlgorithmsValid(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
-	ev := fw.Prepare(inst, influence.All, 1)
 	pairs := assign.FeasiblePairs(inst, fw.Speed())
+	ev := fw.PrepareSession(influence.All, 1, 0).PreparePairs(inst, pairs)
 	for _, alg := range assign.Algorithms {
 		set, m, _ := fw.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 		if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
@@ -144,8 +144,8 @@ func TestMetricsConsistency(t *testing.T) {
 func TestFlowAlgorithmsAgreeOnCardinality(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
-	ev := fw.Prepare(inst, influence.All, 1)
 	pairs := assign.FeasiblePairs(inst, fw.Speed())
+	ev := fw.PrepareSession(influence.All, 1, 0).PreparePairs(inst, pairs)
 	_, mta, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.MTA, pairs, 1)
 	for _, alg := range []assign.Algorithm{assign.IA, assign.EIA, assign.DIA} {
 		_, m, _ := fw.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
@@ -171,8 +171,8 @@ func TestQualitativeOrderingOnRealPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := fw.Prepare(inst, influence.All, uint64(day))
 		pairs := assign.FeasiblePairs(inst, fw.Speed())
+		ev := fw.PrepareSession(influence.All, uint64(day), 0).PreparePairs(inst, pairs)
 		for _, alg := range assign.Algorithms {
 			_, m, _ := fw.AssignPreparedPairsTiled(inst, ev, alg, pairs, 1)
 			sum[alg].AI += m.AI
@@ -201,7 +201,7 @@ func TestAblationMasksChangeAssignments(t *testing.T) {
 	pairs := assign.FeasiblePairs(inst, fw.Speed())
 	ais := map[influence.Components]float64{}
 	for _, mask := range []influence.Components{influence.All, influence.WP, influence.AP, influence.AW} {
-		ev := fw.Prepare(inst, mask, 1)
+		ev := fw.PrepareSession(mask, 1, 0).PreparePairs(inst, pairs)
 		_, m, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, pairs, 1)
 		ais[mask] = m.AI
 		if m.Assigned == 0 {
@@ -263,7 +263,8 @@ func TestSessionAssignMatchesColdPath(t *testing.T) {
 func TestAssignPreparedPairsAuthoritative(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
-	ev := fw.Prepare(inst, influence.All, 1)
+	pairs := assign.FeasiblePairs(inst, fw.Speed())
+	ev := fw.PrepareSession(influence.All, 1, 0).PreparePairs(inst, pairs)
 
 	set, m, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, nil, 1)
 	if set.Len() != 0 || m.Feasible != 0 {
@@ -271,7 +272,6 @@ func TestAssignPreparedPairsAuthoritative(t *testing.T) {
 			set.Len(), m.Feasible)
 	}
 
-	pairs := assign.FeasiblePairs(inst, fw.Speed())
 	gotSet, gotM, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, pairs, 1)
 	wantSet, wantM := fw.Assign(inst, assign.IA, 1)
 	if !reflect.DeepEqual(gotSet, wantSet) {

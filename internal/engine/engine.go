@@ -8,8 +8,8 @@
 //
 // The engine applies an explicit event stream — WorkerArrive,
 // WorkerDepart, TaskArrive, TaskExpire — to the pools backing a
-// core.Session, and fires assignment instants (InstantFire) that
-// snapshot the pools, run the online phase through the session caches,
+// core.Session, and fires assignment instants (InstantFire) that read
+// the pools in place, run the online phase through the session caches,
 // solve the assignment and retire the matched pairs. Entities keep
 // platform-stable identities for their whole lifetime, which is the
 // contract the influence session's per-entity cache keys rely on. The
@@ -180,8 +180,8 @@ type Totals struct {
 }
 
 // AssignedPair is one matched pair of an instant in platform-stable
-// identities (where InstantResult.Pairs is positional into the instant's
-// snapshot): the task's and worker's lifetime platform ids, the worker's
+// identities (where InstantResult.Pairs is positional into the pools at
+// the instant): the task's and worker's lifetime platform ids, the worker's
 // social-graph user, and the realized influence and travel. This is the
 // form serving front-ends expose and the streaming assignment CSV
 // records.
@@ -200,11 +200,11 @@ type InstantResult struct {
 	OpenTasks     int
 	// Prepare is the online-phase latency of the instant: the time spent
 	// building the influence evaluator over the instant's feasible pairs
-	// (cached-session hits make this collapse for carried-over entities),
-	// or — on an instant with an empty pool side, where no assignment
-	// runs — the session's Sync, which is the same cache maintenance
-	// without an evaluator. Assignment time is in Metrics.CPU, matching
-	// the paper's phase split. Zero on a clockless engine.
+	// (cached-session hits make this collapse for carried-over entities).
+	// On an instant with an empty pool side there are no pairs, and this
+	// is the session's cache upkeep alone. Assignment time is in
+	// Metrics.CPU, matching the paper's phase split. Zero on a clockless
+	// engine.
 	Prepare time.Duration
 	// WilEntries counts the willingness entries (Equation 2 values) the
 	// instant computed; cached entries are not counted, so the engine's
@@ -212,20 +212,23 @@ type InstantResult struct {
 	// the same instant. Deterministic at any Parallelism.
 	WilEntries int
 	// PairMaint is the feasible-pair latency of the instant: the tiled
-	// scan of the instant's workers×tasks feasibility. Zero on an
-	// instant with an empty pool side, which scans nothing. Excluded
-	// from Metrics.CPU.
+	// scan of the instant's workers×tasks feasibility, which returns at
+	// once on an instant with an empty pool side. Excluded from
+	// Metrics.CPU. Zero on a clockless engine.
 	PairMaint time.Duration
-	Metrics   core.Metrics
+	// Metrics are the solve's metrics; Metrics.CPU is the solve's
+	// latency on the engine's Clock (zero on a clockless engine). An
+	// instant with an empty pool side solves nothing and reports only
+	// the algorithm and the pool sizes.
+	Metrics core.Metrics
 	// Tiles reports the instant's tiled-pipeline shape. Every busy
 	// instant sets it: the scan's occupied tile count, plus the
 	// feasibility graph's component stats when any pair is feasible.
 	Tiles assign.TileStats
 	// Expired counts tasks the instant's deadline sweep dropped.
 	Expired int
-	// Pairs are the instant's matched pairs referencing the instant's
-	// snapshot positionally (snapshot order == pool order at that
-	// instant).
+	// Pairs are the instant's matched pairs, positional into the pools
+	// as they stood at the instant (after its expiry sweep).
 	Pairs []model.Assignment
 	// Assigned are the same pairs in platform-stable identities.
 	Assigned []AssignedPair
@@ -414,19 +417,18 @@ func (e *Engine) clock() time.Duration {
 }
 
 // Fire runs one assignment instant at simulation time now: sweep overdue
-// tasks, snapshot the pools, scan the feasible pairs, prepare the
-// influence evaluator over exactly those pairs through the session,
-// solve, and retire the matched pairs. An instant with an empty
-// pool side runs no assignment but still syncs the session caches —
+// tasks, scan the feasible pairs, prepare the influence evaluator over
+// exactly those pairs through the session, solve, and retire the matched
+// pairs. An instant with an empty pool side takes the same path: it
+// scans no pair and solves nothing, so preparing is pure cache upkeep —
 // admitting arrivals ahead of the next busy instant and evicting
-// departures — with that maintenance cost timed into Prepare exactly as
-// a busy instant's would be.
+// departures — timed into Prepare as a busy instant's would be.
 func (e *Engine) Fire(now float64) InstantResult {
 	e.pending = 0
 	e.totals.Instants++
 
 	// Expire stale tasks, then drop them with the withdrawn ones. The
-	// sweep runs before the snapshot so an instant never offers a task
+	// sweep runs before the scan so an instant never offers a task
 	// that is already past its deadline. A withdrawn task is skipped
 	// before its deadline is checked: it was counted as Cancelled, never
 	// as Expired.
@@ -445,24 +447,18 @@ func (e *Engine) Fire(now float64) InstantResult {
 		e.deadW = 0
 	}
 
-	if len(e.workers) == 0 || len(e.tasks) == 0 {
-		inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
-		t0 := e.clock()
-		e.sess.Sync(inst)
-		return InstantResult{
-			At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
-			Prepare: e.clock() - t0, WilEntries: e.sess.WilEntries(),
-			Expired: expired,
-		}
-	}
-
-	inst := e.instance(now)
+	// The instance aliases the pools: nothing edits them before retire,
+	// which runs after the last read of inst, and no result refers to
+	// it. Position i of the instance is position i of the pool, the
+	// mapping stablePairs and retire rely on.
+	inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
 	t0 := e.clock()
 	pairs, tiles := assign.TiledFeasiblePairs(inst, e.fw.Speed(), e.cfg.Parallelism)
 	t1 := e.clock()
 	ev := e.sess.PreparePairs(inst, pairs)
 	t2 := e.clock()
 	set, m, ts := e.fw.AssignPreparedPairsTiled(inst, ev, e.cfg.Algorithm, pairs, e.cfg.Parallelism)
+	m.CPU = e.clock() - t2
 	ts.Tiles = tiles
 	ir := InstantResult{
 		At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
@@ -475,18 +471,8 @@ func (e *Engine) Fire(now float64) InstantResult {
 	return ir
 }
 
-// instance materializes the current pool as a model.Instance. Entities
-// keep their stable platform ids; position i of the instance is position
-// i of the pool, which is the instance-local mapping retire relies on.
-func (e *Engine) instance(now float64) *model.Instance {
-	inst := &model.Instance{Now: now}
-	inst.Workers = append([]model.Worker(nil), e.workers...)
-	inst.Tasks = append([]model.Task(nil), e.tasks...)
-	return inst
-}
-
 // stablePairs translates the instant's positional assignment into
-// platform-stable identities using the instant's snapshot.
+// platform-stable identities using the instant's instance.
 func stablePairs(inst *model.Instance, set *model.AssignmentSet) []AssignedPair {
 	if set.Len() == 0 {
 		return nil
@@ -505,7 +491,7 @@ func stablePairs(inst *model.Instance, set *model.AssignmentSet) []AssignedPair 
 
 // retire removes assigned workers and tasks from the pool (workers go
 // offline once assigned, tasks are served once). Pairs index the
-// instant's snapshot, whose order equals pool order. It runs with no
+// instant's instance, whose order is pool order. It runs with no
 // tombstone set, marks the matched entities and compacts, so the hot
 // loop allocates nothing once the pools reach steady size.
 func (e *Engine) retire(set *model.AssignmentSet) {

@@ -3,8 +3,10 @@ package engine_test
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -396,6 +398,136 @@ func TestEnginePoolChurn(t *testing.T) {
 	}
 }
 
+// TestEngineInstantReadsPoolsInPlace proves Fire safe to read the pools
+// in place rather than from a copy. A random churn of arrivals,
+// departures, withdrawals, deadline expiries and retirements runs
+// against a shadow of the live entities. At every instant each
+// positional pair must name, in the shadow's id-ordered pools after the
+// deadline sweep, the worker and task its stable form reports. At the
+// end of the run every stored result must still deep-equal the copy
+// taken when Fire returned it: no later pool edit reaches a result.
+func TestEngineInstantReadsPoolsInPlace(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 300, 29)
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(31)
+	liveW := map[model.WorkerID]engine.WorkerArrival{}
+	liveT := map[model.TaskID]engine.TaskArrival{}
+	var nW, nT, idle, matched int
+	var results, copies []engine.InstantResult
+	now := 120.0
+	for step := 0; step < 1500; step++ {
+		switch k := rng.Intn(10); {
+		case k < 3 && nW < len(ws):
+			ap, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: ws[nW]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveW[ap.WorkerID] = ws[nW]
+			nW++
+		case k < 6 && nT < len(ts):
+			task := ts[nT]
+			task.Publish = now
+			ap, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: task})
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveT[ap.TaskID] = task
+			nT++
+		case k < 7:
+			id := model.WorkerID(rng.Intn(nW + 1))
+			if _, live := liveW[id]; live {
+				if _, err := e.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: id}); err != nil {
+					t.Fatal(err)
+				}
+				delete(liveW, id)
+			}
+		case k < 8:
+			id := model.TaskID(rng.Intn(nT + 1))
+			if _, live := liveT[id]; live {
+				if _, err := e.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: id}); err != nil {
+					t.Fatal(err)
+				}
+				delete(liveT, id)
+			}
+		default:
+			now += 0.5
+			for id, task := range liveT {
+				if task.Publish+task.Valid < now {
+					delete(liveT, id)
+				}
+			}
+			poolW := slices.Sorted(maps.Keys(liveW))
+			poolT := slices.Sorted(maps.Keys(liveT))
+			ir := e.Fire(now)
+			if ir.OnlineWorkers != len(poolW) || ir.OpenTasks != len(poolT) {
+				t.Fatalf("step %d: instant saw %d/%d pooled, shadow holds %d/%d",
+					step, ir.OnlineWorkers, ir.OpenTasks, len(poolW), len(poolT))
+			}
+			if len(poolW) == 0 || len(poolT) == 0 {
+				idle++
+			}
+			for k, pr := range ir.Pairs {
+				a := ir.Assigned[k]
+				if poolW[pr.Worker] != a.Worker || poolT[pr.Task] != a.Task || liveW[a.Worker].User != a.User {
+					t.Fatalf("step %d: pair %d at positions (%d,%d) reports worker %d (user %d), task %d; the pools there hold worker %d (user %d), task %d",
+						step, k, pr.Worker, pr.Task, a.Worker, a.User, a.Task, poolW[pr.Worker], liveW[poolW[pr.Worker]].User, poolT[pr.Task])
+				}
+				delete(liveW, a.Worker)
+				delete(liveT, a.Task)
+				matched++
+			}
+			c := ir
+			c.Pairs = slices.Clone(ir.Pairs)
+			c.Assigned = slices.Clone(ir.Assigned)
+			results, copies = append(results, ir), append(copies, c)
+		}
+	}
+	tot := e.Totals()
+	if idle == 0 || matched == 0 || tot.Departed == 0 || tot.Cancelled == 0 || tot.Expired == 0 {
+		t.Fatalf("%d idle instants, %d matched pairs, totals %+v: the churn left an outcome unexercised", idle, matched, tot)
+	}
+	for i := range results {
+		if !reflect.DeepEqual(results[i], copies[i]) {
+			t.Fatalf("instant %d (at %v) changed after Fire returned it", i, results[i].At)
+		}
+	}
+}
+
+// TestEngineClocklessLatenciesZero: a clockless engine records zero
+// latencies, the solve's included, so two clockless replays of one
+// stream are DeepEqual as they stand.
+func TestEngineClocklessLatenciesZero(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 50, 11)
+	g := engine.Grid{Start: 120, Step: 2, Horizon: 16}
+	var runs [2][]engine.InstantResult
+	for r := range runs {
+		e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[r] = replayGrid(t, e, false, ws, ts, g)
+	}
+	assigned := 0
+	for _, ir := range runs[0] {
+		if ir.Prepare != 0 || ir.PairMaint != 0 || ir.Metrics.CPU != 0 {
+			t.Fatalf("instant at %v: Prepare %v, PairMaint %v, Metrics.CPU %v on a clockless engine",
+				ir.At, ir.Prepare, ir.PairMaint, ir.Metrics.CPU)
+		}
+		assigned += len(ir.Assigned)
+	}
+	if assigned == 0 {
+		t.Fatal("replay assigned nothing; no solve was timed")
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("two clockless replays of one stream differ")
+	}
+}
+
 // TestEngineRejectsInvalidArrivals: an arrival the engine refuses — a
 // user outside the social graph, a category outside the LDA vocabulary,
 // a negative or NaN radius, a zero, negative or NaN validity — fails
@@ -540,7 +672,7 @@ func TestSessionMatchesColdPrepareStreaming(t *testing.T) {
 // lifetimes, retirements at every matching instant), the warm session
 // with its per-instant tiled pair scan must produce results identical to
 // the cold reference at Parallelism 1, 2 and 8. Empty-pool instants must
-// still time the session's cache Sync, and the session's carry-over
+// still time the session's cache upkeep, and the session's carry-over
 // state must stay bounded by the live pool.
 func TestSessionMatchesColdPrepareChurn(t *testing.T) {
 	fw, data := testFramework(t)
@@ -598,18 +730,22 @@ func TestSessionMatchesColdPrepareChurn(t *testing.T) {
 // checkInstantShape asserts what a warm run's instants report beyond
 // their assignments. Every busy instant scanned its pairs through the
 // tiling, so it reports an occupied tile count, and component stats
-// whenever a pair is feasible. Instants with an empty pool side run no
-// assignment but still sync the session caches; that work must land in
-// Prepare, or the warm online phase would be under-reported on sparse
-// streams.
+// whenever a pair is feasible. Instants with an empty pool side match
+// nothing but still admit arrivals to the session caches and evict
+// departures; that work must land in Prepare, or the warm online phase
+// would be under-reported on sparse streams.
 func checkInstantShape(t *testing.T, instants []engine.InstantResult, par int) {
 	t.Helper()
 	busy, withTiles, empty := 0, 0, 0
-	var emptySync time.Duration
+	var emptyPrepare time.Duration
 	for _, in := range instants {
-		if in.Metrics.Algorithm == "" {
+		if in.OnlineWorkers == 0 || in.OpenTasks == 0 {
+			if in.Metrics.Feasible != 0 || len(in.Assigned) != 0 {
+				t.Fatalf("parallelism %d: instant at %v with an empty pool side reports %d feasible, %d assigned",
+					par, in.At, in.Metrics.Feasible, len(in.Assigned))
+			}
 			empty++
-			emptySync += in.Prepare
+			emptyPrepare += in.Prepare
 			continue
 		}
 		busy++
@@ -625,10 +761,10 @@ func checkInstantShape(t *testing.T, instants []engine.InstantResult, par int) {
 		t.Fatalf("parallelism %d: %d of %d busy instants report a tiling", par, withTiles, busy)
 	}
 	if empty == 0 {
-		t.Fatal("run has no empty-pool instants; the Sync-accounting gate needs some")
+		t.Fatal("run has no empty-pool instants; the cache-upkeep accounting gate needs some")
 	}
-	if emptySync == 0 {
-		t.Errorf("parallelism %d: empty-pool instants recorded zero Prepare: Session.Sync ran untimed", par)
+	if emptyPrepare == 0 {
+		t.Errorf("parallelism %d: empty-pool instants recorded zero Prepare: the cache upkeep ran untimed", par)
 	}
 }
 

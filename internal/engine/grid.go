@@ -58,7 +58,7 @@ func (g Grid) Events(ws []WorkerArrival, ts []TaskArrival, emit func(Event) erro
 // Replay applies the grid's events for the two arrival streams (each
 // ordered by time) and returns every instant's result; on an error, the
 // results of the instants fired before it. Each instant's expiry sweep
-// runs inside Fire, before its snapshot.
+// runs inside Fire, before its feasibility scan.
 func (e *Engine) Replay(g Grid, ws []WorkerArrival, ts []TaskArrival) ([]InstantResult, error) {
 	var out []InstantResult
 	err := g.Events(ws, ts, func(ev Event) error {

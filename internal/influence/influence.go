@@ -126,30 +126,22 @@ type rootCount struct {
 // once per instance (via Session.Evaluate) over the instance's feasible
 // pairs and share it across every assignment algorithm so all of them
 // price the same pairs identically.
+//
+// An Evaluator is a view: it holds per-position pointers into the
+// session's cached state and reads that state in place, so a
+// carried-over task or worker costs no copy. It stays valid on its
+// prepared pairs after later Evaluate calls: a filled willingness entry,
+// a theta and a root list never change once computed, and eviction only
+// drops the session's map entries, never the states themselves.
 type Evaluator struct {
 	comps Components
-
-	// users[w] is the graph/user id of instance worker w.
-	users []int32
-	// thetaW[w], thetaT[t]: topic distributions.
-	thetaW [][]float64
-	thetaT [][]float64
-	// wilRows[t][u] = Pwil(u, task t's location); float32 to halve the
-	// rows' footprint. Under lazy masks a row holds values only at the
-	// RRR roots of task t's prepared workers (nil for a task without
-	// pairs). Rows are owned by the session that built the evaluator, so
-	// a carried-over task costs no copy.
-	wilRows [][]float32
-	// wilColSum[t] = Σ_u Pwil(u, t) — used by the AW mask where the
-	// propagation factor is neutral.
-	wilColSum []float64
-	// roots[w] lists (root, multiplicity) over RRR sets containing the
-	// instance worker w; scale converts a multiplicity into Ppro.
-	roots [][]rootCount
+	// scale converts an RRR multiplicity into Ppro.
 	scale float64
-	// propSum[w] = Σ_{wi≠ws} Ppro(ws, wi) for instance worker w — the AP
-	// numerator and the Average Propagation metric.
-	propSum []float64
+	// users[w] is the cached state of instance worker w's user.
+	users []*userState
+	// tasks[t] is the cached state of instance task t; nil under masks
+	// without affinity and willingness, which keep no task state.
+	tasks []*taskState
 }
 
 // willingnessModels returns the per-user willingness models limited to
@@ -253,32 +245,31 @@ func uniformTopics(k int) []float64 {
 // the evaluator was prepared for: willingness is filled only where those
 // pairs read it, so any other pair may return a wrong value.
 func (ev *Evaluator) Influence(w, t int) float64 {
+	us, ts := ev.users[w], ev.tasks[t]
 	aff := 1.0
 	if ev.comps&Affinity != 0 {
-		aff = lda.Affinity(ev.thetaW[w], ev.thetaT[t])
+		aff = lda.Affinity(us.theta, ts.theta)
 	}
 	var spread float64
 	switch {
 	case ev.comps&Propagation != 0 && ev.comps&Willingness != 0:
 		// Σ_{wi≠ws} Pwil(wi,s) · Ppro(ws,wi), via the RRR cover of ws.
-		row := ev.wilRows[t]
-		self := ev.users[w]
-		for _, rc := range ev.roots[w] {
-			if rc.root == self {
+		for _, rc := range us.roots {
+			if rc.root == us.u {
 				continue
 			}
 			p := ev.scale * float64(rc.count)
 			if p > 1 {
 				p = 1
 			}
-			spread += float64(row[rc.root]) * p
+			spread += float64(ts.row[rc.root]) * p
 		}
 	case ev.comps&Propagation != 0:
 		// Willingness neutral (IA-AP): Σ Ppro(ws, wi).
-		spread = ev.propSum[w]
+		spread = us.propSum
 	case ev.comps&Willingness != 0:
 		// Propagation neutral (IA-AW): Σ_{wi≠ws} Pwil(wi, s).
-		spread = ev.wilColSum[t] - float64(ev.wilRows[t][ev.users[w]])
+		spread = ts.colSum - float64(ts.row[us.u])
 	default:
 		// Neither spread factor: the influence degenerates to affinity.
 		spread = 1
@@ -288,4 +279,4 @@ func (ev *Evaluator) Influence(w, t int) float64 {
 
 // PropagationSum returns Σ_{wi≠ws} Ppro(ws, wi) for instance worker w —
 // the per-worker term of the Average Propagation metric (Equation 7).
-func (ev *Evaluator) PropagationSum(w int) float64 { return ev.propSum[w] }
+func (ev *Evaluator) PropagationSum(w int) float64 { return ev.users[w].propSum }

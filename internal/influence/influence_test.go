@@ -309,8 +309,18 @@ func TestDeterministicPrepare(t *testing.T) {
 func TestEvaluatorDimensions(t *testing.T) {
 	eng, inst := testWorld(t)
 	ev := coldPrepare(eng, inst, allPairs(inst), All, 7)
-	if len(ev.users) != len(inst.Workers) || len(ev.wilRows) != len(inst.Tasks) {
-		t.Errorf("dims %d×%d, want %d×%d", len(ev.users), len(ev.wilRows), len(inst.Workers), len(inst.Tasks))
+	if len(ev.users) != len(inst.Workers) || len(ev.tasks) != len(inst.Tasks) {
+		t.Fatalf("dims %d×%d, want %d×%d", len(ev.users), len(ev.tasks), len(inst.Workers), len(inst.Tasks))
+	}
+	for i, w := range inst.Workers {
+		if st := ev.users[i]; st == nil || st.u != int32(w.User) {
+			t.Errorf("worker %d points at the state of another user", i)
+		}
+	}
+	for j := range inst.Tasks {
+		if ev.tasks[j] == nil {
+			t.Errorf("task %d has no state under IA", j)
+		}
 	}
 	if ev.comps != All {
 		t.Errorf("components = %v", ev.comps)

@@ -47,7 +47,8 @@ import (
 
 // taskState is the cached per-task influence state: the task's folded
 // topic distribution (Affinity) and its willingness row over the social
-// network (Willingness). Under lazy masks (willingness and propagation)
+// network (Willingness; row[u] = Pwil(u, task location), float32 to
+// halve the rows' footprint). Under lazy masks (willingness and propagation)
 // row and filled are allocated at first use and filled[u>>6] bit u&63
 // marks row[u] as computed; under willingness-only masks row is dense
 // and colSum is its sum.
@@ -62,11 +63,14 @@ type taskState struct {
 }
 
 // userState is the cached per-worker influence state, keyed by the
-// worker's social-graph user id: the compacted RRR root list and the
-// propagation sum Σ_{wi≠ws} Ppro(ws, wi).
+// worker's social-graph user id u: the user's topic mixture (theta; the
+// session's uniform mixture for a user without history), the compacted
+// RRR root list and the propagation sum Σ_{wi≠ws} Ppro(ws, wi).
 type userState struct {
 	gen     uint64
 	seq     uint64 // admission order, for capacity eviction
+	u       int32
+	theta   []float64
 	roots   []rootCount
 	propSum float64
 }
@@ -108,27 +112,25 @@ type Session struct {
 	// models are the engine's truncated per-user willingness models
 	// (nil under masks without willingness).
 	models []*mobility.WorkerModel
-	tasks  map[uint64]*taskState
-	users  map[int32]*userState
-	// wilEntries counts the willingness entries the last Evaluate or
-	// Sync computed.
+	// uniform is the topic mixture of users without history, shared by
+	// their states (nil under masks without affinity).
+	uniform []float64
+	tasks   map[uint64]*taskState
+	users   map[int32]*userState
+	// wilEntries counts the willingness entries the last Evaluate
+	// computed.
 	wilEntries int
 
 	// pendT/pendU are reusable scratch lists of cache misses; the
 	// parallel fresh-work phase iterates them by index.
 	pendT []pendingTask
-	pendU []pendingUser
+	pendU []*userState
 }
 
 type pendingTask struct {
 	key uint64
 	j   int // position in the current instance
 	st  *taskState
-}
-
-type pendingUser struct {
-	u  int32
-	st *userState
 }
 
 // NewSession returns an empty session for the given component mask and
@@ -148,6 +150,9 @@ func (e *Engine) NewSession(comps Components, seed uint64, parallelism int) *Ses
 	if n := e.Prop.NumSets(); n > 0 {
 		s.scale = float64(e.Prop.Graph().N()) / float64(n)
 	}
+	if comps&Affinity != 0 {
+		s.uniform = uniformTopics(e.LDA.Topics())
+	}
 	if comps&Willingness != 0 {
 		s.models = e.willingnessModels(s.par)
 	}
@@ -163,7 +168,7 @@ func (s *Session) CachedTasks() int { return len(s.tasks) }
 func (s *Session) CachedWorkers() int { return len(s.users) }
 
 // WilEntries returns how many willingness entries (Equation 2 values)
-// the last Evaluate or Sync computed: the on-demand entries of lazy
+// the last Evaluate computed: the on-demand entries of lazy
 // rows, or one dense row per newly admitted task under willingness-only
 // masks. Entries served from cache are not counted, so a warm session
 // reports at most what a fresh session would for the same instant.
@@ -181,14 +186,17 @@ func (s *Session) WilEntries() int { return s.wilEntries }
 // randomness is keyed by stable identity, not by which instant computed
 // it. Adversarial streams — entities that arrive, never match and never
 // leave — therefore hold at most n entries per cache instead of growing
-// with the live pool. Takes effect at the next Evaluate/Sync.
+// with the live pool. Takes effect at the next Evaluate.
 func (s *Session) SetCapacity(n int) { s.capacity = n }
 
 // Evaluate returns the evaluator for one assignment instant over its
 // feasible pairs, reusing cached state for every task and worker seen at
 // an earlier instant and computing fresh state — in deterministic
 // parallel chunks — for the rest. State for tasks and workers absent
-// from inst is evicted.
+// from inst is evicted. With no pairs (an instant with an empty pool
+// side) it is pure cache upkeep: arrivals are admitted ahead of the next
+// assignment round and departures evicted, and lazy willingness rows are
+// left for the instant whose pairs read them.
 //
 // The evaluator is valid only on pairs: under lazy masks willingness is
 // filled only where those pairs read it, so querying any other pair may
@@ -200,108 +208,56 @@ func (s *Session) SetCapacity(n int) { s.capacity = n }
 // task (location and categories), which is exactly what the streaming
 // simulator's platform-level identities provide.
 func (s *Session) Evaluate(inst *model.Instance, pairs []assign.Pair) *Evaluator {
-	nW, nT := len(inst.Workers), len(inst.Tasks)
 	s.gen++
-
-	ev := &Evaluator{comps: s.comps}
-	ev.users = make([]int32, nW)
-	for i, w := range inst.Workers {
-		ev.users[i] = int32(w.User)
+	ev := &Evaluator{
+		comps: s.comps,
+		scale: s.scale,
+		users: make([]*userState, len(inst.Workers)),
+		tasks: make([]*taskState, len(inst.Tasks)),
 	}
-
-	s.admitUsers(ev.users)
-	s.admitTasks(inst)
-
-	sts := make([]*taskState, nT)
-	if s.comps&(Affinity|Willingness) != 0 {
-		for j := range inst.Tasks {
-			sts[j] = s.tasks[uint64(inst.Tasks[j].ID)]
-		}
-	}
-	if s.comps&Affinity != 0 {
-		ev.thetaW = make([][]float64, nW)
-		for i, w := range inst.Workers {
-			if int(w.User) < len(s.eng.ThetaUser) && s.eng.ThetaUser[w.User] != nil {
-				ev.thetaW[i] = s.eng.ThetaUser[w.User]
-			} else {
-				ev.thetaW[i] = uniformTopics(s.eng.LDA.Topics())
-			}
-		}
-		ev.thetaT = make([][]float64, nT)
-		for j, st := range sts {
-			ev.thetaT[j] = st.theta
-		}
-	}
-	ev.propSum = make([]float64, nW)
-	if s.comps&Propagation != 0 {
-		ev.scale = s.scale
-		ev.roots = make([][]rootCount, nW)
-	}
-	for i, u := range ev.users {
-		st := s.users[u]
-		if ev.roots != nil {
-			ev.roots[i] = st.roots
-		}
-		ev.propSum[i] = st.propSum
-	}
+	s.admitUsers(inst, ev.users)
+	s.admitTasks(inst, ev.tasks)
 	if s.lazy {
-		s.fillRows(sts, pairs, ev.roots)
+		s.fillRows(ev, pairs)
 	}
-	if s.comps&Willingness != 0 {
-		ev.wilRows = make([][]float32, nT)
-		ev.wilColSum = make([]float64, nT)
-		for j, st := range sts {
-			ev.wilRows[j] = st.row
-			ev.wilColSum[j] = st.colSum
-		}
-	}
-
 	s.evict()
 	return ev
 }
 
-// Sync maintains the carry-over cache for an instant the platform skips
-// (no workers online or no tasks open): arrivals are admitted — their
-// topics folded and roots extracted ahead of the next assignment round —
-// and departures are evicted, exactly as Evaluate would, without building
-// an evaluator. Lazy willingness rows are left for the instant whose
-// pairs read them.
-func (s *Session) Sync(inst *model.Instance) {
-	s.gen++
-	users := make([]int32, len(inst.Workers))
-	for i, w := range inst.Workers {
-		users[i] = int32(w.User)
-	}
-	s.admitUsers(users)
-	s.admitTasks(inst)
-	s.evict()
-}
-
-// admitUsers stamps the instant's users and computes state for the ones
-// the session has never seen.
-func (s *Session) admitUsers(users []int32) {
+// admitUsers stamps the instant's users, computes state for the ones the
+// session has never seen, and points sts[i] at instance worker i's
+// state.
+func (s *Session) admitUsers(inst *model.Instance, sts []*userState) {
 	s.pendU = s.pendU[:0]
-	for _, u := range users {
+	for i, w := range inst.Workers {
+		u := int32(w.User)
 		st, ok := s.users[u]
 		if !ok {
 			s.admitSeq++
-			st = &userState{seq: s.admitSeq}
+			st = &userState{seq: s.admitSeq, u: u}
+			if s.comps&Affinity != 0 {
+				st.theta = s.uniform
+				if int(u) < len(s.eng.ThetaUser) && s.eng.ThetaUser[u] != nil {
+					st.theta = s.eng.ThetaUser[u]
+				}
+			}
 			s.users[u] = st
-			s.pendU = append(s.pendU, pendingUser{u: u, st: st})
+			s.pendU = append(s.pendU, st)
 		}
 		st.gen = s.gen
+		sts[i] = st
 	}
 	prop := s.comps&Propagation != 0
 	parallel.For(s.par, len(s.pendU), func(_, i int) {
-		p := s.pendU[i]
+		st := s.pendU[i]
 		if prop {
-			p.st.roots = compactRoots(s.eng.Prop, p.u)
-			p.st.propSum = propagationSum(p.st.roots, p.u, s.scale)
+			st.roots = compactRoots(s.eng.Prop, st.u)
+			st.propSum = propagationSum(st.roots, st.u, s.scale)
 		} else {
 			// The AP metric is still reported for propagation-free
 			// variants; compute it from the collection without letting it
 			// affect if().
-			p.st.propSum = s.eng.Prop.PropagationSum(p.u)
+			st.propSum = s.eng.Prop.PropagationSum(st.u)
 		}
 	})
 }
@@ -311,8 +267,9 @@ func (s *Session) admitUsers(users []int32) {
 // dense willingness row. Per-task randomness is keyed by stable task
 // identity via randx.Mix, so the computed state is independent of the
 // task's position in the instance and of which instant first computed
-// it. It resets the instant's willingness-entry count.
-func (s *Session) admitTasks(inst *model.Instance) {
+// it. It points sts[j] at instance task j's state, and resets the
+// instant's willingness-entry count.
+func (s *Session) admitTasks(inst *model.Instance, sts []*taskState) {
 	s.wilEntries = 0
 	if s.comps&(Affinity|Willingness) == 0 {
 		return
@@ -333,6 +290,7 @@ func (s *Session) admitTasks(inst *model.Instance) {
 			panic(fmt.Sprintf("influence: duplicate task ID %d in instance; per-task state is keyed by stable identity", inst.Tasks[j].ID))
 		}
 		st.gen = s.gen
+		sts[j] = st
 	}
 	nU := s.eng.Prop.Graph().N()
 	dense := s.comps&Willingness != 0 && !s.lazy
@@ -373,8 +331,8 @@ func (s *Session) admitTasks(inst *model.Instance) {
 // row and bitmap on the pool, and the per-task entry counts are summed
 // sequentially; rows and counts are therefore identical at any
 // Parallelism.
-func (s *Session) fillRows(sts []*taskState, pairs []assign.Pair, roots [][]rootCount) {
-	nT := len(sts)
+func (s *Session) fillRows(ev *Evaluator, pairs []assign.Pair) {
+	nT := len(ev.tasks)
 	nU := s.eng.Prop.Graph().N()
 	start := make([]int32, nT+1)
 	for _, p := range pairs {
@@ -398,14 +356,14 @@ func (s *Session) fillRows(sts []*taskState, pairs []assign.Pair, roots [][]root
 		if len(ws) == 0 {
 			return
 		}
-		st := sts[j]
+		st := ev.tasks[j]
 		if st.row == nil {
 			st.row = make([]float32, nU)
 			st.filled = make([]uint64, (nU+63)/64)
 		}
 		n := 0
 		for _, w := range ws {
-			for _, rc := range roots[w] {
+			for _, rc := range ev.users[w].roots {
 				word, bit := rc.root>>6, uint64(1)<<(rc.root&63)
 				if st.filled[word]&bit != 0 {
 					continue

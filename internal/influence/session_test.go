@@ -181,9 +181,9 @@ func TestSessionWilEntriesCountsDistinctRoots(t *testing.T) {
 			t.Errorf("instant %d: WilEntries %d, want %d distinct new (task, root) pairs", k, got, want)
 		}
 	}
-	sess.Sync(inst)
+	sess.Evaluate(inst, nil)
 	if got := sess.WilEntries(); got != 0 {
-		t.Errorf("Sync under IA computed %d willingness entries, want 0 (rows fill on demand)", got)
+		t.Errorf("a pairless Evaluate under IA computed %d willingness entries, want 0 (rows fill on demand)", got)
 	}
 
 	dense := eng.NewSession(AW, 7, 1)
@@ -194,8 +194,8 @@ func TestSessionWilEntriesCountsDistinctRoots(t *testing.T) {
 }
 
 // TestSessionReusesCarriedOverState asserts the cache actually hits:
-// a task present at two consecutive instants must share the identical
-// willingness-row and theta backing arrays, not equal recomputations.
+// a task or worker present at two consecutive instants must be served
+// from the identical cached state, not from an equal recomputation.
 func TestSessionReusesCarriedOverState(t *testing.T) {
 	eng, inst := testWorld(t)
 	sess := eng.NewSession(All, 7, 1)
@@ -204,16 +204,53 @@ func TestSessionReusesCarriedOverState(t *testing.T) {
 	ev1 := sess.Evaluate(seq[1], feasible(seq[1]))
 	// Task with stable id 1 is position 1 at instant 0 and position 0 at
 	// instant 1.
-	if &ev0.wilRows[1][0] != &ev1.wilRows[0][0] {
-		t.Error("carried-over task's willingness row was recomputed, not reused")
-	}
-	if &ev0.thetaT[1][0] != &ev1.thetaT[0][0] {
-		t.Error("carried-over task's topic distribution was recomputed, not reused")
+	if ev0.tasks[1] == nil || ev0.tasks[1] != ev1.tasks[0] {
+		t.Error("carried-over task's state was recomputed, not reused")
 	}
 	// Worker at instant-0 position 0 (user 0) is still position 0 at
 	// instant 1.
-	if len(ev0.roots[0]) > 0 && &ev0.roots[0][0] != &ev1.roots[0][0] {
-		t.Error("carried-over worker's RRR roots were recomputed, not reused")
+	if ev0.users[0] == nil || ev0.users[0] != ev1.users[0] {
+		t.Error("carried-over worker's state was recomputed, not reused")
+	}
+}
+
+// TestSessionEvaluatorOutlivesLaterInstants pins the view contract: an
+// evaluator reads the session's cached state in place, yet prices its
+// prepared pairs the same after later instants filled more entries,
+// admitted new entities and evicted departed ones, capacity-bound
+// evictions included.
+func TestSessionEvaluatorOutlivesLaterInstants(t *testing.T) {
+	eng, inst := testWorld(t)
+	seq := instantSequence(inst)
+	for _, mask := range []Components{All, WP, AP, AW} {
+		for _, capacity := range []int{0, 2} {
+			sess := eng.NewSession(mask, 7, 2)
+			sess.SetCapacity(capacity)
+			type kept struct {
+				ev    *Evaluator
+				pairs []assign.Pair
+				infl  []float64
+			}
+			var all []kept
+			for _, in := range seq {
+				pairs := feasible(in)
+				ev := sess.Evaluate(in, pairs)
+				k := kept{ev: ev, pairs: pairs}
+				for _, p := range pairs {
+					k.infl = append(k.infl, ev.Influence(int(p.W), int(p.T)))
+				}
+				all = append(all, k)
+			}
+			sess.Evaluate(&model.Instance{Now: inst.Now + 10}, nil)
+			for n, k := range all {
+				for i, p := range k.pairs {
+					if got := k.ev.Influence(int(p.W), int(p.T)); math.Float64bits(got) != math.Float64bits(k.infl[i]) {
+						t.Fatalf("%v capacity %d: instant %d pair (%d,%d) changed from %v to %v after later instants",
+							mask, capacity, n, p.W, p.T, k.infl[i], got)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -310,29 +347,42 @@ func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
 	warm := sess.Evaluate(probe, pairs)
 	cold := coldPrepare(eng, probe, pairs, All, 7)
 	checkWarmAgainstCold(t, eng, sess, probe, pairs, warm, cold, "survivor")
-	if &warm.thetaT[0][0] != &st.theta[0] {
+	if warm.tasks[0] != st {
 		t.Fatal("survivor was recomputed, not served from cache")
 	}
 }
 
 // TestSessionParallelismInvariant registers the session-backed online
-// phase with the shared determinism harness: the full multi-instant
-// evaluator sequence and its per-instant willingness-entry counts must
-// be bit-identical at worker counts {1, 2, 8}.
+// phase with the shared determinism harness: every instant's influence
+// over its prepared pairs, its per-worker propagation sums and its
+// willingness-entry count must be bit-identical at worker counts
+// {1, 2, 8}. The values are recorded as each instant is evaluated: an
+// evaluator is a view of the session's state, so comparing evaluators
+// after the sequence would compare only the end state.
 func TestSessionParallelismInvariant(t *testing.T) {
 	eng, inst := testWorld(t)
 	seq := instantSequence(inst)
 	paralleltest.Invariant(t, func(par int) any {
-		var evs []*Evaluator
+		var infl, props [][]float64
 		var entries []int
 		for _, mask := range []Components{All, AW} {
 			sess := eng.NewSession(mask, 7, par)
 			for _, in := range seq {
-				evs = append(evs, sess.Evaluate(in, feasible(in)))
+				pairs := feasible(in)
+				ev := sess.Evaluate(in, pairs)
+				vals := make([]float64, len(pairs))
+				for k, p := range pairs {
+					vals[k] = ev.Influence(int(p.W), int(p.T))
+				}
+				ps := make([]float64, len(in.Workers))
+				for w := range ps {
+					ps[w] = ev.PropagationSum(w)
+				}
+				infl, props = append(infl, vals), append(props, ps)
 				entries = append(entries, sess.WilEntries())
 			}
 		}
-		return []any{evs, entries}
+		return []any{infl, props, entries}
 	})
 }
 
