@@ -144,12 +144,13 @@ func main() {
 		fmt.Println()
 	}
 
+	feasible := assign.FeasiblePairs(inst, fw.Speed())
 	fmt.Println("\nGreedy (each task to its nearest unassigned worker):")
-	greedy := nearestGreedy(inst)
+	greedy := nearestGreedy(len(inst.Workers), len(inst.Tasks), feasible)
 	reportPairs(inst, ev, greedy)
 
 	fmt.Println("\nInfluence-aware (IA):")
-	set, _, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, assign.FeasiblePairs(inst, fw.Speed()), 1)
+	set, _, _ := fw.AssignPreparedPairsTiled(inst, ev, assign.IA, feasible, 1)
 	var iaPairs [][2]int
 	for _, pr := range set.Pairs {
 		iaPairs = append(iaPairs, [2]int{int(pr.Worker), int(pr.Task)})
@@ -178,23 +179,26 @@ func flatten(hists map[model.WorkerID]model.History) []model.CheckIn {
 
 // nearestGreedy assigns each task (in id order) to the nearest feasible
 // unassigned worker — the straw-man strategy of the paper's introduction.
-func nearestGreedy(inst *model.Instance) [][2]int {
-	usedW := make([]bool, len(inst.Workers))
+// Feasibility and distances come from the feasible-pair scan the
+// influence-aware assignment uses; its (worker, task) order breaks
+// distance ties towards the lower worker index.
+func nearestGreedy(nW, nT int, feasible []assign.Pair) [][2]int {
+	usedW := make([]bool, nW)
 	var pairs [][2]int
-	for tIdx, task := range inst.Tasks {
-		best, bestD := -1, 0.0
-		for wIdx, w := range inst.Workers {
-			if usedW[wIdx] || !model.Feasible(w, task, inst.Now, 5) {
+	for tIdx := 0; tIdx < nT; tIdx++ {
+		best := -1
+		for i, p := range feasible {
+			if int(p.T) != tIdx || usedW[p.W] {
 				continue
 			}
-			d := geo.Dist(w.Loc, task.Loc)
-			if best < 0 || d < bestD {
-				best, bestD = wIdx, d
+			if best < 0 || p.Dist < feasible[best].Dist {
+				best = i
 			}
 		}
 		if best >= 0 {
-			usedW[best] = true
-			pairs = append(pairs, [2]int{best, tIdx})
+			w := int(feasible[best].W)
+			usedW[w] = true
+			pairs = append(pairs, [2]int{w, tIdx})
 		}
 	}
 	return pairs

@@ -142,9 +142,7 @@ func validate(t *testing.T, set *model.AssignmentSet, inst *model.Instance) {
 	}
 	// Every assigned pair must be feasible.
 	for i, pr := range set.Pairs {
-		w := inst.Workers[pr.Worker]
-		s := inst.Tasks[pr.Task]
-		if !model.Feasible(w, s, inst.Now, 5) {
+		if _, ok := bruteFeasible(inst, int(pr.Worker), int(pr.Task), 5); !ok {
 			t.Fatalf("pair %d (%d,%d) infeasible", i, pr.Worker, pr.Task)
 		}
 	}

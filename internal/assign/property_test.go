@@ -49,7 +49,7 @@ func TestPropertyAllAlgorithmsValid(t *testing.T) {
 				return false
 			}
 			for _, pr := range set.Pairs {
-				if !model.Feasible(inst.Workers[pr.Worker], inst.Tasks[pr.Task], inst.Now, 5) {
+				if _, ok := bruteFeasible(inst, int(pr.Worker), int(pr.Task), 5); !ok {
 					t.Logf("seed %d alg %v: infeasible pair", seed, alg)
 					return false
 				}
@@ -82,25 +82,26 @@ func TestPropertyFlowCardinalityAgreement(t *testing.T) {
 	}
 }
 
+// bruteFeasible is the production feasibility predicate on one (worker,
+// task) combination: a negative radius admits nothing, then geo.Dist2 ≤
+// r², then the travel-time deadline on geo.Dist, the returned distance.
+func bruteFeasible(inst *model.Instance, wi, ti int, speedKmH float64) (float64, bool) {
+	w, s := inst.Workers[wi], inst.Tasks[ti]
+	if w.Radius < 0 || geo.Dist2(s.Loc, w.Loc) > w.Radius*w.Radius {
+		return 0, false
+	}
+	d := geo.Dist(w.Loc, s.Loc)
+	return d, inst.Now+d/speedKmH <= s.Expiry()
+}
+
 // bruteFeasiblePairs is the definition of the feasible pair set: every
-// (worker, task) combination checked in (worker, task) order with the
-// production predicate — a negative radius admits nothing, then
-// geo.Dist2 ≤ r², then the travel-time deadline on geo.Dist. It does not
-// use model.Feasible, which compares d > r and can disagree with the
-// squared form at exact boundaries.
+// (worker, task) combination checked in (worker, task) order with
+// bruteFeasible.
 func bruteFeasiblePairs(inst *model.Instance, speedKmH float64) []Pair {
 	var out []Pair
-	for wi, w := range inst.Workers {
-		if w.Radius < 0 {
-			continue
-		}
-		r2 := w.Radius * w.Radius
-		for ti, s := range inst.Tasks {
-			if geo.Dist2(s.Loc, w.Loc) > r2 {
-				continue
-			}
-			d := geo.Dist(w.Loc, s.Loc)
-			if inst.Now+d/speedKmH <= s.Expiry() {
+	for wi := range inst.Workers {
+		for ti := range inst.Tasks {
+			if d, ok := bruteFeasible(inst, wi, ti, speedKmH); ok {
 				out = append(out, Pair{W: int32(wi), T: int32(ti), Dist: d})
 			}
 		}

@@ -6,16 +6,26 @@
 // (and which TempSuffix lets them recognise); a crash between fsync and
 // rename leaves the old content intact.
 //
-// The package also carries the content-checksum helper shard artifacts
-// record (Sum) and a registry of in-flight temp files so a signal
-// handler can scrub them before exiting (RemoveTemps): the "no .tmp
-// left behind on any exit path" half of the durability contract, for
-// every exit the process can actually intercept.
+// The package also carries the one content seal every sealed byte
+// stream of the repo uses — framework artifacts, shard artifacts and
+// sweep-journal lines (Seal, Verify) — and a registry of in-flight temp
+// files so a signal handler can scrub them before exiting (RemoveTemps):
+// the "no .tmp left behind on any exit path" half of the durability
+// contract, for every exit the process can actually intercept.
+//
+// The seal detects torn, truncated and bit-flipped writes, not
+// tampering: anyone can recompute a plain SHA-256. Verify therefore
+// checks the bytes as read against their own recorded sum and nothing
+// else; whatever a reader needs beyond an intact write (a kind, a
+// version, component invariants) it validates after Verify.
 package atomicio
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -125,9 +135,59 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// Sum is the content checksum recorded in shard artifacts and journal
-// records: SHA-256, hex-encoded.
+// Sum is the content checksum a seal records: SHA-256, hex-encoded.
 func Sum(data []byte) string {
 	h := sha256.Sum256(data)
 	return hex.EncodeToString(h[:])
+}
+
+// sealKey opens the checksum member a seal appends to its payload;
+// sealEnd closes the member and the object and ends the line.
+const (
+	sealKey = `,"checksum":"`
+	sealEnd = "\"}\n"
+	sealLen = len(sealKey) + 2*sha256.Size + len(sealEnd)
+)
+
+// Seal marshals v compactly — the payload, which must be a non-empty
+// JSON object — and seals it: the member "checksum":Sum(payload) is
+// appended as the object's last, and a newline ends the bytes, which
+// marks a complete write. It returns the sealed bytes and the checksum.
+// A struct whose last field was an omitempty "checksum" string, set to
+// the payload's sum, marshals to exactly these bytes.
+func Seal(v any) ([]byte, string, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return nil, "", err
+	}
+	// Marshal output is compact, so "{}" is the only empty object.
+	if len(payload) < 3 || payload[0] != '{' || payload[len(payload)-1] != '}' {
+		return nil, "", fmt.Errorf("atomicio: cannot seal %T: not a non-empty JSON object", v)
+	}
+	sum := Sum(payload)
+	out := append(payload[:len(payload)-1], sealKey...)
+	out = append(out, sum...)
+	return append(out, sealEnd...), sum, nil
+}
+
+// Verify checks bytes sealed by Seal, exactly as read: they must end in
+// the checksum member, the closing brace and one newline, and the
+// recorded sum must be the SHA-256 of the bytes without that member —
+// hashed in place, the closing brace streamed in after them, so nothing
+// is copied or re-encoded. It returns the recorded checksum. Verify says
+// nothing about the payload beyond its integrity; callers unmarshal and
+// validate it themselves.
+func Verify(data []byte) (string, error) {
+	n := len(data) - sealLen
+	if n < 1 || string(data[n:n+len(sealKey)]) != sealKey || string(data[len(data)-len(sealEnd):]) != sealEnd {
+		return "", errors.New("no content checksum — unsealed or truncated write")
+	}
+	recorded := string(data[n+len(sealKey) : len(data)-len(sealEnd)])
+	h := sha256.New()
+	h.Write(data[:n])
+	h.Write([]byte{'}'})
+	if content := hex.EncodeToString(h.Sum(nil)); content != recorded {
+		return "", fmt.Errorf("checksum mismatch (recorded %.12s…, content %.12s…) — torn or corrupted write", recorded, content)
+	}
+	return recorded, nil
 }

@@ -1,10 +1,12 @@
 package atomicio
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,4 +140,124 @@ func TestFaultInjectedWritePaths(t *testing.T) {
 			t.Errorf("tmp debris after a completed torn rename: %v", err)
 		}
 	})
+}
+
+// probe is a small payload; sealedProbe is the same with the checksum
+// as an omitempty last field, the form artifacts were once encoded in.
+type probe struct {
+	Kind  string    `json:"kind"`
+	Xs    []float64 `json:"xs"`
+	Label string    `json:"label"`
+}
+
+type sealedProbe struct {
+	probe
+	Checksum string `json:"checksum,omitempty"`
+}
+
+var testProbe = probe{"probe", []float64{0.1, 2.5e-300, 7}, "a \"quoted\"\nline"}
+
+// sealed returns the test probe sealed, and its checksum.
+func sealed(t *testing.T) ([]byte, string) {
+	t.Helper()
+	data, sum, err := Seal(testProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, sum
+}
+
+// TestSealRoundTrip: sealed bytes verify to the checksum Seal returned,
+// unmarshal back into the payload, and hold exactly one newline, the
+// last byte; the seal is the compact payload's own sum, and the bytes
+// equal the encoding of a struct whose last field is that sum.
+func TestSealRoundTrip(t *testing.T) {
+	data, sum := sealed(t)
+	got, err := Verify(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != sum {
+		t.Errorf("Verify returned %s, Seal %s", got, sum)
+	}
+	if n := strings.Count(string(data), "\n"); n != 1 || data[len(data)-1] != '\n' {
+		t.Errorf("sealed bytes hold %d newlines, want exactly one at the end: %q", n, data)
+	}
+	var back sealedProbe
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, sealedProbe{testProbe, sum}) {
+		t.Errorf("sealed bytes unmarshal to %+v", back)
+	}
+	payload, err := json.Marshal(testProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != Sum(payload) {
+		t.Errorf("seal %s is not the sum of the compact payload %s", sum, Sum(payload))
+	}
+	withField, err := json.Marshal(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(withField, '\n')) != string(data) {
+		t.Errorf("sealed bytes differ from the checksum-field encoding:\n%s\n%s", data, withField)
+	}
+}
+
+// TestVerifyRejectsDamage: every way sealed bytes can be torn or
+// flipped fails verification, with the error naming the damage.
+func TestVerifyRejectsDamage(t *testing.T) {
+	data, sum := sealed(t)
+	for n := 0; n < len(data); n++ {
+		if _, err := Verify(data[:n]); err == nil {
+			t.Fatalf("prefix of %d of %d bytes verified", n, len(data))
+		}
+	}
+	flip := func(i int, b byte) []byte {
+		c := append([]byte(nil), data...)
+		c[i] = b
+		return c
+	}
+	at := strings.Index(string(data), sum)
+	digit := byte('0')
+	if sum[0] == '0' {
+		digit = '1'
+	}
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"flipped payload byte", flip(2, data[2]^0x01), "checksum mismatch"},
+		{"flipped checksum digit", flip(at, digit), "checksum mismatch"},
+		{"missing newline", data[:len(data)-1], "no content checksum"},
+		{"doubled newline", append(append([]byte(nil), data...), '\n'), "no content checksum"},
+		{"empty", nil, "no content checksum"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Verify(tc.data)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("err = %v, want it to mention %q", err, tc.wantErr)
+			}
+		})
+	}
+	if _, err := Verify(flip(at, digit)); err != nil && !strings.Contains(err.Error(), "recorded "+string(digit)+sum[1:12]) {
+		t.Errorf("mismatch error does not name the recorded sum: %v", err)
+	}
+}
+
+// TestSealRejectsNonObjects: only a non-empty JSON object can carry the
+// checksum member.
+func TestSealRejectsNonObjects(t *testing.T) {
+	for _, v := range []any{nil, 3, "str", []int{1}, struct{}{}, map[string]int{}, json.RawMessage(" { } "), make(chan int)} {
+		if data, _, err := Seal(v); err == nil {
+			t.Errorf("Seal(%#v) = %q, want an error", v, data)
+		}
+	}
+	if _, _, err := Seal(map[string]int{"a": 1}); err != nil {
+		t.Errorf("Seal of a one-member map: %v", err)
+	}
 }

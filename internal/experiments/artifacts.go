@@ -1,7 +1,7 @@
 // Shard-artifact file handling for the merge coordinator and the
 // orchestrator: globbing a shard set off disk without tripping over the
-// debris of crashed writers, and loading each artifact with its content
-// checksum verified and every failure named after the offending path.
+// debris of crashed writers, and loading each artifact with its seal
+// verified and every failure named after the offending path.
 package experiments
 
 import (
@@ -38,8 +38,8 @@ func GlobArtifacts(pattern string) (paths, tmps []string, err error) {
 	return paths, tmps, nil
 }
 
-// LoadShardFile reads one artifact off disk, verifying its content
-// checksum and shard spec. Every error names the offending path, so a
+// LoadShardFile reads one artifact off disk, verifying its seal and
+// shard spec. Every error names the offending path, so a
 // failed merge over dozens of artifacts points straight at the bad one.
 func LoadShardFile(path string) (*ShardResult, error) {
 	data, err := os.ReadFile(path)

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,10 +52,18 @@ func TestLoadShardFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The indented, sealed form older builds wrote: intact, but its seal
+	// is not the shared one, so it is refused as unsealed.
+	indented, err := json.MarshalIndent(sr, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := fmt.Appendf(indented[:len(indented)-2:len(indented)-2], ",\n  \"checksum\": %q\n}\n", atomicio.Sum(indented))
+
 	// A checksum-breaking but JSON-preserving edit: change a recorded
 	// metric value without resealing.
-	tampered := []byte(strings.Replace(string(data), `"assigned": 2`, `"assigned": 3`, 1))
-	if len(tampered) != len(data) {
+	tampered := bytes.Replace(data, []byte(`"assigned":2`), []byte(`"assigned":3`), 1)
+	if bytes.Equal(tampered, data) {
 		t.Fatal("tamper edit did not apply")
 	}
 
@@ -67,6 +77,7 @@ func TestLoadShardFileCorruption(t *testing.T) {
 		{"empty file", nil, "unexpected end of JSON input"},
 		{"checksum mismatch", tampered, "checksum mismatch"},
 		{"missing checksum", append(unsealed, '\n'), "no content checksum"},
+		{"older indented seal", older, "no content checksum"},
 		{"invalid shard spec", corruptShardSpec(t, data), "outside 0..0"},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,6 @@
 // Per-job checkpointing for sharded sweep workers: every completed
 // (figure, x, day) job's raw metrics are appended — durably, one
-// checksummed line at a time — to a journal file next to the worker's
+// sealed line at a time — to a journal file next to the worker's
 // artifact. A worker restarted after a crash replays the journal and
 // re-runs only the jobs it never finished; the jobs it replays are
 // bit-identical to a fresh evaluation because the sweep machinery is
@@ -63,9 +63,12 @@ type jobID struct {
 }
 
 // Journal is the durable Checkpoint a shard worker appends to. Each
-// line is "<sha256hex> <json>\n" — self-checking, so a torn final
-// append (the expected shape of a crash) is detected and discarded on
-// replay rather than parsed into garbage.
+// line is one JSON object sealed by atomicio.Seal — self-checking, and
+// complete only with its trailing newline, so a torn final append (the
+// expected shape of a crash) is detected and discarded on replay rather
+// than parsed into garbage. A journal in the "<sha256hex> <json>" line
+// framing of older builds fails the seal on its header and is
+// reinitialized empty; its jobs re-run.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -90,7 +93,7 @@ type Journal struct {
 func OpenJournal(path, signature string, shard Shard, seed uint64) (*Journal, error) {
 	j := &Journal{path: path, done: map[jobID][]core.Metrics{}}
 	head := journalHeader{Kind: journalKind, Version: 1, Signature: signature, Shard: shard.normalized(), Seed: seed}
-	headLine, err := journalLine(head)
+	headLine, _, err := atomicio.Seal(head)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +140,7 @@ func OpenJournal(path, signature string, shard Shard, seed uint64) (*Journal, er
 // replay validates the header and loads every intact record, returning
 // the byte offset up to which the journal is good and whether a valid
 // matching header was found. The first bad line — torn append, flipped
-// bits, anything that fails its own checksum — ends the replay;
+// bits, anything that fails its own seal — ends the replay;
 // everything after it is recomputed rather than trusted. A torn header
 // discards the whole file (keep 0, no header).
 func (j *Journal) replay(data []byte, want journalHeader) (keep int64, hasHeader bool, err error) {
@@ -147,14 +150,13 @@ func (j *Journal) replay(data []byte, want journalHeader) (keep int64, hasHeader
 		if len(line) == 0 {
 			continue
 		}
-		payload, ok := checkLine(line)
-		if !ok {
+		if _, err := atomicio.Verify(line); err != nil {
 			return offset, hasHeader, nil // torn/corrupt from here on: drop the tail
 		}
 		if i == 0 {
 			var head journalHeader
-			if err := json.Unmarshal(payload, &head); err != nil {
-				return 0, false, nil // checksummed but unparseable header: reinitialize
+			if err := json.Unmarshal(line, &head); err != nil {
+				return 0, false, nil // sealed but unparseable header: reinitialize
 			}
 			if head.Kind != journalKind || head.Version != 1 {
 				return 0, false, fmt.Errorf("experiments: not a v1 sweep journal (kind %q, version %d)", head.Kind, head.Version)
@@ -166,42 +168,14 @@ func (j *Journal) replay(data []byte, want journalHeader) (keep int64, hasHeader
 			hasHeader = true
 		} else {
 			var rec journalRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return offset, hasHeader, nil // checksummed but unparseable: treat as torn
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return offset, hasHeader, nil // sealed but unparseable: treat as torn
 			}
 			j.done[jobID{rec.Dataset, rec.Fig, rec.X, rec.Day}] = rec.Metrics
 		}
 		offset += int64(len(line))
 	}
 	return offset, hasHeader, nil
-}
-
-// journalLine renders one self-checking journal line.
-func journalLine(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, 0, len(payload)+66)
-	line = append(line, atomicio.Sum(payload)...)
-	line = append(line, ' ')
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// checkLine splits a journal line into its payload, verifying the
-// leading checksum (and the trailing newline a complete append ends
-// with).
-func checkLine(line []byte) ([]byte, bool) {
-	if len(line) < 66 || line[len(line)-1] != '\n' || line[64] != ' ' {
-		return nil, false
-	}
-	payload := line[65 : len(line)-1]
-	if atomicio.Sum(payload) != string(line[:64]) {
-		return nil, false
-	}
-	return payload, true
 }
 
 // Lookup implements Checkpoint over the replayed records.
@@ -217,7 +191,7 @@ func (j *Journal) Lookup(dataset string, fig int, x float64, day int) ([]core.Me
 // point fires after the record is durable — a worker killed there has
 // journaled exactly the jobs it finished.
 func (j *Journal) Record(dataset string, fig int, x float64, day int, metrics []core.Metrics) error {
-	line, err := journalLine(journalRecord{Dataset: dataset, Fig: fig, X: x, Day: day, Metrics: metrics})
+	line, _, err := atomicio.Seal(journalRecord{Dataset: dataset, Fig: fig, X: x, Day: day, Metrics: metrics})
 	if err != nil {
 		return err
 	}

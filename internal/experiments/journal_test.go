@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dita/internal/atomicio"
 	"dita/internal/core"
 )
 
@@ -296,7 +297,7 @@ func (j *Journal) Jobs() int {
 // journal lines, whole, torn and reordered.
 func FuzzOpenJournal(f *testing.F) {
 	line := func(v any) []byte {
-		b, err := journalLine(v)
+		b, _, err := atomicio.Seal(v)
 		if err != nil {
 			f.Fatal(err)
 		}

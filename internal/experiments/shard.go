@@ -244,62 +244,34 @@ func (sr *SweepRaw) Reduce() (*Result, error) {
 // emits the shortest representation that parses back to the same
 // float64), so a merged run loses nothing to serialization.
 //
-// Checksum is the SHA-256 of the artifact's own canonical encoding
-// (itself with Checksum empty), recorded by Encode and verified
-// by every load, so an artifact torn by a crashed or lying writer —
-// truncated, bit-flipped, spliced — is rejected at the merge instead of
-// silently averaged into the figures.
+// On disk it is sealed by atomicio.Seal, and every load verifies the
+// seal over the bytes as read, so an artifact torn by a crashed or
+// lying writer — truncated, bit-flipped, spliced — is rejected at the
+// merge instead of silently averaged into the figures.
 type ShardResult struct {
-	Shard    Shard       `json:"shard"`
-	Seed     uint64      `json:"seed"`
-	Figures  []*SweepRaw `json:"figures"`
-	Checksum string      `json:"checksum,omitempty"`
+	Shard   Shard       `json:"shard"`
+	Seed    uint64      `json:"seed"`
+	Figures []*SweepRaw `json:"figures"`
 }
 
-// payload is the canonical byte form the checksum covers: the artifact
-// with its Checksum field empty, marshalled exactly as Encode writes
-// it. Struct marshalling is deterministic (fixed field order, no maps),
-// so the loader can re-derive these bytes from the decoded value.
-func (sr *ShardResult) payload() ([]byte, error) {
-	c := *sr
-	c.Checksum = ""
-	return json.MarshalIndent(&c, "", "  ")
-}
-
-// Encode seals the artifact — records its content checksum — and
-// returns the bytes a worker writes to disk (via atomicio, so a reader
-// never sees them half-flushed).
+// Encode seals the artifact and returns the bytes a worker writes to
+// disk (via atomicio, so a reader never sees them half-flushed).
 func (sr *ShardResult) Encode() ([]byte, error) {
-	body, err := sr.payload()
-	if err != nil {
-		return nil, err
-	}
-	sr.Checksum = atomicio.Sum(body)
-	out, err := json.MarshalIndent(sr, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	out, _, err := atomicio.Seal(sr)
+	return out, err
 }
 
-// decodeShardResult parses an artifact, verifies its content checksum
-// and validates its shard spec. An artifact without a checksum is
-// rejected too: it either predates the sealed format or lost its seal
-// to tampering, and a merge must not average bytes it cannot vouch for.
+// decodeShardResult parses an artifact, verifies its seal and validates
+// its shard spec. Bytes that do not end in the seal are rejected too —
+// a torn write, or the indented artifact of an older build — because a
+// merge must not average bytes it cannot vouch for.
 func decodeShardResult(data []byte) (*ShardResult, error) {
 	var sr ShardResult
 	if err := json.Unmarshal(data, &sr); err != nil {
 		return nil, fmt.Errorf("experiments: reading shard artifact: %w", err)
 	}
-	if sr.Checksum == "" {
-		return nil, fmt.Errorf("experiments: shard artifact carries no content checksum — unsealed or truncated write")
-	}
-	body, err := sr.payload()
-	if err != nil {
-		return nil, err
-	}
-	if sum := atomicio.Sum(body); sum != sr.Checksum {
-		return nil, fmt.Errorf("experiments: shard artifact checksum mismatch (recorded %.12s…, content %.12s…) — torn or corrupted write", sr.Checksum, sum)
+	if _, err := atomicio.Verify(data); err != nil {
+		return nil, fmt.Errorf("experiments: shard artifact: %w", err)
 	}
 	if err := sr.Shard.Validate(); err != nil {
 		return nil, err

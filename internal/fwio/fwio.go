@@ -2,12 +2,19 @@
 // many serves. An artifact carries every fitted component — social
 // graph, LDA topic model, per-user theta index, Historical Acceptance
 // mobility model, location-entropy table, RRR collection — plus the
-// full training configuration, in a versioned JSON envelope sealed with
-// a SHA-256 content checksum (the same scheme as experiments shard
-// artifacts). Loading rebuilds the framework through core.Restore, and
-// the round trip is bit-exact: every downstream output of a loaded
-// framework — sessions, assignments, sweep metrics — is DeepEqual to
-// what retraining from the same dataset would produce.
+// full training configuration, in a versioned JSON envelope sealed by
+// atomicio.Seal (the seal experiments shard artifacts and sweep
+// journals use too). Loading verifies the seal over the bytes as read,
+// then rebuilds the framework through core.Restore, and the round trip
+// is bit-exact: every downstream output of a loaded framework —
+// sessions, assignments, sweep metrics — is DeepEqual to what
+// retraining from the same dataset would produce.
+//
+// The seal detects torn, truncated and bit-flipped writes, not
+// tampering: anyone can recompute a plain SHA-256. Any bytes whose own
+// seal verifies are therefore loaded, and the component wire
+// validation, not the seal, is what stands between hostile bytes and a
+// framework.
 //
 // The wire format is pinned by the component Wire types
 // (socialgraph.Wire, lda.Wire, mobility.Wire, entropy.Wire, rrr.Wire)
@@ -41,9 +48,10 @@ const Kind = "dita-framework"
 // reader rejects every version it does not speak.
 const Version = 1
 
-// artifact is the on-disk envelope. Field order is the canonical
-// encoding order (struct marshalling is deterministic); Checksum seals
-// the whole.
+// artifact is the on-disk envelope, the payload atomicio.Seal seals.
+// Field order is the encoding order (struct marshalling is
+// deterministic), and the seal's "checksum" member follows the last
+// field.
 type artifact struct {
 	Kind    string `json:"kind"`
 	Version int    `json:"version"`
@@ -63,26 +71,10 @@ type artifact struct {
 	Mobility    mobility.Wire `json:"mobility"`
 	Entropy     entropy.Wire  `json:"entropy"`
 	Propagation rrr.Wire      `json:"propagation"`
-	// Checksum is the SHA-256 of the artifact's canonical encoding
-	// (itself with Checksum empty), recorded by Encode and verified by
-	// every load: a torn, truncated or bit-flipped artifact is rejected
-	// before any component is used.
-	Checksum string `json:"checksum,omitempty"`
-}
-
-// payload is the canonical byte form the checksum covers: the artifact
-// with its Checksum field empty, marshalled compactly (artifacts reach
-// tens of megabytes; indentation would double them). The loader
-// re-derives these bytes from the decoded value — JSON round-trips
-// every finite float64 bit-exactly, so decode-then-re-encode is stable.
-func (a *artifact) payload() ([]byte, error) {
-	c := *a
-	c.Checksum = ""
-	return json.Marshal(&c)
 }
 
 // Info describes a loaded artifact: where its training input came from
-// and the content checksum that sealed it.
+// and the content checksum that sealed it, as atomicio.Verify read it.
 type Info struct {
 	Source   string
 	Checksum string
@@ -119,16 +111,11 @@ func Encode(fw *core.Framework, source string) ([]byte, string, error) {
 		Entropy:     fw.Entropy().Wire(),
 		Propagation: fw.Propagation().Wire(),
 	}
-	body, err := a.payload()
+	out, sum, err := atomicio.Seal(a)
 	if err != nil {
 		return nil, "", fmt.Errorf("fwio: encoding framework: %w", err)
 	}
-	a.Checksum = atomicio.Sum(body)
-	out, err := json.Marshal(a)
-	if err != nil {
-		return nil, "", fmt.Errorf("fwio: encoding framework: %w", err)
-	}
-	return append(out, '\n'), a.Checksum, nil
+	return out, sum, nil
 }
 
 // Write encodes the framework and writes the artifact atomically (temp
@@ -146,10 +133,11 @@ func Write(path string, fw *core.Framework, source string) (string, error) {
 }
 
 // Decode parses a sealed artifact and rebuilds the framework. Checks
-// run envelope-out: kind, then version, then the content checksum, then
-// per-component wire validation — so a version-skewed artifact is
-// reported as such rather than as a checksum or component error, and no
-// component is ever built from bytes that failed an earlier check.
+// run envelope-out: kind, then version, then the seal over the bytes as
+// read, then per-component wire validation — so a version-skewed
+// artifact is reported as such rather than as a checksum or component
+// error, and no component is ever built from bytes that failed an
+// earlier check.
 func Decode(data []byte) (*core.Framework, Info, error) {
 	var a artifact
 	if err := json.Unmarshal(data, &a); err != nil {
@@ -161,15 +149,9 @@ func Decode(data []byte) (*core.Framework, Info, error) {
 	if a.Version != Version {
 		return nil, Info{}, fmt.Errorf("fwio: artifact version %d not supported (this build reads version %d)", a.Version, Version)
 	}
-	if a.Checksum == "" {
-		return nil, Info{}, fmt.Errorf("fwio: framework artifact carries no content checksum — unsealed or truncated write")
-	}
-	body, err := a.payload()
+	sum, err := atomicio.Verify(data)
 	if err != nil {
-		return nil, Info{}, fmt.Errorf("fwio: reading framework artifact: %w", err)
-	}
-	if sum := atomicio.Sum(body); sum != a.Checksum {
-		return nil, Info{}, fmt.Errorf("fwio: framework artifact checksum mismatch (recorded %.12s…, content %.12s…) — torn or corrupted write", a.Checksum, sum)
+		return nil, Info{}, fmt.Errorf("fwio: framework artifact: %w", err)
 	}
 
 	g, err := socialgraph.FromWire(a.Graph)
@@ -209,7 +191,7 @@ func Decode(data []byte) (*core.Framework, Info, error) {
 	if err != nil {
 		return nil, Info{}, fmt.Errorf("fwio: restoring framework: %w", err)
 	}
-	return fw, Info{Source: a.Source, Checksum: a.Checksum}, nil
+	return fw, Info{Source: a.Source, Checksum: sum}, nil
 }
 
 // Load reads and decodes an artifact file. Every failure names the

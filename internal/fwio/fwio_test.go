@@ -16,6 +16,7 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/experiments"
 	"dita/internal/lda"
+	"dita/internal/rrr"
 )
 
 // testData generates the small shared dataset every test here trains
@@ -239,16 +240,42 @@ func reseal(t *testing.T, raw []byte, mutate func(a *artifact)) []byte {
 		t.Fatal(err)
 	}
 	mutate(&a)
-	body, err := a.payload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Checksum = atomicio.Sum(body)
-	out, err := json.Marshal(&a)
+	out, _, err := atomicio.Seal(&a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestDecodeAcceptsSelfSealedBytes: the seal detects damaged writes, not
+// tampering, so bytes whose own seal verifies load even when they are
+// not the encoding Encode writes — here the members reordered
+// alphabetically and resealed — and yield the same framework.
+func TestDecodeAcceptsSelfSealedBytes(t *testing.T) {
+	fw := trainAt(t, testData(t), trainConfig(1))
+	raw, _, err := Encode(fw, "test-src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "checksum")
+	reordered, sum, err := atomicio.Seal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(reordered, raw) {
+		t.Fatal("reordered artifact equals the encoded one")
+	}
+	got, info, err := Decode(reordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Checksum != sum || !reflect.DeepEqual(got, fw) {
+		t.Errorf("reordered artifact decoded to checksum %s (want %s) or a different framework", info.Checksum, sum)
+	}
 }
 
 // TestLoadRejectsCorruptArtifacts: every way an artifact can go bad on
@@ -306,4 +333,59 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 	if _, _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("loading a missing file succeeded")
 	}
+}
+
+// FuzzDecode drives Decode, the loader of every framework artifact
+// handed to a server or a sweep, over arbitrary bytes. An input that is
+// a JSON object is resealed first, so the seal — which anyone can
+// recompute — holds and the fuzzer reaches the kind, version and
+// component validation behind it. Decode must return an error or a
+// framework, never panic, and a framework it accepts must encode and
+// decode again. The seeds are a small sealed artifact and truncations
+// of it; the artifact is trained on a shrunk copy of the test dataset
+// (12 users, capped RRR sets), a few kilobytes the fuzzer can mutate
+// quickly.
+func FuzzDecode(f *testing.F) {
+	p := dataset.BrightkiteLike()
+	p.NumUsers, p.NumVenues, p.Days, p.Seed = 12, 10, 2, 23
+	data, err := dataset.Generate(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fw, err := core.Train(core.TrainingDataFrom(data, 24), core.Config{
+		LDA:                     lda.Config{Topics: 2, TrainIters: 2},
+		RPO:                     rrr.Params{MaxSets: 20},
+		TopWillingnessLocations: 2,
+		Parallelism:             1,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, _, err := Encode(fw, "test-src")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	for _, n := range []int{0, 1, len(raw) / 3, len(raw) - 2} {
+		f.Add(raw[:n])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if sealed, _, err := atomicio.Seal(json.RawMessage(b)); err == nil {
+			b = sealed
+		}
+		fw, info, err := Decode(b)
+		if err != nil {
+			if fw != nil {
+				t.Fatalf("Decode failed (%v) but returned a framework", err)
+			}
+			return
+		}
+		again, _, err := Encode(fw, info.Source)
+		if err != nil {
+			t.Fatalf("accepted framework does not encode: %v", err)
+		}
+		if _, _, err := Decode(again); err != nil {
+			t.Fatalf("re-encoded framework does not decode: %v", err)
+		}
+	})
 }

@@ -115,13 +115,6 @@ type Engine struct {
 	models     []*mobility.WorkerModel
 }
 
-// rootCount is a compacted view of the RRR cover of one instance worker:
-// how many sets rooted at Root contain the worker.
-type rootCount struct {
-	root  int32
-	count int32
-}
-
 // Evaluator answers influence queries for one time instance. Build it
 // once per instance (via Session.Evaluate) over the instance's feasible
 // pairs and share it across every assignment algorithm so all of them
@@ -135,8 +128,6 @@ type rootCount struct {
 // drops the session's map entries, never the states themselves.
 type Evaluator struct {
 	comps Components
-	// scale converts an RRR multiplicity into Ppro.
-	scale float64
 	// users[w] is the cached state of instance worker w's user.
 	users []*userState
 	// tasks[t] is the cached state of instance task t; nil under masks
@@ -205,33 +196,6 @@ func truncateModel(wm *mobility.WorkerModel, top int) *mobility.WorkerModel {
 	return t
 }
 
-func compactRoots(c *rrr.Collection, user int32) []rootCount {
-	// RootCounts returns (root, multiplicity) pairs already sorted by
-	// root id, so float summation order — and therefore every influence
-	// value — is deterministic run to run.
-	roots, ns := c.RootCounts(user)
-	out := make([]rootCount, len(roots))
-	for i := range roots {
-		out[i] = rootCount{root: roots[i], count: ns[i]}
-	}
-	return out
-}
-
-func propagationSum(roots []rootCount, self int32, scale float64) float64 {
-	sum := 0.0
-	for _, rc := range roots {
-		if rc.root == self {
-			continue
-		}
-		v := scale * float64(rc.count)
-		if v > 1 {
-			v = 1
-		}
-		sum += v
-	}
-	return sum
-}
-
 func uniformTopics(k int) []float64 {
 	u := make([]float64, k)
 	for i := range u {
@@ -254,15 +218,10 @@ func (ev *Evaluator) Influence(w, t int) float64 {
 	switch {
 	case ev.comps&Propagation != 0 && ev.comps&Willingness != 0:
 		// Σ_{wi≠ws} Pwil(wi,s) · Ppro(ws,wi), via the RRR cover of ws.
-		for _, rc := range us.roots {
-			if rc.root == us.u {
-				continue
+		for i, root := range us.roots {
+			if root != us.u {
+				spread += float64(ts.row[root]) * us.ppro[i]
 			}
-			p := ev.scale * float64(rc.count)
-			if p > 1 {
-				p = 1
-			}
-			spread += float64(ts.row[rc.root]) * p
 		}
 	case ev.comps&Propagation != 0:
 		// Willingness neutral (IA-AP): Σ Ppro(ws, wi).

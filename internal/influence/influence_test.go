@@ -225,6 +225,39 @@ func TestPropagationSumConsistentWithCollection(t *testing.T) {
 	}
 }
 
+// TestEvaluatorPproMatchesCollection: Ppro (Equation 3) has one
+// definition, so the vector rrr.Collection.Propagation reports and the
+// Ppro the evaluator weighs willingness with agree bit for bit on every
+// entry, on a graph large enough that multiplicities reach the clamp.
+func TestEvaluatorPproMatchesCollection(t *testing.T) {
+	g := socialgraph.GeneratePreferentialAttachment(600, 3, randx.New(41))
+	wil, err := mobility.FromWire(mobility.Wire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &Engine{Prop: rrr.Build(g, rrr.Params{Seed: 42, MaxSets: 6000}), Wil: wil}
+	inst := &model.Instance{}
+	for u := 0; u < g.N(); u++ {
+		inst.Workers = append(inst.Workers, model.Worker{ID: model.WorkerID(u), User: model.WorkerID(u)})
+	}
+	ev := eng.NewSession(WP, 1, 1).Evaluate(inst, nil)
+	for w := range inst.Workers {
+		us := ev.users[w]
+		vec := eng.Prop.Propagation(us.u)
+		got := make([]float64, len(vec))
+		for i, root := range us.roots {
+			if root != us.u {
+				got[root] = us.ppro[i]
+			}
+		}
+		for wi := range vec {
+			if math.Float64bits(got[wi]) != math.Float64bits(vec[wi]) {
+				t.Fatalf("Ppro(%d, %d): evaluator %v, Propagation %v", us.u, wi, got[wi], vec[wi])
+			}
+		}
+	}
+}
+
 func TestPropagationSumAvailableWithoutPropagationMask(t *testing.T) {
 	// The AP metric is reported even for masks that exclude propagation.
 	eng, inst := testWorld(t)

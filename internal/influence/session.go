@@ -64,14 +64,18 @@ type taskState struct {
 
 // userState is the cached per-worker influence state, keyed by the
 // worker's social-graph user id u: the user's topic mixture (theta; the
-// session's uniform mixture for a user without history), the compacted
-// RRR root list and the propagation sum Σ_{wi≠ws} Ppro(ws, wi).
+// session's uniform mixture for a user without history), the propagation
+// sum Σ_{wi≠u} Ppro(u, wi), and under masks with both willingness and
+// propagation, which weigh willingness by Ppro, the distinct roots wi of
+// the RRR sets covering the user with Ppro(u, wi) for each
+// (rrr.Collection.RootCounts).
 type userState struct {
 	gen     uint64
 	seq     uint64 // admission order, for capacity eviction
 	u       int32
 	theta   []float64
-	roots   []rootCount
+	roots   []int32
+	ppro    []float64
 	propSum float64
 }
 
@@ -108,7 +112,6 @@ type Session struct {
 	// capacity bounds each cache (tasks and users separately) when
 	// positive; see SetCapacity.
 	capacity int
-	scale    float64
 	// models are the engine's truncated per-user willingness models
 	// (nil under masks without willingness).
 	models []*mobility.WorkerModel
@@ -146,9 +149,6 @@ func (e *Engine) NewSession(comps Components, seed uint64, parallelism int) *Ses
 		lazy:  comps&Willingness != 0 && comps&Propagation != 0,
 		tasks: make(map[uint64]*taskState),
 		users: make(map[int32]*userState),
-	}
-	if n := e.Prop.NumSets(); n > 0 {
-		s.scale = float64(e.Prop.Graph().N()) / float64(n)
 	}
 	if comps&Affinity != 0 {
 		s.uniform = uniformTopics(e.LDA.Topics())
@@ -211,7 +211,6 @@ func (s *Session) Evaluate(inst *model.Instance, pairs []assign.Pair) *Evaluator
 	s.gen++
 	ev := &Evaluator{
 		comps: s.comps,
-		scale: s.scale,
 		users: make([]*userState, len(inst.Workers)),
 		tasks: make([]*taskState, len(inst.Tasks)),
 	}
@@ -247,17 +246,21 @@ func (s *Session) admitUsers(inst *model.Instance, sts []*userState) {
 		st.gen = s.gen
 		sts[i] = st
 	}
-	prop := s.comps&Propagation != 0
 	parallel.For(s.par, len(s.pendU), func(_, i int) {
 		st := s.pendU[i]
-		if prop {
-			st.roots = compactRoots(s.eng.Prop, st.u)
-			st.propSum = propagationSum(st.roots, st.u, s.scale)
-		} else {
-			// The AP metric is still reported for propagation-free
-			// variants; compute it from the collection without letting it
-			// affect if().
+		if !s.lazy {
+			// Only the Average Propagation term is read; propagation-free
+			// variants still report it without letting it affect if().
 			st.propSum = s.eng.Prop.PropagationSum(st.u)
+			return
+		}
+		// The roots come sorted, so the sum's order — and every
+		// influence value — is deterministic run to run.
+		st.roots, st.ppro = s.eng.Prop.RootCounts(st.u)
+		for i, root := range st.roots {
+			if root != st.u {
+				st.propSum += st.ppro[i]
+			}
 		}
 	})
 }
@@ -363,14 +366,14 @@ func (s *Session) fillRows(ev *Evaluator, pairs []assign.Pair) {
 		}
 		n := 0
 		for _, w := range ws {
-			for _, rc := range ev.users[w].roots {
-				word, bit := rc.root>>6, uint64(1)<<(rc.root&63)
+			for _, root := range ev.users[w].roots {
+				word, bit := root>>6, uint64(1)<<(root&63)
 				if st.filled[word]&bit != 0 {
 					continue
 				}
 				st.filled[word] |= bit
-				if wm := s.models[rc.root]; wm != nil {
-					st.row[rc.root] = float32(wm.Willingness(st.loc))
+				if wm := s.models[root]; wm != nil {
+					st.row[root] = float32(wm.Willingness(st.loc))
 				}
 				n++
 			}

@@ -176,18 +176,3 @@ type Instance struct {
 	Workers []Worker
 	Tasks   []Task
 }
-
-// Feasible reports whether task s may be assigned to worker w at time now
-// under the paper's two spatio-temporal constraints:
-//
-//	(i)  d(w.l, s.l) <= w.r                      (reachable range)
-//	(ii) now + t(w.l, s.l) <= s.p + s.ϕ          (meets the deadline)
-//
-// speedKmH converts distance to travel time (5 km/h in the paper).
-func Feasible(w Worker, s Task, now, speedKmH float64) bool {
-	d := geo.Dist(w.Loc, s.Loc)
-	if d > w.Radius {
-		return false
-	}
-	return now+d/speedKmH <= s.Expiry()
-}

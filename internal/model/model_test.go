@@ -1,11 +1,6 @@
 package model
 
-import (
-	"math"
-	"testing"
-
-	"dita/internal/geo"
-)
+import "testing"
 
 func TestTaskExpiry(t *testing.T) {
 	s := Task{Publish: 10, Valid: 5}
@@ -104,51 +99,4 @@ func TestValidateCatchesViolations(t *testing.T) {
 	if bad.Validate(1, 1) == nil {
 		t.Error("ragged set validated")
 	}
-}
-
-func TestFeasible(t *testing.T) {
-	w := Worker{Loc: geo.Point{X: 0, Y: 0}, Radius: 10}
-	mkTask := func(x float64, publish, valid float64) Task {
-		return Task{Loc: geo.Point{X: x}, Publish: publish, Valid: valid}
-	}
-	tests := []struct {
-		name  string
-		s     Task
-		now   float64
-		speed float64
-		want  bool
-	}{
-		{"in radius, in time", mkTask(5, 0, 2), 0, 5, true},
-		{"outside radius", mkTask(11, 0, 100), 0, 5, false},
-		{"radius boundary", mkTask(10, 0, 100), 0, 5, true},
-		{"deadline too tight", mkTask(10, 0, 1.9), 0, 5, false},
-		{"deadline exact", mkTask(10, 0, 2), 0, 5, true},
-		{"already expired", mkTask(1, 0, 1), 2, 5, false},
-		{"expiry in future relative to now", mkTask(5, 3, 2), 3.5, 5, true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := Feasible(w, tc.s, tc.now, tc.speed); got != tc.want {
-				t.Errorf("Feasible = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestFeasibleZeroSpeed(t *testing.T) {
-	w := Worker{Loc: geo.Point{}, Radius: 10}
-	s := Task{Loc: geo.Point{X: 5}, Publish: 0, Valid: 100}
-	// Division by zero speed yields +Inf travel time → infeasible.
-	if Feasible(w, s, 0, 0) {
-		t.Error("zero speed feasible for distant task")
-	}
-	// Except at distance 0, where travel time is NaN/0 — treat
-	// colocated tasks as reachable only with positive speed; document
-	// the observed behaviour here.
-	s0 := Task{Loc: geo.Point{}, Publish: 0, Valid: 1}
-	got := Feasible(w, s0, 0, 5)
-	if !got {
-		t.Error("colocated task infeasible at normal speed")
-	}
-	_ = math.Inf // keep math import for clarity of intent
 }

@@ -342,39 +342,30 @@ func (c *Collection) Graph() *socialgraph.Graph { return c.g }
 
 // Propagation returns the worker-propagation vector WP_ws: for every
 // worker wi, the estimated probability Ppro(ws, wi) that wi is informed
-// when ws knows the task (Equation 3):
-//
-//	Ppro(ws, wi) = |W|/N · #{ sets rooted at wi that contain ws }.
-//
-// The self entry Ppro(ws, ws) is forced to zero because the influence sum
-// ranges over W \ {ws}.
+// when ws knows the task (Equation 3), as RootCounts defines it. The self
+// entry Ppro(ws, ws) is forced to zero because the influence sum ranges
+// over W \ {ws}.
 func (c *Collection) Propagation(ws int32) []float64 {
-	n := c.g.N()
-	out := make([]float64, n)
-	N := len(c.roots)
-	if N == 0 {
-		return out
-	}
-	scale := float64(n) / float64(N)
-	for _, id := range c.cover(ws) {
-		out[c.roots[id]] += scale
+	out := make([]float64, c.g.N())
+	roots, ppro := c.RootCounts(ws)
+	for i, root := range roots {
+		out[root] = ppro[i]
 	}
 	out[ws] = 0
-	// Probabilities cannot exceed 1; the unbiased estimator can overshoot
-	// on small N, so clamp for downstream stability.
-	for i := range out {
-		if out[i] > 1 {
-			out[i] = 1
-		}
-	}
 	return out
 }
 
-// RootCounts returns, for every distinct root among the sets containing
-// ws, that root and how many such sets it roots, sorted by ascending
-// root id so float accumulation over the result is deterministic. It is
-// the compact form of the cover that the influence evaluator consumes.
-func (c *Collection) RootCounts(ws int32) (roots, counts []int32) {
+// RootCounts returns, for every distinct root wi among the sets
+// containing ws, that root and Ppro(ws, wi) (Equation 3):
+//
+//	Ppro(ws, wi) = min(1, |W|/N · #{ sets rooted at wi that contain ws }).
+//
+// Probabilities cannot exceed 1, but the unbiased estimator can overshoot
+// on small N, hence the clamp. The self root ws is included. Roots come
+// sorted ascending, so float accumulation over the result is
+// deterministic. This is the one definition of Ppro: Propagation,
+// PropagationSum, InformedRange and the influence evaluator all read it.
+func (c *Collection) RootCounts(ws int32) (roots []int32, ppro []float64) {
 	ids := c.cover(ws)
 	if len(ids) == 0 {
 		return nil, nil
@@ -384,42 +375,37 @@ func (c *Collection) RootCounts(ws int32) (roots, counts []int32) {
 		rs[i] = c.roots[id]
 	}
 	slices.Sort(rs)
-	// Run-length encode in place.
-	k := 0
-	counts = make([]int32, 0, len(rs))
+	distinct := 1
+	for i := 1; i < len(rs); i++ {
+		if rs[i] != rs[i-1] {
+			distinct++
+		}
+	}
+	scale := float64(c.g.N()) / float64(len(c.roots))
+	roots = make([]int32, 0, distinct)
+	ppro = make([]float64, 0, distinct)
 	for i := 0; i < len(rs); {
 		j := i
 		for j < len(rs) && rs[j] == rs[i] {
 			j++
 		}
-		rs[k] = rs[i]
-		counts = append(counts, int32(j-i))
-		k++
+		roots = append(roots, rs[i])
+		ppro = append(ppro, min(1, scale*float64(j-i)))
 		i = j
 	}
-	return rs[:k], counts
+	return roots, ppro
 }
 
 // PropagationSum returns Σ_{wi ≠ ws} Ppro(ws, wi) without materializing
 // the vector; it is the Average Propagation (AP) contribution of ws and a
 // hot path of the benchmark harness.
 func (c *Collection) PropagationSum(ws int32) float64 {
-	N := len(c.roots)
-	if N == 0 {
-		return 0
-	}
-	roots, ns := c.RootCounts(ws)
-	scale := float64(c.g.N()) / float64(N)
+	roots, ppro := c.RootCounts(ws)
 	sum := 0.0
 	for i, root := range roots {
-		if root == ws {
-			continue
+		if root != ws {
+			sum += ppro[i]
 		}
-		v := scale * float64(ns[i])
-		if v > 1 {
-			v = 1
-		}
-		sum += v
 	}
 	return sum
 }
@@ -428,19 +414,10 @@ func (c *Collection) PropagationSum(ws int32) float64 {
 // workers informed by ws (Definition 6): Σ_i Ppro(ws, wi), this time
 // including the root-reaches-itself term the definition sums over.
 func (c *Collection) InformedRange(ws int32) float64 {
-	N := len(c.roots)
-	if N == 0 {
-		return 0
-	}
-	_, ns := c.RootCounts(ws)
-	scale := float64(c.g.N()) / float64(N)
+	_, ppro := c.RootCounts(ws)
 	sum := 0.0
-	for _, cnt := range ns {
-		v := scale * float64(cnt)
-		if v > 1 {
-			v = 1
-		}
-		sum += v
+	for _, p := range ppro {
+		sum += p
 	}
 	return sum
 }

@@ -250,7 +250,7 @@ func TestRootCountsMatchesCover(t *testing.T) {
 	g := socialgraph.GeneratePreferentialAttachment(60, 2, randx.New(25))
 	c := Build(g, Params{Seed: 26, MaxSets: 3000})
 	for ws := int32(0); ws < int32(g.N()); ws += 4 {
-		roots, counts := c.RootCounts(ws)
+		roots, ppro := c.RootCounts(ws)
 		if !slices.IsSorted(roots) {
 			t.Fatalf("RootCounts(%d) roots not sorted", ws)
 		}
@@ -261,9 +261,10 @@ func TestRootCountsMatchesCover(t *testing.T) {
 		if len(roots) != len(want) {
 			t.Fatalf("RootCounts(%d): %d distinct roots, want %d", ws, len(roots), len(want))
 		}
+		scale := float64(g.N()) / float64(c.NumSets())
 		for i, r := range roots {
-			if counts[i] != want[r] {
-				t.Fatalf("RootCounts(%d): root %d count %d, want %d", ws, r, counts[i], want[r])
+			if p := min(1, scale*float64(want[r])); ppro[i] != p {
+				t.Fatalf("RootCounts(%d): root %d (%d sets) Ppro %v, want %v", ws, r, want[r], ppro[i], p)
 			}
 		}
 	}
