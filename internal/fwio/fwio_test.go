@@ -308,6 +308,21 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		// A node count int32 ids cannot address used to panic in the
 		// graph's CSR allocation.
 		{"resealed-huge-graph", reseal(t, raw, func(a *artifact) { a.Graph.N = math.MaxInt }), "artifact graph"},
+		// HA models that are not probabilistic used to load and yield
+		// negative or greater-than-one Pwil, and from those non-finite
+		// or negative IA edge costs.
+		{"resealed-negative-stationary", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Stationary[0] = -0.5 }), "outside [0, 1]"},
+		{"resealed-stationary-above-one", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Stationary[0] = 1.5 }), "outside [0, 1]"},
+		{"resealed-stationary-mass-above-one", reseal(t, raw, func(a *artifact) {
+			st := a.Mobility.Workers[0].Stationary
+			st[0] = 1
+			st = append(st, 0.5)
+			a.Mobility.Workers[0].Stationary = st
+			a.Mobility.Workers[0].Locs = append(a.Mobility.Workers[0].Locs, a.Mobility.Workers[0].Locs[0])
+		}), "summing to"},
+		{"resealed-zero-shape", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Shape = 0 }), "shape 0 outside"},
+		{"resealed-negative-shape", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Shape = -2 }), "shape -2 outside"},
+		{"resealed-huge-shape", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Shape = 1e300 }), "shape 1e+300 outside"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -153,47 +153,9 @@ func (e *Engine) truncatedModels(par int) []*mobility.WorkerModel {
 		if wm == nil {
 			return
 		}
-		if e.TopLocations <= 0 || len(wm.Locs) <= e.TopLocations {
-			out[u] = wm
-			return
-		}
-		out[u] = truncateModel(wm, e.TopLocations)
+		out[u] = wm.Top(e.TopLocations)
 	})
 	return out
-}
-
-func truncateModel(wm *mobility.WorkerModel, top int) *mobility.WorkerModel {
-	type ip struct {
-		i int
-		p float64
-	}
-	items := make([]ip, len(wm.Stationary))
-	for i, p := range wm.Stationary {
-		items[i] = ip{i, p}
-	}
-	// Partial selection of the top locations (selection sort over `top`
-	// slots; top is a small constant).
-	for a := 0; a < top; a++ {
-		best := a
-		for b := a + 1; b < len(items); b++ {
-			if items[b].p > items[best].p {
-				best = b
-			}
-		}
-		items[a], items[best] = items[best], items[a]
-	}
-	t := &mobility.WorkerModel{Shape: wm.Shape}
-	mass := 0.0
-	for _, it := range items[:top] {
-		mass += it.p
-	}
-	for _, it := range items[:top] {
-		t.Locs = append(t.Locs, wm.Locs[it.i])
-		// Renormalize so the stationary distribution stays a
-		// distribution after truncation.
-		t.Stationary = append(t.Stationary, it.p/mass)
-	}
-	return t
 }
 
 func uniformTopics(k int) []float64 {

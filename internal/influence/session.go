@@ -17,6 +17,16 @@
 // the willingness-only masks, which read a row's column sum, compute
 // dense rows.
 //
+// The two kinds of row use different kernels. An on-demand entry is
+// stored as a float32 and nothing reads more, so it comes from the
+// filtered kernel mobility.(*WorkerModel).Willingness32: one Exp and one
+// Log per term instead of a Pow, checked against a derived error bound,
+// with the exact kernel as fallback where the bound cannot decide the
+// float32. Its result is float32(Willingness) bit for bit, so filtering
+// changes no stored value; the session counts the fallbacks per instant.
+// Dense rows keep the exact float64 Willingness, because their column
+// sum adds the float64 values.
+//
 // Cache keys are stable identities, never instant-local positions: a task
 // is keyed by its Task.ID (which the streaming simulator keeps stable
 // across a task's whole lifetime) and a worker by its User id in the
@@ -121,14 +131,26 @@ type Session struct {
 	tasks   map[uint64]*taskState
 	users   map[int32]*userState
 	// wilEntries counts the willingness entries the last Evaluate
-	// computed.
-	wilEntries int
+	// computed, and wilFallbacks how many of those the filtered kernel
+	// (mobility.WorkerModel.Willingness32) handed to the exact one.
+	wilEntries   int
+	wilFallbacks int
 
 	// pendT/pendU are reusable scratch lists of cache misses; the
 	// parallel fresh-work phase iterates them by index.
 	pendT []pendingTask
 	pendU []*userState
+	// fillRows' reusable scratch: the instant's pairs grouped by task
+	// (rowStart/rowW, CSR), each task's entry and fallback counts, the
+	// evaluator being filled, and fillTask bound once to s.
+	rowStart []int32
+	rowW     []int32
+	rowCount []fillCount
+	fillEv   *Evaluator
+	fillFn   func(worker, j int)
 }
+
+type fillCount struct{ entries, fallbacks int }
 
 type pendingTask struct {
 	key uint64
@@ -155,6 +177,9 @@ func (e *Engine) NewSession(comps Components, seed uint64, parallelism int) *Ses
 	}
 	if comps&Willingness != 0 {
 		s.models = e.willingnessModels(s.par)
+	}
+	if s.lazy {
+		s.fillFn = s.fillTask
 	}
 	return s
 }
@@ -246,6 +271,9 @@ func (s *Session) admitUsers(inst *model.Instance, sts []*userState) {
 		st.gen = s.gen
 		sts[i] = st
 	}
+	if len(s.pendU) == 0 {
+		return
+	}
 	parallel.For(s.par, len(s.pendU), func(_, i int) {
 		st := s.pendU[i]
 		if !s.lazy {
@@ -271,9 +299,9 @@ func (s *Session) admitUsers(inst *model.Instance, sts []*userState) {
 // identity via randx.Mix, so the computed state is independent of the
 // task's position in the instance and of which instant first computed
 // it. It points sts[j] at instance task j's state, and resets the
-// instant's willingness-entry count.
+// instant's willingness entry and fallback counts.
 func (s *Session) admitTasks(inst *model.Instance, sts []*taskState) {
-	s.wilEntries = 0
+	s.wilEntries, s.wilFallbacks = 0, 0
 	if s.comps&(Affinity|Willingness) == 0 {
 		return
 	}
@@ -294,6 +322,9 @@ func (s *Session) admitTasks(inst *model.Instance, sts []*taskState) {
 		}
 		st.gen = s.gen
 		sts[j] = st
+	}
+	if len(s.pendT) == 0 {
+		return
 	}
 	nU := s.eng.Prop.Graph().N()
 	dense := s.comps&Willingness != 0 && !s.lazy
@@ -331,20 +362,21 @@ func (s *Session) admitTasks(inst *model.Instance, sts []*taskState) {
 // for each task, Pwil at every RRR root of every feasible worker, minus
 // the entries an earlier instant already filled. The pairs are grouped
 // by task (CSR, workers in pair order) so each task writes only its own
-// row and bitmap on the pool, and the per-task entry counts are summed
+// row, bitmap and counts on the pool, and the per-task counts are summed
 // sequentially; rows and counts are therefore identical at any
-// Parallelism.
+// Parallelism. The grouping and counts live in session scratch reused
+// across instants.
 func (s *Session) fillRows(ev *Evaluator, pairs []assign.Pair) {
 	nT := len(ev.tasks)
-	nU := s.eng.Prop.Graph().N()
-	start := make([]int32, nT+1)
+	start := grow(s.rowStart, nT+1)
+	clear(start)
 	for _, p := range pairs {
 		start[p.T+1]++
 	}
 	for j := 0; j < nT; j++ {
 		start[j+1] += start[j]
 	}
-	byW := make([]int32, len(pairs))
+	byW := grow(s.rowW, len(pairs))
 	for _, p := range pairs {
 		byW[start[p.T]] = p.W
 		start[p.T]++
@@ -353,36 +385,60 @@ func (s *Session) fillRows(ev *Evaluator, pairs []assign.Pair) {
 	// back so start[j] is task j's first slot again.
 	copy(start[1:], start[:nT])
 	start[0] = 0
-	counts := make([]int, nT)
-	parallel.For(s.par, nT, func(_, j int) {
-		ws := byW[start[j]:start[j+1]]
-		if len(ws) == 0 {
-			return
-		}
-		st := ev.tasks[j]
-		if st.row == nil {
-			st.row = make([]float32, nU)
-			st.filled = make([]uint64, (nU+63)/64)
-		}
-		n := 0
-		for _, w := range ws {
-			for _, root := range ev.users[w].roots {
-				word, bit := root>>6, uint64(1)<<(root&63)
-				if st.filled[word]&bit != 0 {
-					continue
-				}
-				st.filled[word] |= bit
-				if wm := s.models[root]; wm != nil {
-					st.row[root] = float32(wm.Willingness(st.loc))
-				}
-				n++
-			}
-		}
-		counts[j] = n
-	})
-	for _, n := range counts {
-		s.wilEntries += n
+	s.rowStart, s.rowW = start, byW
+	s.rowCount = grow(s.rowCount, nT)
+	clear(s.rowCount)
+	s.fillEv = ev
+	parallel.For(s.par, nT, s.fillFn)
+	s.fillEv = nil
+	for _, c := range s.rowCount {
+		s.wilEntries += c.entries
+		s.wilFallbacks += c.fallbacks
 	}
+}
+
+// fillTask fills task j's entries for fillRows and records its counts
+// in rowCount[j].
+func (s *Session) fillTask(_, j int) {
+	ev := s.fillEv
+	ws := s.rowW[s.rowStart[j]:s.rowStart[j+1]]
+	if len(ws) == 0 {
+		return
+	}
+	st := ev.tasks[j]
+	if st.row == nil {
+		nU := s.eng.Prop.Graph().N()
+		st.row = make([]float32, nU)
+		st.filled = make([]uint64, (nU+63)/64)
+	}
+	var c fillCount
+	for _, w := range ws {
+		for _, root := range ev.users[w].roots {
+			word, bit := root>>6, uint64(1)<<(root&63)
+			if st.filled[word]&bit != 0 {
+				continue
+			}
+			st.filled[word] |= bit
+			if wm := s.models[root]; wm != nil {
+				v, fellBack := wm.Willingness32(st.loc)
+				st.row[root] = v
+				if fellBack {
+					c.fallbacks++
+				}
+			}
+			c.entries++
+		}
+	}
+	s.rowCount[j] = c
+}
+
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // evict drops cached state whose task or worker was absent from the

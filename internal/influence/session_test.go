@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dita/internal/assign"
+	"dita/internal/mobility"
 	"dita/internal/model"
 	"dita/internal/paralleltest"
 )
@@ -441,4 +442,68 @@ func TestWillingnessModelsBuiltOnce(t *testing.T) {
 	paralleltest.Invariant(t, func(par int) any {
 		return eng.truncatedModels(par)
 	})
+}
+
+// TestSessionFallbacksParallelismInvariant: the filtered kernel's
+// fallback count is summed per task in task order, so it is identical at
+// any worker count. Every third user's model gets a shape outside the
+// kernel's domain, so those entries always fall back and the count is
+// not trivially zero; each fallback still stores the exact float32.
+func TestSessionFallbacksParallelismInvariant(t *testing.T) {
+	eng, inst := testWorld(t)
+	seq := instantSequence(inst)
+	exact := eng.truncatedModels(1)
+	paralleltest.Invariant(t, func(par int) any {
+		sess := eng.NewSession(All, 7, par)
+		sess.models = make([]*mobility.WorkerModel, len(exact))
+		for u, wm := range exact {
+			if wm != nil && u%3 == 0 {
+				steep := *wm
+				steep.Shape = 20
+				wm = &steep
+			}
+			sess.models[u] = wm
+		}
+		var counts [][2]int
+		total := 0
+		for _, in := range seq {
+			sess.Evaluate(in, feasible(in))
+			counts = append(counts, [2]int{sess.wilEntries, sess.wilFallbacks})
+			total += sess.wilFallbacks
+			for _, task := range in.Tasks {
+				row, filled, _ := sess.taskRow(task.ID)
+				for u, got := range row {
+					if filled[u>>6]&(1<<(u&63)) == 0 || sess.models[u] == nil {
+						continue
+					}
+					if want := float32(sess.models[u].Willingness(task.Loc)); math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("par %d: task %d user %d: stored %v, exact %v", par, task.ID, u, got, want)
+					}
+				}
+			}
+		}
+		if total == 0 {
+			t.Fatalf("par %d: no fallback counted over out-of-domain models", par)
+		}
+		return counts
+	})
+}
+
+// TestSessionWarmEvaluateAllocations: an instant whose tasks, workers
+// and willingness entries are all cached allocates only its evaluator
+// and the evaluator's two pointer slices; the pair grouping and counts
+// of fillRows are session scratch reused across instants.
+func TestSessionWarmEvaluateAllocations(t *testing.T) {
+	eng, inst := testWorld(t)
+	pairs := feasible(inst)
+	for _, mask := range []Components{All, WP, AW, AP} {
+		sess := eng.NewSession(mask, 7, 1)
+		sess.Evaluate(inst, pairs)
+		if got := testing.AllocsPerRun(20, func() { sess.Evaluate(inst, pairs) }); got > 3 {
+			t.Errorf("mask %v: warm Evaluate allocates %v times, want at most 3", mask, got)
+		}
+		if sess.wilEntries != 0 {
+			t.Errorf("mask %v: warm Evaluate filled %d entries", mask, sess.wilEntries)
+		}
+	}
 }

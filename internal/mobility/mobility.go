@@ -93,6 +93,127 @@ func (wm *WorkerModel) Willingness(loc geo.Point) float64 {
 	return sum
 }
 
+// wilRelErr is Willingness32's per-term relative error allowance r; the
+// derivation on Willingness32 bounds the true per-term error by 2⁻⁴⁰·⁹,
+// so r = 2⁻³⁶ leaves a 30× margin.
+const wilRelErr = 0x1p-36
+
+// Willingness32 returns float32(wm.Willingness(loc)) bit for bit, and
+// whether it had to call Willingness to get it (the fallback).
+//
+// The fast path evaluates each term as
+//
+//	t_i = Stationary[i] · Exp(y_i),  y_i = −Shape · Log(Sqrt(dx²+dy²) + 1)
+//
+// — one Exp and one Log, where Pow spends an Exp, a Log, a Modf, a Frexp,
+// up to five squarings and an Ldexp — and sums s = Σ t_i and A = Σ |t_i|
+// in the same order as Willingness. With a proven bound E ≥ |s − v| on
+// the distance to the exact float64 v, v lies in [s−E, s+E]; conversion
+// to float32 is monotonic, so when both ends convert to the same float32
+// (same bits, so the sign of a zero agrees too) v converts to it as well.
+// Otherwise, and outside the domain the bound covers, it returns
+// float32(wm.Willingness(loc)). Either way the result is exact; the
+// fallback only costs time.
+//
+// The bound, with u = 2⁻⁵³ and x = d+1 for the true distance d of the
+// float64 offsets dx, dy. It assumes the documented accuracy of Exp and
+// Log (error < 1 ulp, at most 2u relative) and the algorithm of the
+// standard library's pow (math/pow.go). Per term:
+//
+//   - Distance. Hypot(dx, dy) is max·Sqrt(1+(min/max)²), within 4u of d;
+//     Sqrt(dx²+dy²) is within 2u. Adding 1 rounds each by u, so the two
+//     bases differ by at most 8u·x, and x^(−Shape) by 8u·Shape ≤ 128u
+//     relative, for Shape ≤ 16. (Squares that underflow move d by less
+//     than 2⁻⁵¹⁰, nothing next to the 1.)
+//   - Exact kernel. Pow(x, −Shape) splits Shape into yi + yf with
+//     |yf| ≤ 1/2 and yi ≤ 16, computes Exp(yf·Log(x)) and multiplies in
+//     x^yi by repeated squaring of the exact Frexp mantissa. An absolute
+//     error Δ in an exponent is a relative error of about Δ in the term.
+//     |yf·Log(x)| ≤ |y|, so Log's error and the product's rounding add at
+//     most 3u|y|; Exp adds 2u, the squarings and products that multiply
+//     in x^yi add yi·u ≤ 16u, the reciprocal u: (3|y| + 19)u in all, and
+//     u for the product with Stationary[i].
+//   - Fast path. Log's error and the rounding of −Shape·Log add 3u|y|,
+//     Exp 2u, the product with Stationary[i] u: (3|y| + 3)u.
+//
+// The two terms therefore differ by at most (6|y| + 151)u relative, which
+// is 4351u < 2⁻⁴⁰·⁹ for |y| ≤ 700; r = 2⁻³⁶ covers it 30 times over, a
+// margin that also absorbs the rounding of s±E and an assembly Exp or
+// Log (amd64's accuracy is undocumented) a few ulps off the bound.
+// Summing n terms in order adds at most (n−1)u·A to each side, so
+// E = (r + n·2⁻⁵²)·A + δ. The relative bounds fail only for subnormal
+// results, whose rounding error is below 2⁻¹⁰⁷⁴ per operation;
+// δ = 2⁻¹⁰⁰⁰ covers them and cannot decide a float32 on its own, since
+// everything below 2⁻¹⁵⁰ converts to zero.
+//
+// The domain: 0 < Shape ≤ 16 (the default fitting range) and every
+// y_i ≥ −700, so Exp and Pow return normal numbers. NaN and infinite
+// inputs fall outside it, or make s±E NaN and fail the comparison; both
+// fall back.
+func (wm *WorkerModel) Willingness32(loc geo.Point) (float32, bool) {
+	shape := wm.Shape
+	if !(shape > 0 && shape <= 16) {
+		return float32(wm.Willingness(loc)), true
+	}
+	s, a := 0.0, 0.0
+	for i, p := range wm.Locs {
+		dx, dy := p.X-loc.X, p.Y-loc.Y
+		y := -shape * math.Log(math.Sqrt(dx*dx+dy*dy)+1)
+		if !(y >= -700) {
+			return float32(wm.Willingness(loc)), true
+		}
+		t := wm.Stationary[i] * math.Exp(y)
+		s += t
+		a += math.Abs(t)
+	}
+	e := (wilRelErr+float64(len(wm.Locs))*0x1p-52)*a + 0x1p-1000
+	lo, hi := float32(s-e), float32(s+e)
+	if lo == hi && math.Float32bits(lo) == math.Float32bits(hi) {
+		return lo, false
+	}
+	return float32(wm.Willingness(loc)), true
+}
+
+// Top returns the model restricted to its top highest-stationary
+// locations, their stationary probabilities renormalized to sum to one,
+// or wm itself when it has no more than top locations (or top <= 0).
+func (wm *WorkerModel) Top(top int) *WorkerModel {
+	if top <= 0 || len(wm.Locs) <= top {
+		return wm
+	}
+	type ip struct {
+		i int
+		p float64
+	}
+	items := make([]ip, len(wm.Stationary))
+	for i, p := range wm.Stationary {
+		items[i] = ip{i, p}
+	}
+	// Partial selection of the top locations (selection sort over `top`
+	// slots; top is a small constant).
+	for a := 0; a < top; a++ {
+		best := a
+		for b := a + 1; b < len(items); b++ {
+			if items[b].p > items[best].p {
+				best = b
+			}
+		}
+		items[a], items[best] = items[best], items[a]
+	}
+	t := &WorkerModel{Shape: wm.Shape}
+	mass := 0.0
+	for _, it := range items[:top] {
+		mass += it.p
+	}
+	for _, it := range items[:top] {
+		t.Locs = append(t.Locs, wm.Locs[it.i])
+		// Renormalize so the stationary distribution stays a
+		// distribution after truncation.
+		t.Stationary = append(t.Stationary, it.p/mass)
+	}
+	return t
+}
+
 // Model holds fitted worker models keyed by stable user id.
 type Model struct {
 	cfg     Config
@@ -330,12 +451,17 @@ func (m *Model) Wire() Wire {
 // FromWire rebuilds a fitted model from its serialized form. Worker ids
 // must be strictly ascending (the canonical order Wire emits; it also
 // rules out duplicate entries silently overwriting each other) and each
-// worker's location and stationary vectors must align. The Parallelism
-// knob is forced to zero, as Fit does: it is a runtime choice, not
-// model identity.
+// worker's location and stationary vectors must align. Every model must
+// also be one Fit can produce, so that Pwil stays a probability: each
+// stationary probability in [0, 1] and their sum at most 1 (up to
+// rounding), and the shape within the config's [MinShape, MaxShape] (or
+// its DefaultShape, which Fit gives a worker who never moved). The
+// Parallelism knob is forced to zero, as Fit does: it is a runtime
+// choice, not model identity.
 func FromWire(w Wire) (*Model, error) {
 	cfg := w.Config
 	cfg.Parallelism = 0
+	lim := cfg.withDefaults()
 	m := &Model{cfg: cfg, workers: make(map[model.WorkerID]*WorkerModel, len(w.Workers))}
 	for i, ww := range w.Workers {
 		if i > 0 && ww.ID <= w.Workers[i-1].ID {
@@ -346,6 +472,19 @@ func FromWire(w Wire) (*Model, error) {
 		}
 		if len(ww.Locs) != len(ww.Stationary) {
 			return nil, fmt.Errorf("mobility: wire worker %d has %d locations but %d stationary probabilities", ww.ID, len(ww.Locs), len(ww.Stationary))
+		}
+		mass := 0.0
+		for _, p := range ww.Stationary {
+			if !(p >= 0 && p <= 1) {
+				return nil, fmt.Errorf("mobility: wire worker %d has stationary probability %v outside [0, 1]", ww.ID, p)
+			}
+			mass += p
+		}
+		if mass > 1+1e-9 {
+			return nil, fmt.Errorf("mobility: wire worker %d has stationary probabilities summing to %v > 1", ww.ID, mass)
+		}
+		if !(ww.Shape >= lim.MinShape && ww.Shape <= lim.MaxShape) && ww.Shape != lim.DefaultShape {
+			return nil, fmt.Errorf("mobility: wire worker %d has shape %v outside [%v, %v]", ww.ID, ww.Shape, lim.MinShape, lim.MaxShape)
 		}
 		m.workers[ww.ID] = &WorkerModel{Locs: ww.Locs, Stationary: ww.Stationary, Shape: ww.Shape}
 	}
