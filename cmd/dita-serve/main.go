@@ -61,20 +61,19 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		fwPath     = flag.String("framework", "", "sealed framework artifact to serve (required; see dita-bench -train-out)")
-		regions    = flag.String("regions", "default", "comma-separated region names, one engine each")
-		algName    = flag.String("alg", "IA", "algorithm: MTA, IA, EIA, DIA, MI or MIX")
-		mask       = flag.String("mask", "IA", "influence components: IA (all), IA-WP, IA-AP or IA-AW")
-		seed       = flag.Uint64("seed", 1, "influence-session seed")
-		par        = flag.Int("parallel", 0, "worker pool bound per instant (0 = all cores)")
-		sessionCap = flag.Int("session-cap", 0, "bound each region's influence cache to this many entries, FIFO eviction (0 = unbounded)")
-		trigName   = flag.String("trigger", "manual", "instant trigger: manual, tick or batch")
-		tick       = flag.Duration("tick", 2*time.Second, "wall-time instant period for -trigger tick")
-		batch      = flag.Int("batch", 64, "event-count threshold for -trigger batch")
-		simStart   = flag.Float64("sim-start", 0, "simulation time (hours) at process start, for tick-triggered instants")
-		timeScale  = flag.Float64("time-scale", 1, "simulation hours per wall hour for tick-triggered instants")
-		csvPath    = flag.String("assign-csv", "", "write the streaming assignment CSV here on drain (single region only)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		fwPath    = flag.String("framework", "", "sealed framework artifact to serve (required; see dita-bench -train-out)")
+		regions   = flag.String("regions", "default", "comma-separated region names, one engine each")
+		algName   = flag.String("alg", "IA", "algorithm: MTA, IA, EIA, DIA, MI or MIX")
+		mask      = flag.String("mask", "IA", "influence components: IA (all), IA-WP, IA-AP or IA-AW")
+		seed      = flag.Uint64("seed", 1, "influence-session seed")
+		par       = flag.Int("parallel", 0, "worker pool bound per instant (0 = all cores)")
+		trigName  = flag.String("trigger", "manual", "instant trigger: manual, tick or batch")
+		tick      = flag.Duration("tick", 2*time.Second, "wall-time instant period for -trigger tick")
+		batch     = flag.Int("batch", 64, "event-count threshold for -trigger batch")
+		simStart  = flag.Float64("sim-start", 0, "simulation time (hours) at process start, for tick-triggered instants")
+		timeScale = flag.Float64("time-scale", 1, "simulation hours per wall hour for tick-triggered instants")
+		csvPath   = flag.String("assign-csv", "", "write the streaming assignment CSV here on drain (single region only)")
 	)
 	flag.Parse()
 
@@ -120,13 +119,12 @@ func main() {
 	base := *simStart
 	cfg := serverConfig{
 		engine: engine.Config{
-			Algorithm:       alg,
-			Components:      comps,
-			Seed:            *seed,
-			Parallelism:     *par,
-			SessionCapacity: *sessionCap,
-			Batch:           batchN,
-			Clock:           func() time.Duration { return time.Since(procStart) }, //dita:wallclock
+			Algorithm:   alg,
+			Components:  comps,
+			Seed:        *seed,
+			Parallelism: *par,
+			Batch:       batchN,
+			Clock:       func() time.Duration { return time.Since(procStart) }, //dita:wallclock
 		},
 		regions: splitRegions(*regions),
 		csvPath: *csvPath,

@@ -12,7 +12,7 @@
 // events, so the CI serve smoke diffs their CSVs byte for byte. The
 // server's own flags decide its framework, engine configuration and
 // CSV, so -serve refuses -framework, -train-out, -assign-csv, -alg,
-// -mask, -seed, -parallel and -session-cap when any is set.
+// -mask, -seed and -parallel when any is set.
 // -serve-speedup > 0 paces the arrivals on the wall clock instead and
 // leaves the instants to the server's trigger.
 //
@@ -68,14 +68,13 @@ func main() {
 		fwPath   = flag.String("framework", "", "load a sealed framework artifact instead of training (source must match this run)")
 		trainOut = flag.String("train-out", "", "seal the trained framework into this fwio artifact")
 
-		stream     = flag.Bool("stream", false, "replay an arrival trace through the streaming engine instead of one snapshot instance")
-		arrivals   = flag.Int("arrivals", 400, "stream: workers and tasks in the trace (one of each per index)")
-		traceSeed  = flag.Uint64("trace-seed", 1, "stream: trace sampling seed")
-		spread     = flag.Float64("spread", 12, "stream: arrival window length in hours, starting at the evaluation day")
-		validSpan  = flag.Float64("valid-span", 2, "stream: task validity is uniform in [-valid, -valid + -valid-span)")
-		step       = flag.Float64("step", 0.5, "stream: hours between assignment instants")
-		horizon    = flag.Float64("horizon", 24, "stream: simulated hours after the evaluation day")
-		sessionCap = flag.Int("session-cap", 0, "stream: bound the influence cache to this many entries, FIFO eviction (0 = unbounded)")
+		stream    = flag.Bool("stream", false, "replay an arrival trace through the streaming engine instead of one snapshot instance")
+		arrivals  = flag.Int("arrivals", 400, "stream: workers and tasks in the trace (one of each per index)")
+		traceSeed = flag.Uint64("trace-seed", 1, "stream: trace sampling seed")
+		spread    = flag.Float64("spread", 12, "stream: arrival window length in hours, starting at the evaluation day")
+		validSpan = flag.Float64("valid-span", 2, "stream: task validity is uniform in [-valid, -valid + -valid-span)")
+		step      = flag.Float64("step", 0.5, "stream: hours between assignment instants")
+		horizon   = flag.Float64("horizon", 24, "stream: simulated hours after the evaluation day")
 
 		serve        = flag.String("serve", "", "stream: replay the trace against this dita-serve region URL (e.g. http://127.0.0.1:8080/v1/default) instead of in process")
 		serveSpeedup = flag.Float64("serve-speedup", 0, "serve: wall-clock pacing multiple of trace time; 0 = grid replay with explicit instants")
@@ -90,7 +89,7 @@ func main() {
 		var owned []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "framework", "train-out", "assign-csv", "alg", "mask", "seed", "parallel", "session-cap":
+			case "framework", "train-out", "assign-csv", "alg", "mask", "seed", "parallel":
 				owned = append(owned, "-"+f.Name)
 			}
 		})
@@ -135,7 +134,7 @@ func main() {
 			fw = framework(data, cutoff, *fwPath, *trainOut)
 		}
 		runStream(fw, data, streamParams{
-			alg: alg, comps: comps, seed: *seed, par: *par, sessionCap: *sessionCap,
+			alg: alg, comps: comps, seed: *seed, par: *par,
 			arrivals: *arrivals, traceSeed: *traceSeed, start: cutoff, spread: *spread,
 			radius: *radius, validMin: *valid, validSpan: *validSpan,
 			step: *step, horizon: *horizon, csvPath: *csvPath,
@@ -229,11 +228,10 @@ func framework(data *dataset.Data, cutoff float64, fwPath, trainOut string) *cor
 
 // streamParams bundles everything the -stream replay needs.
 type streamParams struct {
-	alg        assign.Algorithm
-	comps      influence.Components
-	seed       uint64
-	par        int
-	sessionCap int
+	alg   assign.Algorithm
+	comps influence.Components
+	seed  uint64
+	par   int
 
 	arrivals            int
 	traceSeed           uint64
@@ -262,7 +260,7 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 		RadiusKm: p.radius, ValidMin: p.validMin, ValidSpan: p.validSpan,
 	})
 	if err != nil {
-		log.Fatalf("trace: %v", err)
+		log.Fatal(err)
 	}
 	grid := engine.Grid{Start: p.start, Step: p.step, Horizon: p.horizon}
 	if p.serve != "" {
@@ -274,8 +272,7 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 	clockStart := time.Now() //dita:wallclock
 	eng, err := engine.New(fw, engine.Config{
 		Algorithm: p.alg, Components: p.comps, Seed: p.seed, Parallelism: p.par,
-		SessionCapacity: p.sessionCap,
-		Clock:           func() time.Duration { return time.Since(clockStart) }, //dita:wallclock
+		Clock: func() time.Duration { return time.Since(clockStart) }, //dita:wallclock
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -155,7 +155,7 @@ func TestServeRefusesServerOwnedFlags(t *testing.T) {
 		return string(out)
 	}
 	for _, f := range []string{
-		"-alg IA", "-mask IA", "-seed 1", "-parallel 0", "-session-cap 0",
+		"-alg IA", "-mask IA", "-seed 1", "-parallel 0",
 		"-framework fw.json", "-train-out fw.json", "-assign-csv out.csv",
 	} {
 		out := run(f)

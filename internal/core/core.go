@@ -281,13 +281,6 @@ func (s *Session) PreparePairs(inst *model.Instance, pairs []assign.Pair) *influ
 // PreparePairs computed (see influence.Session.WilEntries).
 func (s *Session) WilEntries() int { return s.is.WilEntries() }
 
-// SetCapacity bounds the session's per-entity influence caches to n
-// entries each with deterministic FIFO-by-admission eviction; n <= 0
-// removes the bound. Memory-only: results are bit-identical at any
-// capacity, since evicted-but-live entities recompute identical state on
-// their next instant (see influence.Session.SetCapacity).
-func (s *Session) SetCapacity(n int) { s.is.SetCapacity(n) }
-
 // Influence exposes the underlying influence session (cache
 // introspection for tests and benchmarks).
 func (s *Session) Influence() *influence.Session { return s.is }

@@ -142,14 +142,6 @@ type Config struct {
 	// solve (<= 0 means all cores). Results are bit-identical at any
 	// setting.
 	Parallelism int
-	// SessionCapacity bounds the influence session's per-entity caches:
-	// after each instant, at most this many cached task states and this
-	// many cached user states are retained, evicting the
-	// earliest-admitted live entries first (deterministic FIFO; evicted
-	// entries are recomputed bit-identically if their entity is still
-	// pooled at a later instant). 0 means unbounded — cache memory then
-	// tracks the live pool. See influence.Session.SetCapacity.
-	SessionCapacity int
 	// Clock measures per-instant latency; nil records zero latencies.
 	Clock Clock
 	// Batch is the event-count firing threshold: after an applied
@@ -299,9 +291,7 @@ func New(fw *core.Framework, cfg Config) (*Engine, error) {
 	if cfg.Components == 0 {
 		cfg.Components = influence.All
 	}
-	e := &Engine{fw: fw, cfg: cfg, sess: fw.PrepareSession(cfg.Components, cfg.Seed, cfg.Parallelism)}
-	e.sess.SetCapacity(cfg.SessionCapacity)
-	return e, nil
+	return &Engine{fw: fw, cfg: cfg, sess: fw.PrepareSession(cfg.Components, cfg.Seed, cfg.Parallelism)}, nil
 }
 
 // Apply applies one event. Arrival events mint and return the entity's

@@ -796,19 +796,20 @@ func TestEngineTriggers(t *testing.T) {
 	}
 }
 
-// TestEngineSessionCapacityAdversarialStream is the bounded-memory gate:
-// a stream of entities that arrive, never match and never leave (far
-// corner, zero-radius workers, tasks valid past the horizon) grows the
-// live pool without bound — the capped session must hold its caches at
-// the capacity while producing results bit-identical to the unbounded
-// run (evicted-but-live entities recompute identical state), at
-// Parallelism 1, 2 and 8.
-func TestEngineSessionCapacityAdversarialStream(t *testing.T) {
+// TestEngineSessionCacheTracksPool is the written bound on the
+// session's memory: a stream of entities that arrive, never match and
+// never leave (far corner, zero-radius workers, tasks valid past the
+// horizon) grows the live pool, and after every instant the influence
+// caches hold exactly that pool — one task state per open task and one
+// user state per distinct user among the instant's workers — with
+// results bit-identical at Parallelism 1, 2 and 8.
+func TestEngineSessionCacheTracksPool(t *testing.T) {
 	fw, data := testFramework(t)
 	// A servable stream interleaved with an adversarial one.
 	ws, ts := streams(data, 30, 19)
 	rng := randx.New(77)
-	for i := 0; i < 60; i++ {
+	const stuck = 60
+	for i := 0; i < stuck; i++ {
 		far := geo.Point{X: 500 + rng.Float64(), Y: 500 + rng.Float64()}
 		ws = append(ws, engine.WorkerArrival{
 			User: model.WorkerID(rng.Intn(data.Params.NumUsers)), Loc: far,
@@ -820,38 +821,58 @@ func TestEngineSessionCapacityAdversarialStream(t *testing.T) {
 		})
 	}
 	sortArrivals(ws, ts)
-	const cap = 25
-	run := func(capacity, par int) (replayRun, *engine.Engine) {
-		res, e := replay(t, fw, engine.Config{Algorithm: assign.IA, Seed: 9, Parallelism: par, SessionCapacity: capacity},
-			engine.Grid{Start: 120, Step: 1, Horizon: 16}, ws, ts)
-		res.Instants = normalize(res.Instants)
-		return res, e
-	}
-	want, ew := run(0, 1)
-	if want.Totals.Assigned == 0 {
-		t.Fatal("adversarial run assigned nothing; the servable substream is too sparse")
-	}
-	// The adversarial entities must actually outgrow the capacity, or the
-	// bound is never exercised.
-	if ew.Online() <= cap || ew.Open() <= cap {
-		t.Fatalf("live pool %d workers / %d tasks never exceeded capacity %d",
-			ew.Online(), ew.Open(), cap)
-	}
-	unboundedSess := ew.Session().Influence()
-	if unboundedSess.CachedTasks() <= cap {
-		t.Fatalf("unbounded cache holds %d tasks; the stream never stressed the bound", unboundedSess.CachedTasks())
-	}
-	for _, par := range paralleltest.WorkerCounts {
-		got, e := run(cap, par)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallelism %d: capped session diverged from the unbounded run", par)
+	g := engine.Grid{Start: 120, Step: 1, Horizon: 16}
+	paralleltest.Invariant(t, func(par int) any {
+		e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 9, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
 		}
 		sess := e.Session().Influence()
-		if sess.CachedTasks() > cap || sess.CachedWorkers() > cap {
-			t.Fatalf("parallelism %d: caches hold %d tasks / %d workers, capacity %d",
-				par, sess.CachedTasks(), sess.CachedWorkers(), cap)
+		// The pooled workers' users, by platform id: the stream has no
+		// departures, so a worker leaves the pool only by assignment.
+		pooled := map[model.WorkerID]model.WorkerID{}
+		var instants []engine.InstantResult
+		err = g.Events(ws, ts, func(ev engine.Event) error {
+			ap, err := e.Apply(ev)
+			if err != nil {
+				return err
+			}
+			switch {
+			case ev.Kind == engine.WorkerArrive:
+				pooled[ap.WorkerID] = ev.Worker.User
+			case ap.Instant != nil:
+				ir := *ap.Instant
+				users := map[model.WorkerID]bool{}
+				for _, u := range pooled {
+					users[u] = true
+				}
+				if got := sess.CachedTasks(); got != ir.OpenTasks {
+					t.Fatalf("parallelism %d, instant %v: %d cached tasks, %d open", par, ir.At, got, ir.OpenTasks)
+				}
+				if got := sess.CachedWorkers(); got != len(users) {
+					t.Fatalf("parallelism %d, instant %v: %d cached workers, %d distinct pooled users", par, ir.At, got, len(users))
+				}
+				for _, a := range ir.Assigned {
+					delete(pooled, a.Worker)
+				}
+				instants = append(instants, ir)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if e.Totals().Assigned == 0 {
+			t.Fatal("adversarial run assigned nothing; the servable substream is too sparse")
+		}
+		// The never-matching entities must still be pooled at the end, or
+		// the caches never had an unbounded pool to track.
+		if e.Online() < stuck || e.Open() < stuck {
+			t.Fatalf("live pool %d workers / %d tasks at the end; the %d never-matching arrivals per side left it",
+				e.Online(), e.Open(), stuck)
+		}
+		return replayRun{normalize(instants), e.Totals()}
+	})
 }
 
 // TestEngineAssignCSVByteIdentical pins the streaming CSV form: two

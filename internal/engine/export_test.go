@@ -9,7 +9,6 @@ import "fmt"
 // from the trained models every time.
 func FireCold(e *Engine, now float64) InstantResult {
 	e.sess = e.fw.PrepareSession(e.cfg.Components, e.cfg.Seed, e.cfg.Parallelism)
-	e.sess.SetCapacity(e.cfg.SessionCapacity)
 	return e.Fire(now)
 }
 

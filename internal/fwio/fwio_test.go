@@ -323,6 +323,13 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		{"resealed-zero-shape", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Shape = 0 }), "shape 0 outside"},
 		{"resealed-negative-shape", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Shape = -2 }), "shape -2 outside"},
 		{"resealed-huge-shape", reseal(t, raw, func(a *artifact) { a.Mobility.Workers[0].Shape = 1e300 }), "shape 1e+300 outside"},
+		// The default shape gets no pass: Fit clamps it like a fitted one.
+		{"resealed-default-shape-above-max", reseal(t, raw, func(a *artifact) {
+			a.Mobility.Config.DefaultShape, a.Mobility.Config.MaxShape = 2, 1
+			for i := range a.Mobility.Workers {
+				a.Mobility.Workers[i].Shape = 2
+			}
+		}), "shape 2 outside [0.05, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

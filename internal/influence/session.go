@@ -45,7 +45,6 @@ package influence
 
 import (
 	"fmt"
-	"sort"
 
 	"dita/internal/assign"
 	"dita/internal/geo"
@@ -64,7 +63,6 @@ import (
 // and colSum is its sum.
 type taskState struct {
 	gen    uint64
-	seq    uint64 // admission order, for capacity eviction
 	loc    geo.Point
 	theta  []float64
 	row    []float32
@@ -81,7 +79,6 @@ type taskState struct {
 // (rrr.Collection.RootCounts).
 type userState struct {
 	gen     uint64
-	seq     uint64 // admission order, for capacity eviction
 	u       int32
 	theta   []float64
 	roots   []int32
@@ -116,12 +113,6 @@ type Session struct {
 	// gen is the current instant's generation stamp; entries whose stamp
 	// is older at the end of Evaluate have left the pool and are evicted.
 	gen uint64
-	// admitSeq stamps cache insertions in admission order; capacity
-	// eviction drops the earliest-admitted entries first.
-	admitSeq uint64
-	// capacity bounds each cache (tasks and users separately) when
-	// positive; see SetCapacity.
-	capacity int
 	// models are the engine's truncated per-user willingness models
 	// (nil under masks without willingness).
 	models []*mobility.WorkerModel
@@ -199,21 +190,6 @@ func (s *Session) CachedWorkers() int { return len(s.users) }
 // reports at most what a fresh session would for the same instant.
 func (s *Session) WilEntries() int { return s.wilEntries }
 
-// SetCapacity bounds the session's carry-over memory: after each instant
-// at most n cached task states and n cached user states are retained,
-// evicting the earliest-admitted entries first (FIFO by admission
-// sequence — deterministic, since admission order is the sequential
-// instance order). n <= 0 removes the bound.
-//
-// The bound changes memory, never results: an entity that is still
-// pooled after its state was evicted is simply a cache miss at its next
-// instant, and recomputes bit-identical state because all per-entity
-// randomness is keyed by stable identity, not by which instant computed
-// it. Adversarial streams — entities that arrive, never match and never
-// leave — therefore hold at most n entries per cache instead of growing
-// with the live pool. Takes effect at the next Evaluate.
-func (s *Session) SetCapacity(n int) { s.capacity = n }
-
 // Evaluate returns the evaluator for one assignment instant over its
 // feasible pairs, reusing cached state for every task and worker seen at
 // an earlier instant and computing fresh state — in deterministic
@@ -257,8 +233,7 @@ func (s *Session) admitUsers(inst *model.Instance, sts []*userState) {
 		u := int32(w.User)
 		st, ok := s.users[u]
 		if !ok {
-			s.admitSeq++
-			st = &userState{seq: s.admitSeq, u: u}
+			st = &userState{u: u}
 			if s.comps&Affinity != 0 {
 				st.theta = s.uniform
 				if int(u) < len(s.eng.ThetaUser) && s.eng.ThetaUser[u] != nil {
@@ -310,8 +285,7 @@ func (s *Session) admitTasks(inst *model.Instance, sts []*taskState) {
 		key := uint64(inst.Tasks[j].ID)
 		st, ok := s.tasks[key]
 		if !ok {
-			s.admitSeq++
-			st = &taskState{seq: s.admitSeq, loc: inst.Tasks[j].Loc}
+			st = &taskState{loc: inst.Tasks[j].Loc}
 			s.tasks[key] = st
 			s.pendT = append(s.pendT, pendingTask{key: key, j: j, st: st})
 		} else if st.gen == s.gen {
@@ -442,11 +416,11 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // evict drops cached state whose task or worker was absent from the
-// current instant (assigned, expired or gone offline); carry-over memory
-// is therefore bounded by the live pool, not the run's history. When a
-// capacity is set it is enforced on the survivors: the earliest-admitted
-// live entries are dropped until each cache fits, so memory is bounded
-// even when the live pool is not (adversarial never-leaving streams).
+// current instant (assigned, expired or gone offline). After each
+// instant the caches therefore hold exactly the live pool: one user
+// state per distinct user among the instant's workers and, under masks
+// with affinity or willingness, one task state per task. That is their
+// bound; the pools themselves are bounded only by the stream.
 func (s *Session) evict() {
 	for key, st := range s.tasks {
 		if st.gen != s.gen {
@@ -456,39 +430,6 @@ func (s *Session) evict() {
 	for u, st := range s.users {
 		if st.gen != s.gen {
 			delete(s.users, u)
-		}
-	}
-	if s.capacity <= 0 {
-		return
-	}
-	// Collect (admission seq, key), sort by the unique seq, drop the
-	// oldest: deterministic regardless of map iteration order.
-	type agedTask struct {
-		seq uint64
-		key uint64
-	}
-	if over := len(s.tasks) - s.capacity; over > 0 {
-		byAge := make([]agedTask, 0, len(s.tasks))
-		for key, st := range s.tasks {
-			byAge = append(byAge, agedTask{st.seq, key})
-		}
-		sort.Slice(byAge, func(i, j int) bool { return byAge[i].seq < byAge[j].seq })
-		for _, e := range byAge[:over] {
-			delete(s.tasks, e.key)
-		}
-	}
-	type agedUser struct {
-		seq uint64
-		u   int32
-	}
-	if over := len(s.users) - s.capacity; over > 0 {
-		byAge := make([]agedUser, 0, len(s.users))
-		for u, st := range s.users {
-			byAge = append(byAge, agedUser{st.seq, u})
-		}
-		sort.Slice(byAge, func(i, j int) bool { return byAge[i].seq < byAge[j].seq })
-		for _, e := range byAge[:over] {
-			delete(s.users, e.u)
 		}
 	}
 }

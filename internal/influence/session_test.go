@@ -49,7 +49,7 @@ func checkWarmAgainstCold(t *testing.T, eng *Engine, sess *Session, in *model.In
 	for _, task := range in.Tasks {
 		row, filled, ok := sess.taskRow(task.ID)
 		if !ok {
-			continue // evicted by a capacity bound
+			t.Fatalf("%s: task %d of the instant holds no cached state", what, task.ID)
 		}
 		for u, got := range row {
 			if filled != nil && filled[u>>6]&(1<<(u&63)) == 0 {
@@ -71,7 +71,7 @@ func checkWarmAgainstCold(t *testing.T, eng *Engine, sess *Session, in *model.In
 		task := in.Tasks[p.T]
 		_, filled, ok := sess.taskRow(task.ID)
 		if !ok {
-			continue
+			t.Fatalf("%s: task %d of the instant holds no cached state", what, task.ID)
 		}
 		roots, _ := eng.Prop.RootCounts(int32(in.Workers[p.W].User))
 		for _, r := range roots {
@@ -218,37 +218,37 @@ func TestSessionReusesCarriedOverState(t *testing.T) {
 // TestSessionEvaluatorOutlivesLaterInstants pins the view contract: an
 // evaluator reads the session's cached state in place, yet prices its
 // prepared pairs the same after later instants filled more entries,
-// admitted new entities and evicted departed ones, capacity-bound
-// evictions included.
+// admitted new entities and evicted departed ones. Every instant leaves
+// one cached task state per task of the instant.
 func TestSessionEvaluatorOutlivesLaterInstants(t *testing.T) {
 	eng, inst := testWorld(t)
 	seq := instantSequence(inst)
 	for _, mask := range []Components{All, WP, AP, AW} {
-		for _, capacity := range []int{0, 2} {
-			sess := eng.NewSession(mask, 7, 2)
-			sess.SetCapacity(capacity)
-			type kept struct {
-				ev    *Evaluator
-				pairs []assign.Pair
-				infl  []float64
+		sess := eng.NewSession(mask, 7, 2)
+		type kept struct {
+			ev    *Evaluator
+			pairs []assign.Pair
+			infl  []float64
+		}
+		var all []kept
+		for n, in := range seq {
+			pairs := feasible(in)
+			ev := sess.Evaluate(in, pairs)
+			if got, want := sess.CachedTasks(), len(in.Tasks); got != want {
+				t.Fatalf("%v: instant %d leaves %d cached tasks, want %d", mask, n, got, want)
 			}
-			var all []kept
-			for _, in := range seq {
-				pairs := feasible(in)
-				ev := sess.Evaluate(in, pairs)
-				k := kept{ev: ev, pairs: pairs}
-				for _, p := range pairs {
-					k.infl = append(k.infl, ev.Influence(int(p.W), int(p.T)))
-				}
-				all = append(all, k)
+			k := kept{ev: ev, pairs: pairs}
+			for _, p := range pairs {
+				k.infl = append(k.infl, ev.Influence(int(p.W), int(p.T)))
 			}
-			sess.Evaluate(&model.Instance{Now: inst.Now + 10}, nil)
-			for n, k := range all {
-				for i, p := range k.pairs {
-					if got := k.ev.Influence(int(p.W), int(p.T)); math.Float64bits(got) != math.Float64bits(k.infl[i]) {
-						t.Fatalf("%v capacity %d: instant %d pair (%d,%d) changed from %v to %v after later instants",
-							mask, capacity, n, p.W, p.T, k.infl[i], got)
-					}
+			all = append(all, k)
+		}
+		sess.Evaluate(&model.Instance{Now: inst.Now + 10}, nil)
+		for n, k := range all {
+			for i, p := range k.pairs {
+				if got := k.ev.Influence(int(p.W), int(p.T)); math.Float64bits(got) != math.Float64bits(k.infl[i]) {
+					t.Fatalf("%v: instant %d pair (%d,%d) changed from %v to %v after later instants",
+						mask, n, p.W, p.T, k.infl[i], got)
 				}
 			}
 		}
@@ -285,71 +285,6 @@ func TestSessionEvictsDepartedEntities(t *testing.T) {
 	if sess.CachedTasks() != 1 || sess.CachedWorkers() != 1 {
 		t.Errorf("after shrinking to 1×1: %d tasks, %d workers cached",
 			sess.CachedTasks(), sess.CachedWorkers())
-	}
-}
-
-// TestSessionCapacityBoundExact is the unit gate of the bounded session:
-// with a capacity far below the live pool, every instant's evaluator
-// must still price every feasible pair bit-identically to a cold Prepare
-// (evicted-but-live entities are cache misses that recompute
-// identity-keyed state), while both caches hold at most the capacity
-// after every instant.
-func TestSessionCapacityBoundExact(t *testing.T) {
-	eng, inst := testWorld(t)
-	const capacity = 2
-	sess := eng.NewSession(All, 7, 2)
-	sess.SetCapacity(capacity)
-	for k, in := range instantSequence(inst) {
-		pairs := feasible(in)
-		warm := sess.Evaluate(in, pairs)
-		cold := coldPrepare(eng, in, pairs, All, 7)
-		checkWarmAgainstCold(t, eng, sess, in, pairs, warm, cold, fmt.Sprintf("capped instant %d", k))
-		if len(in.Tasks) <= capacity {
-			t.Fatalf("instant %d offers %d tasks; the bound is never stressed", k, len(in.Tasks))
-		}
-		if got := sess.CachedTasks(); got > capacity {
-			t.Errorf("instant %d: %d cached tasks, capacity %d", k, got, capacity)
-		}
-		if got := sess.CachedWorkers(); got > capacity {
-			t.Errorf("instant %d: %d cached workers, capacity %d", k, got, capacity)
-		}
-	}
-	// Lifting the bound restores live-pool tracking at the next instant.
-	sess.SetCapacity(0)
-	final := instantSequence(inst)[2]
-	sess.Evaluate(final, feasible(final))
-	if got, want := sess.CachedTasks(), len(final.Tasks); got != want {
-		t.Errorf("after lifting the bound: %d cached tasks, want %d", got, want)
-	}
-}
-
-// TestSessionCapacityEvictsOldestFirst pins the eviction order: FIFO by
-// admission sequence, so the survivors of a capacity squeeze are exactly
-// the most recently admitted entries — deterministic regardless of map
-// iteration order.
-func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
-	eng, inst := testWorld(t)
-	sess := eng.NewSession(All, 7, 1)
-	sess.SetCapacity(1)
-	sess.Evaluate(inst, feasible(inst))
-	if sess.CachedTasks() != 1 {
-		t.Fatalf("%d cached tasks, want 1", sess.CachedTasks())
-	}
-	// The survivor is the last-admitted task: admission order is instance
-	// order, so the sole retained entry must be the final task's — and it
-	// must serve the next instant as a cache hit (same backing arrays).
-	last := inst.Tasks[len(inst.Tasks)-1]
-	st, ok := sess.tasks[uint64(last.ID)]
-	if !ok {
-		t.Fatal("last-admitted task was evicted: FIFO order broken")
-	}
-	probe := &model.Instance{Now: inst.Now + 1, Workers: inst.Workers[:1], Tasks: []model.Task{last}}
-	pairs := allPairs(probe)
-	warm := sess.Evaluate(probe, pairs)
-	cold := coldPrepare(eng, probe, pairs, All, 7)
-	checkWarmAgainstCold(t, eng, sess, probe, pairs, warm, cold, "survivor")
-	if warm.tasks[0] != st {
-		t.Fatal("survivor was recomputed, not served from cache")
 	}
 }
 

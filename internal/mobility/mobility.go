@@ -300,13 +300,11 @@ func movementSamples(h model.History) []float64 {
 // with x_i ≥ 1 (the paper writes |Sw|−1 samples for a history of |Sw|
 // records; here n = len(xs) is already that count). When Σ ln x_i = 0 —
 // the worker never moved — the paper's formula is undefined and the
-// configured default shape is returned. The result is clamped to
-// [MinShape, MaxShape] to keep downstream powers stable.
+// configured default shape stands in. Either result is clamped to
+// [MinShape, MaxShape] to keep downstream powers stable, so every shape
+// Fit produces lies in that one range.
 func FitParetoShape(xs []float64, cfg Config) float64 {
 	cfg = cfg.withDefaults()
-	if len(xs) == 0 {
-		return cfg.DefaultShape
-	}
 	sumLn := 0.0
 	for _, x := range xs {
 		if x < 1 {
@@ -314,10 +312,10 @@ func FitParetoShape(xs []float64, cfg Config) float64 {
 		}
 		sumLn += math.Log(x)
 	}
-	if sumLn <= 0 {
-		return cfg.DefaultShape
+	pi := cfg.DefaultShape
+	if sumLn > 0 {
+		pi = float64(len(xs)) / sumLn
 	}
-	pi := float64(len(xs)) / sumLn
 	if pi < cfg.MinShape {
 		pi = cfg.MinShape
 	}
@@ -454,8 +452,7 @@ func (m *Model) Wire() Wire {
 // worker's location and stationary vectors must align. Every model must
 // also be one Fit can produce, so that Pwil stays a probability: each
 // stationary probability in [0, 1] and their sum at most 1 (up to
-// rounding), and the shape within the config's [MinShape, MaxShape] (or
-// its DefaultShape, which Fit gives a worker who never moved). The
+// rounding), and the shape within the config's [MinShape, MaxShape]. The
 // Parallelism knob is forced to zero, as Fit does: it is a runtime
 // choice, not model identity.
 func FromWire(w Wire) (*Model, error) {
@@ -483,7 +480,7 @@ func FromWire(w Wire) (*Model, error) {
 		if mass > 1+1e-9 {
 			return nil, fmt.Errorf("mobility: wire worker %d has stationary probabilities summing to %v > 1", ww.ID, mass)
 		}
-		if !(ww.Shape >= lim.MinShape && ww.Shape <= lim.MaxShape) && ww.Shape != lim.DefaultShape {
+		if !(ww.Shape >= lim.MinShape && ww.Shape <= lim.MaxShape) {
 			return nil, fmt.Errorf("mobility: wire worker %d has shape %v outside [%v, %v]", ww.ID, ww.Shape, lim.MinShape, lim.MaxShape)
 		}
 		m.workers[ww.ID] = &WorkerModel{Locs: ww.Locs, Stationary: ww.Stationary, Shape: ww.Shape}

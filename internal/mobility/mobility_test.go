@@ -48,6 +48,11 @@ func TestFitParetoShapeDegenerate(t *testing.T) {
 	if got := FitParetoShape([]float64{0.5, 0.1}, cfg); got != 2.5 {
 		t.Errorf("sub-1 samples: %v, want default 2.5", got)
 	}
+	// The default is clamped like a fitted shape, so a worker who never
+	// moved stays inside [MinShape, MaxShape] too.
+	if got := FitParetoShape([]float64{1, 1, 1}, Config{MaxShape: 1}); got != 1 {
+		t.Errorf("zero-movement samples under MaxShape 1: %v, want 1", got)
+	}
 }
 
 func TestFitParetoShapeClamped(t *testing.T) {

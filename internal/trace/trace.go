@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"dita/internal/dataset"
@@ -46,6 +47,14 @@ type Params struct {
 func Build(data *dataset.Data, p Params) ([]engine.WorkerArrival, []engine.TaskArrival, error) {
 	if p.Arrivals <= 0 {
 		return nil, nil, fmt.Errorf("trace: non-positive arrival count %d", p.Arrivals)
+	}
+	// A NaN arrival time is never due on a grid, so a trace with one
+	// would replay as nothing rather than fail.
+	if math.IsNaN(p.Start) || math.IsInf(p.Start, 0) {
+		return nil, nil, fmt.Errorf("trace: non-finite start %v", p.Start)
+	}
+	if !(p.Spread >= 0) || math.IsInf(p.Spread, 0) {
+		return nil, nil, fmt.Errorf("trace: spread %v is not finite and >= 0", p.Spread)
 	}
 	if len(data.Homes) == 0 || len(data.Venues) == 0 {
 		return nil, nil, fmt.Errorf("trace: dataset has %d homes, %d venues", len(data.Homes), len(data.Venues))

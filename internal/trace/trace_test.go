@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -78,5 +79,19 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, _, err := Build(&dataset.Data{}, Params{Arrivals: 1}); err == nil {
 		t.Error("empty dataset accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Params{
+		{Start: nan, Spread: 1},
+		{Start: inf, Spread: 1},
+		{Start: -inf, Spread: 1},
+		{Spread: nan},
+		{Spread: inf},
+		{Spread: -1},
+	} {
+		p.Arrivals = 1
+		if _, _, err := Build(data, p); err == nil {
+			t.Errorf("start %v, spread %v accepted", p.Start, p.Spread)
+		}
 	}
 }
