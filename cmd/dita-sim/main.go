@@ -129,14 +129,24 @@ func main() {
 
 	cutoff := float64(*day) * 24
 	if *stream {
+		// The trace is rebuilt from (dataset, trace flags) rather than
+		// shipped, so the in-process and -serve forms replay the identical
+		// workload. It is built before the framework, so a bad trace flag
+		// fails before any training.
+		ws, ts, err := trace.Build(data, trace.Params{
+			Arrivals: *arrivals, Seed: *traceSeed, Start: cutoff, Spread: *spread,
+			RadiusKm: *radius, ValidMin: *valid, ValidSpan: *validSpan,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		var fw *core.Framework
 		if *serve == "" {
 			fw = framework(data, cutoff, *fwPath, *trainOut)
 		}
-		runStream(fw, data, streamParams{
+		runStream(fw, ws, ts, streamParams{
 			alg: alg, comps: comps, seed: *seed, par: *par,
-			arrivals: *arrivals, traceSeed: *traceSeed, start: cutoff, spread: *spread,
-			radius: *radius, validMin: *valid, validSpan: *validSpan,
+			arrivals: *arrivals, start: cutoff,
 			step: *step, horizon: *horizon, csvPath: *csvPath,
 			serve: *serve, serveSpeedup: *serveSpeedup,
 		})
@@ -233,13 +243,10 @@ type streamParams struct {
 	seed  uint64
 	par   int
 
-	arrivals            int
-	traceSeed           uint64
-	start, spread       float64
-	radius              float64
-	validMin, validSpan float64
-	step, horizon       float64
-	csvPath             string
+	arrivals      int
+	start         float64
+	step, horizon float64
+	csvPath       string
 
 	// serve, when set, is the dita-serve region URL the trace is posted
 	// to instead of the in-process engine; serveSpeedup paces it.
@@ -247,21 +254,12 @@ type streamParams struct {
 	serveSpeedup float64
 }
 
-// runStream builds the deterministic arrival trace and its instant grid
-// once, then replays them: over HTTP to the dita-serve region p.serve
-// names, or through an in-process streaming engine over fw (nil with
-// p.serve, since the server owns the framework), printing the run
-// summary. The trace is rebuilt from (dataset, trace params) rather than
-// shipped, so both forms replay the identical workload from the same
-// flags, and their assignment CSVs can be diffed byte for byte.
-func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
-	ws, ts, err := trace.Build(data, trace.Params{
-		Arrivals: p.arrivals, Seed: p.traceSeed, Start: p.start, Spread: p.spread,
-		RadiusKm: p.radius, ValidMin: p.validMin, ValidSpan: p.validSpan,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+// runStream replays the arrival trace (ws, ts) on its instant grid: over
+// HTTP to the dita-serve region p.serve names, or through an in-process
+// streaming engine over fw (nil with p.serve, since the server owns the
+// framework), printing the run summary. Both forms replay the identical
+// workload, so their assignment CSVs can be diffed byte for byte.
+func runStream(fw *core.Framework, ws []engine.WorkerArrival, ts []engine.TaskArrival, p streamParams) {
 	grid := engine.Grid{Start: p.start, Step: p.step, Horizon: p.horizon}
 	if p.serve != "" {
 		if err := runServe(p.serve, p.serveSpeedup, grid, ws, ts); err != nil {

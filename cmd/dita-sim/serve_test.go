@@ -168,3 +168,24 @@ func TestServeRefusesServerOwnedFlags(t *testing.T) {
 		t.Errorf("-trace-seed: want only the reachability failure, got:\n%s", out)
 	}
 }
+
+// TestStreamRefusesBadTraceBeforeTraining runs main in a child process
+// with -stream and a NaN -spread, and requires the run to fail naming
+// the spread before it trains a framework: the trace is built right
+// after the dataset, not after seconds of training.
+func TestStreamRefusesBadTraceBeforeTraining(t *testing.T) {
+	if args := os.Getenv("DITA_SIM_HELPER_ARGS"); args != "" {
+		os.Args = append([]string{"dita-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestStreamRefusesBadTraceBeforeTraining$")
+	cmd.Env = append(os.Environ(), "DITA_SIM_HELPER_ARGS=-stream -spread NaN")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("run succeeded, want a refusal:\n%s", out)
+	}
+	if !strings.Contains(string(out), "spread NaN") || strings.Contains(string(out), "framework trained") {
+		t.Errorf("want a refusal naming the spread before any training, got:\n%s", out)
+	}
+}

@@ -117,53 +117,29 @@ func tiledFeasiblePairs(inst *model.Instance, speedKmH float64, parallelism int,
 	nW, nT := len(inst.Workers), len(inst.Tasks)
 	nTiles := tl.Tiles()
 
-	// Bucket both pools per tile, CSR layout, pool order within a tile —
-	// which is ascending position order, the order the merge needs.
+	// Bucket both pools per tile, pool order within a tile — which is
+	// ascending position order, the order the merge needs.
 	wTile := make([]int32, nW)
-	tTile := make([]int32, nT)
-	wStart := make([]int32, nTiles+1)
-	tStart := make([]int32, nTiles+1)
 	for i, w := range inst.Workers {
-		c := tl.TileOf(w.Loc)
-		wTile[i] = int32(c)
-		wStart[c+1]++
+		wTile[i] = int32(tl.TileOf(w.Loc))
 	}
+	tTile := make([]int32, nT)
 	for i, t := range inst.Tasks {
-		c := tl.TileOf(t.Loc)
-		tTile[i] = int32(c)
-		tStart[c+1]++
+		tTile[i] = int32(tl.TileOf(t.Loc))
 	}
-	occupied := 0
-	for c := 0; c < nTiles; c++ {
-		if wStart[c+1] > 0 || tStart[c+1] > 0 {
-			occupied++
-		}
-	}
-	for c := 0; c < nTiles; c++ {
-		wStart[c+1] += wStart[c]
-		tStart[c+1] += tStart[c]
-	}
-	wItems := make([]int32, nW)
-	tItems := make([]int32, nT)
-	wCur := append([]int32(nil), wStart[:nTiles]...)
-	tCur := append([]int32(nil), tStart[:nTiles]...)
-	for i := 0; i < nW; i++ {
-		c := wTile[i]
-		wItems[wCur[c]] = int32(i)
-		wCur[c]++
-	}
-	for i := 0; i < nT; i++ {
-		c := tTile[i]
-		tItems[tCur[c]] = int32(i)
-		tCur[c]++
-	}
+	wb := geo.NewBuckets(wTile, nTiles)
+	tb := geo.NewBuckets(tTile, nTiles)
 
 	// Tiles owning at least one worker, ascending; each owns exactly the
 	// pairs of its workers.
+	occupied := 0
 	var wTiles []int32
 	for c := 0; c < nTiles; c++ {
-		if wStart[c+1] > wStart[c] {
+		if wb.Len(c) > 0 {
 			wTiles = append(wTiles, int32(c))
+		}
+		if wb.Len(c) > 0 || tb.Len(c) > 0 {
+			occupied++
 		}
 	}
 
@@ -190,14 +166,13 @@ func tiledFeasiblePairs(inst *model.Instance, speedKmH float64, parallelism int,
 				if xx < 0 || xx >= tl.NX {
 					continue
 				}
-				c := yy*tl.NX + xx
-				cand = append(cand, tItems[tStart[c]:tStart[c+1]]...)
+				cand = append(cand, tb.Group(yy*tl.NX+xx)...)
 			}
 		}
 		slices.Sort(cand)
 		cands[worker] = cand
 		buf := tileBufs[k][:0]
-		for _, wi := range wItems[wStart[tile]:wStart[tile+1]] {
+		for _, wi := range wb.Group(tile) {
 			w := inst.Workers[wi]
 			lo := int32(len(buf))
 			// Negative radii admit nothing; the range check is the
@@ -276,8 +251,8 @@ func SolveTiled(alg Algorithm, p *Problem, parallelism int) (*model.AssignmentSe
 		panic(fmt.Sprintf("assign: unknown algorithm %d", int(alg)))
 	}
 
-	compStart, compPairs, largest := components(nW, nT, pairs)
-	nComp := len(compStart) - 1
+	comps, largest := components(nW, nT, pairs)
+	nComp := len(comps.Start) - 1
 	stats.Components = nComp
 	stats.LargestComponent = largest
 
@@ -298,8 +273,7 @@ func SolveTiled(alg Algorithm, p *Problem, parallelism int) (*model.AssignmentSe
 		scratch[i] = scratchPool.Get().(*compScratch)
 	}
 	parallel.For(workers, nComp, func(worker, c int) {
-		idx := compPairs[compStart[c]:compStart[c+1]]
-		solveComponent(alg, p, pairs, infl, cost, idx, localW, localT, usedW, usedT, scratch[worker], taken)
+		solveComponent(alg, p, pairs, infl, cost, comps.Group(c), localW, localT, usedW, usedT, scratch[worker], taken)
 	})
 	for _, sc := range scratch {
 		scratchPool.Put(sc)
@@ -308,12 +282,12 @@ func SolveTiled(alg Algorithm, p *Problem, parallelism int) (*model.AssignmentSe
 }
 
 // components groups the pair list by connected component of the
-// bipartite feasibility graph. It returns a CSR over global pair
-// indices (ascending within each component) plus the largest
+// bipartite feasibility graph. It returns the global pair indices
+// grouped by component (ascending within each) plus the largest
 // component's pair count. Components are numbered by first appearance
 // along the pair list, so the grouping — and everything downstream — is
 // deterministic for a given pair list.
-func components(nW, nT int, pairs []Pair) (start, grouped []int32, largest int) {
+func components(nW, nT int, pairs []Pair) (comps geo.Buckets, largest int) {
 	// Union-find over workers [0, nW) and tasks [nW, nW+nT), union by
 	// smaller node id with path compression: the root of a component is
 	// its smallest member, always a worker (every component contains at
@@ -356,23 +330,11 @@ func components(nW, nT int, pairs []Pair) (start, grouped []int32, largest int) 
 		}
 		compIdx[i] = c
 	}
-	start = make([]int32, nComp+1)
-	for _, c := range compIdx {
-		start[c+1]++
-	}
+	comps = geo.NewBuckets(compIdx, nComp)
 	for c := 0; c < nComp; c++ {
-		if int(start[c+1]) > largest {
-			largest = int(start[c+1])
-		}
-		start[c+1] += start[c]
+		largest = max(largest, comps.Len(c))
 	}
-	grouped = make([]int32, len(pairs))
-	cursor := append([]int32(nil), start[:nComp]...)
-	for i, c := range compIdx {
-		grouped[cursor[c]] = int32(i)
-		cursor[c]++
-	}
-	return start, grouped, largest
+	return comps, largest
 }
 
 // compScratch is the per-pool-worker reusable state of the component

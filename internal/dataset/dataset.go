@@ -270,7 +270,7 @@ func Generate(p Params) (*Data, error) {
 			venueLocs[i] = loc
 		}
 	})
-	venueGrid := geo.BuildGrid(venueLocs, 8)
+	venueGrid := geo.BuildGrid(venueLocs)
 
 	// Users: home location and a sparse preference over category groups,
 	// again chunked with per-chunk streams.

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -59,24 +60,48 @@ func (d *Data) Save(dir string) error {
 	return writeCSV(filepath.Join(dir, "homes.csv"), homeRows)
 }
 
-// Load reads a dataset previously written by Save.
+// Load reads a dataset previously written by Save. It refuses any file
+// Save could not have written rather than misreading it: rows with the
+// wrong field count, ids outside int32, venues or homes out of row
+// position, non-finite coordinates, times or parameters, categories
+// outside [0, NumCategories), and check-ins out of arrival order (the
+// time-cutoff queries binary-search and stop early on that order).
 func Load(dir string) (*Data, error) {
 	d := &Data{}
-	params, err := readCSV(filepath.Join(dir, "params.csv"))
+	params, err := readCSV(filepath.Join(dir, "params.csv"), 2)
 	if err != nil {
 		return nil, err
 	}
 	if err := d.applyParamRows(params); err != nil {
 		return nil, err
 	}
-	edgeRows, err := readCSV(filepath.Join(dir, "edges.csv"))
+	// Homes come first: Save writes one row per user, so the row count
+	// bounds NumUsers before anything is allocated from it.
+	homeRows, err := readCSV(filepath.Join(dir, "homes.csv"), 3)
+	if err != nil {
+		return nil, err
+	}
+	if len(homeRows)-1 != d.Params.NumUsers {
+		return nil, fmt.Errorf("dataset: %d home rows, want num_users %d", len(homeRows)-1, d.Params.NumUsers)
+	}
+	d.Homes = make([]geo.Point, d.Params.NumUsers)
+	for i, row := range homeRows[1:] {
+		u, e1 := parseID(row[0])
+		x, e2 := parseFinite(row[1])
+		y, e3 := parseFinite(row[2])
+		if e1 != nil || e2 != nil || e3 != nil || u != i {
+			return nil, fmt.Errorf("dataset: bad home row %v", row)
+		}
+		d.Homes[u] = geo.Point{X: x, Y: y}
+	}
+	edgeRows, err := readCSV(filepath.Join(dir, "edges.csv"), 2)
 	if err != nil {
 		return nil, err
 	}
 	var edges []socialgraph.Edge
 	for _, row := range edgeRows[1:] {
-		f, err1 := strconv.Atoi(row[0])
-		t, err2 := strconv.Atoi(row[1])
+		f, err1 := parseID(row[0])
+		t, err2 := parseID(row[1])
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("dataset: bad edge row %v", row)
 		}
@@ -86,19 +111,22 @@ func Load(dir string) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	venueRows, err := readCSV(filepath.Join(dir, "venues.csv"))
+	venueRows, err := readCSV(filepath.Join(dir, "venues.csv"), 4)
 	if err != nil {
 		return nil, err
+	}
+	if len(venueRows)-1 != d.Params.NumVenues {
+		return nil, fmt.Errorf("dataset: %d venue rows, want num_venues %d", len(venueRows)-1, d.Params.NumVenues)
 	}
 	groupOf := func(c model.CategoryID) int {
 		return int(c) * d.Params.CategoryGroups / d.Params.NumCategories
 	}
-	for _, row := range venueRows[1:] {
-		id, e1 := strconv.Atoi(row[0])
-		x, e2 := strconv.ParseFloat(row[1], 64)
-		y, e3 := strconv.ParseFloat(row[2], 64)
-		cats, e4 := fieldToCats(row[3])
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
+	for i, row := range venueRows[1:] {
+		id, e1 := parseID(row[0])
+		x, e2 := parseFinite(row[1])
+		y, e3 := parseFinite(row[2])
+		cats, e4 := fieldToCats(row[3], d.Params.NumCategories)
+		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || id != i {
 			return nil, fmt.Errorf("dataset: bad venue row %v", row)
 		}
 		v := Venue{ID: model.VenueID(id), Loc: geo.Point{X: x, Y: y}, Categories: cats}
@@ -107,33 +135,25 @@ func Load(dir string) (*Data, error) {
 		}
 		d.Venues = append(d.Venues, v)
 	}
-	homeRows, err := readCSV(filepath.Join(dir, "homes.csv"))
+	ciRows, err := readCSV(filepath.Join(dir, "checkins.csv"), 4)
 	if err != nil {
 		return nil, err
 	}
-	d.Homes = make([]geo.Point, d.Params.NumUsers)
-	for _, row := range homeRows[1:] {
-		u, e1 := strconv.Atoi(row[0])
-		x, e2 := strconv.ParseFloat(row[1], 64)
-		y, e3 := strconv.ParseFloat(row[2], 64)
-		if e1 != nil || e2 != nil || e3 != nil || u < 0 || u >= len(d.Homes) {
-			return nil, fmt.Errorf("dataset: bad home row %v", row)
-		}
-		d.Homes[u] = geo.Point{X: x, Y: y}
-	}
-	ciRows, err := readCSV(filepath.Join(dir, "checkins.csv"))
-	if err != nil {
-		return nil, err
-	}
+	d.perUser = make([][]int32, d.Params.NumUsers)
 	for _, row := range ciRows[1:] {
-		u, e1 := strconv.Atoi(row[0])
-		v, e2 := strconv.Atoi(row[1])
-		ar, e3 := strconv.ParseFloat(row[2], 64)
-		co, e4 := strconv.ParseFloat(row[3], 64)
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || v < 0 || v >= len(d.Venues) {
+		u, e1 := parseID(row[0])
+		v, e2 := parseID(row[1])
+		ar, e3 := parseFinite(row[2])
+		co, e4 := parseFinite(row[3])
+		if e1 != nil || e2 != nil || e3 != nil || e4 != nil ||
+			u < 0 || u >= d.Params.NumUsers || v < 0 || v >= len(d.Venues) {
 			return nil, fmt.Errorf("dataset: bad check-in row %v", row)
 		}
+		if n := len(d.CheckIns); n > 0 && ar < d.CheckIns[n-1].Arrive {
+			return nil, fmt.Errorf("dataset: check-in row %v arrives before its predecessor", row)
+		}
 		ven := d.Venues[v]
+		d.perUser[u] = append(d.perUser[u], int32(len(d.CheckIns)))
 		d.CheckIns = append(d.CheckIns, model.CheckIn{
 			User:       model.WorkerID(u),
 			Venue:      ven.ID,
@@ -143,14 +163,23 @@ func Load(dir string) (*Data, error) {
 			Categories: ven.Categories,
 		})
 	}
-	d.perUser = make([][]int32, d.Params.NumUsers)
-	for i, c := range d.CheckIns {
-		if int(c.User) < 0 || int(c.User) >= d.Params.NumUsers {
-			return nil, fmt.Errorf("dataset: check-in user %d out of range", c.User)
-		}
-		d.perUser[c.User] = append(d.perUser[c.User], int32(i))
-	}
 	return d, nil
+}
+
+// parseID parses an entity id, which must fit the int32 id types.
+func parseID(s string) (int, error) {
+	n, err := strconv.ParseInt(s, 10, 32)
+	return int(n), err
+}
+
+// parseFinite parses a coordinate, time or parameter, which must be
+// finite.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return f, err
 }
 
 func (d *Data) paramRows() [][]string {
@@ -184,13 +213,10 @@ func (d *Data) applyParamRows(rows [][]string) error {
 	}
 	getf := func(v string) float64 {
 		var f float64
-		f, err = strconv.ParseFloat(v, 64)
+		f, err = parseFinite(v)
 		return f
 	}
 	for _, row := range rows[1:] {
-		if len(row) != 2 {
-			return fmt.Errorf("dataset: bad params row %v", row)
-		}
 		k, v := row[0], row[1]
 		switch k {
 		case "name":
@@ -254,14 +280,16 @@ func writeCSV(path string, rows [][]string) error {
 	return nil
 }
 
-func readCSV(path string) ([][]string, error) {
+// readCSV reads a CSV file whose every row, header included, has the
+// given field count (0 takes the count from the first row).
+func readCSV(path string, fields int) ([][]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	defer f.Close()
 	r := csv.NewReader(f)
-	r.FieldsPerRecord = -1
+	r.FieldsPerRecord = fields
 	rows, err := r.ReadAll()
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("dataset: read %s: %w", path, err)
@@ -280,16 +308,21 @@ func catsToField(cats []model.CategoryID) string {
 	return strings.Join(parts, ";")
 }
 
-func fieldToCats(s string) ([]model.CategoryID, error) {
+// fieldToCats parses a venue's category list; every category must lie
+// in [0, numCats).
+func fieldToCats(s string, numCats int) ([]model.CategoryID, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ";")
 	cats := make([]model.CategoryID, len(parts))
 	for i, p := range parts {
-		n, err := strconv.Atoi(p)
+		n, err := parseID(p)
 		if err != nil {
 			return nil, err
+		}
+		if n < 0 || n >= numCats {
+			return nil, fmt.Errorf("category %d outside [0, %d)", n, numCats)
 		}
 		cats[i] = model.CategoryID(n)
 	}

@@ -57,7 +57,7 @@ func TestWriteCSVByteIdenticalToLegacyPath(t *testing.T) {
 	}
 	for _, file := range files {
 		name := filepath.Base(file)
-		rows, err := readCSV(file)
+		rows, err := readCSV(file, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

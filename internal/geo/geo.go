@@ -1,7 +1,8 @@
 // Package geo provides the planar geometry primitives used throughout the
 // DITA framework: points, Euclidean distances in kilometres, bounding
-// boxes, and a uniform grid index that answers radius queries over large
-// point sets without external dependencies.
+// boxes, and one spatial decomposition — a square Tiling plus a CSR
+// Buckets grouping of point indices by tile — behind both the Grid
+// radius-query index and the tiled feasibility scan.
 //
 // The paper measures all travel costs with Euclidean distance over
 // check-in coordinates and converts distance to travel time with a fixed

@@ -12,7 +12,7 @@ func BenchmarkGridBuild(b *testing.B) {
 	pts := randomPoints(3000, 300, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildGrid(pts, 8)
+		BuildGrid(pts)
 	}
 }
 
@@ -20,7 +20,7 @@ func BenchmarkGridBuild(b *testing.B) {
 // feasibility probe (r = 25 km over a 300 km world).
 func BenchmarkGridWithin(b *testing.B) {
 	pts := randomPoints(3000, 300, 1)
-	g := BuildGrid(pts, 8)
+	g := BuildGrid(pts)
 	rng := randx.New(2)
 	queries := make([]Point, 256)
 	for i := range queries {

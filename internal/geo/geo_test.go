@@ -123,7 +123,7 @@ func bruteWithin(pts []Point, q Point, d float64) []int {
 func TestGridWithinMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{0, 1, 17, 400, 2000} {
 		pts := randomPoints(n, 100, uint64(n)+7)
-		g := BuildGrid(pts, 8)
+		g := BuildGrid(pts)
 		rng := randx.New(99)
 		for trial := 0; trial < 25; trial++ {
 			q := Point{rng.Float64()*120 - 10, rng.Float64()*120 - 10}
@@ -144,7 +144,7 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 
 func TestGridWithinEdgeCases(t *testing.T) {
 	pts := []Point{{1, 1}, {1, 1}, {2, 2}}
-	g := BuildGrid(pts, 4)
+	g := BuildGrid(pts)
 	// Duplicate points both report.
 	got := g.Within(Point{1, 1}, 0, nil)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
@@ -167,7 +167,7 @@ func TestGridAllIdenticalPoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = Point{3, 3}
 	}
-	g := BuildGrid(pts, 8)
+	g := BuildGrid(pts)
 	if got := g.Within(Point{3, 3}, 0.5, nil); len(got) != 50 {
 		t.Errorf("identical points: got %d, want 50", len(got))
 	}
@@ -177,7 +177,7 @@ func TestGridPropertyWithinRadiusContainment(t *testing.T) {
 	// Property: every reported index is actually within distance d, and
 	// growing d never shrinks the result set.
 	pts := randomPoints(300, 50, 11)
-	g := BuildGrid(pts, 8)
+	g := BuildGrid(pts)
 	f := func(qx, qy, d1, d2 float64) bool {
 		q := Point{math.Mod(math.Abs(qx), 60), math.Mod(math.Abs(qy), 60)}
 		r1 := math.Mod(math.Abs(d1), 25)
@@ -193,5 +193,56 @@ func TestGridPropertyWithinRadiusContainment(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBucketsGroupsByKey checks the CSR grouping against a direct
+// filter: every group holds exactly the indices with its key, ascending,
+// including empty groups and an empty key list.
+func TestBucketsGroupsByKey(t *testing.T) {
+	rng := randx.New(5)
+	for _, tc := range []struct{ keys, n int }{{0, 0}, {0, 3}, {1, 1}, {50, 7}, {1000, 64}} {
+		keys := make([]int32, tc.keys)
+		for i := range keys {
+			keys[i] = int32(rng.Intn(tc.n))
+		}
+		b := NewBuckets(keys, tc.n)
+		if len(b.Start) != tc.n+1 || len(b.Items) != len(keys) || b.Start[0] != 0 {
+			t.Fatalf("keys=%d n=%d: Start len %d, Items len %d", tc.keys, tc.n, len(b.Start), len(b.Items))
+		}
+		for k := 0; k < tc.n; k++ {
+			var want []int32
+			for i, key := range keys {
+				if int(key) == k {
+					want = append(want, int32(i))
+				}
+			}
+			got := b.Group(k)
+			if b.Len(k) != len(got) || len(got) != len(want) {
+				t.Fatalf("keys=%d n=%d group %d: %v, want %v", tc.keys, tc.n, k, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("keys=%d n=%d group %d: %v, want %v", tc.keys, tc.n, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGridWithinHugeRadius: a radius far beyond the points' extent must
+// report every point. The tile coordinates of q ± d overflow an int
+// unless they are clamped before conversion.
+func TestGridWithinHugeRadius(t *testing.T) {
+	pts := randomPoints(400, 100, 3)
+	g := BuildGrid(pts)
+	for _, d := range []float64{1e17, 1e300} {
+		if got := g.Within(Point{50, 50}, d, nil); len(got) != len(pts) {
+			t.Errorf("radius %g: %d points, want all %d", d, len(got), len(pts))
+		}
+	}
+	tl := NewTiling(Rect{Max: Point{100, 100}}, 1, 1<<20)
+	if got := tl.TileOf(Point{1e300, 1e300}); got != tl.Tiles()-1 {
+		t.Errorf("TileOf a far point = %d, want the far corner %d", got, tl.Tiles()-1)
 	}
 }

@@ -5,97 +5,46 @@ import (
 	"sort"
 )
 
-// Grid is a uniform grid spatial index over a fixed set of points. It
-// supports radius queries ("which points lie within d of q?"), which is
-// the only spatial predicate the assignment algorithms need: a task is
-// feasible for a worker when it lies inside the worker's reachable circle.
+// Grid is a radius-query index over a fixed set of points ("which points
+// lie within d of q?"): the dataset generator asks it for the venues
+// near a user's next stop. It is a Tiling shaped to the points plus one
+// Buckets grouping of the point indices by tile.
 //
-// The index is immutable after construction; Build copies nothing but the
-// point slice header, so callers must not mutate the backing array.
+// The index is immutable after construction; BuildGrid copies nothing
+// but the point slice header, so callers must not mutate the backing
+// array.
 type Grid struct {
-	pts      []Point
-	bounds   Rect
-	cellSize float64
-	nx, ny   int
-	// cells[i] lists point indices in cell i, stored contiguously via
-	// start offsets (CSR layout) to keep the index allocation-light.
-	cellStart []int32
-	cellItems []int32
+	pts   []Point
+	tl    Tiling
+	cells Buckets
 }
 
-// BuildGrid indexes pts with roughly targetPerCell points per cell. A
-// non-positive targetPerCell defaults to 8. BuildGrid handles degenerate
-// inputs (empty set, all points identical) gracefully.
-func BuildGrid(pts []Point, targetPerCell int) *Grid {
-	if targetPerCell <= 0 {
-		targetPerCell = 8
-	}
+// pointsPerCell is the Grid's target occupancy: cells hold about this
+// many points, shaped to the aspect ratio of the bounding box.
+const pointsPerCell = 8
+
+// BuildGrid indexes pts with about pointsPerCell points per cell.
+// BuildGrid handles degenerate inputs (empty set, all points identical)
+// gracefully.
+func BuildGrid(pts []Point) *Grid {
 	g := &Grid{pts: pts}
 	if len(pts) == 0 {
-		g.nx, g.ny = 1, 1
-		g.cellSize = 1
-		g.cellStart = []int32{0, 0}
 		return g
 	}
-	g.bounds = BoundOf(pts)
-	w, h := g.bounds.Width(), g.bounds.Height()
-	if w <= 0 {
-		w = 1e-9
-	}
-	if h <= 0 {
-		h = 1e-9
-	}
-	// Pick a cell count proportional to n/targetPerCell, shaped to the
-	// aspect ratio of the bounding box.
-	nCells := float64(len(pts)) / float64(targetPerCell)
-	if nCells < 1 {
-		nCells = 1
-	}
-	aspect := w / h
-	ny := int(math.Max(1, math.Sqrt(nCells/aspect)))
-	nx := int(math.Max(1, math.Ceil(nCells/float64(ny))))
-	g.nx, g.ny = nx, ny
-	g.cellSize = math.Max(w/float64(nx), h/float64(ny))
-
-	counts := make([]int32, nx*ny+1)
-	idx := make([]int32, len(pts))
+	bounds := BoundOf(pts)
+	w, h := math.Max(bounds.Width(), 1e-9), math.Max(bounds.Height(), 1e-9)
+	cells := math.Max(1, float64(len(pts))/pointsPerCell)
+	ny := math.Max(1, math.Floor(math.Sqrt(cells/(w/h))))
+	nx := math.Max(1, math.Ceil(cells/ny))
+	// Cells of this size number at most (nx+1)·(ny+1), so the tile count
+	// needs no clamp.
+	g.tl = NewTiling(bounds, math.Max(w/nx, h/ny), math.MaxInt)
+	keys := make([]int32, len(pts))
 	for i, p := range pts {
-		c := g.cellOf(p)
-		idx[i] = int32(c)
-		counts[c+1]++
+		keys[i] = int32(g.tl.TileOf(p))
 	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	items := make([]int32, len(pts))
-	cursor := make([]int32, nx*ny)
-	copy(cursor, counts[:nx*ny])
-	for i := range pts {
-		c := idx[i]
-		items[cursor[c]] = int32(i)
-		cursor[c]++
-	}
-	g.cellStart = counts
-	g.cellItems = items
+	g.cells = NewBuckets(keys, g.tl.Tiles())
 	return g
-}
-
-func (g *Grid) cellOf(p Point) int {
-	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
-	if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	if cx < 0 {
-		cx = 0
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	return cy*g.nx + cx
 }
 
 // Within appends to dst the indices of all points p with Dist(p, q) <= d
@@ -106,19 +55,12 @@ func (g *Grid) Within(q Point, d float64, dst []int) []int {
 		return dst
 	}
 	d2 := d * d
-	minCX := int(math.Floor((q.X - d - g.bounds.Min.X) / g.cellSize))
-	maxCX := int(math.Floor((q.X + d - g.bounds.Min.X) / g.cellSize))
-	minCY := int(math.Floor((q.Y - d - g.bounds.Min.Y) / g.cellSize))
-	maxCY := int(math.Floor((q.Y + d - g.bounds.Min.Y) / g.cellSize))
-	minCX = clampInt(minCX, 0, g.nx-1)
-	maxCX = clampInt(maxCX, 0, g.nx-1)
-	minCY = clampInt(minCY, 0, g.ny-1)
-	maxCY = clampInt(maxCY, 0, g.ny-1)
+	x0, y0 := g.tl.TileCoords(Point{q.X - d, q.Y - d})
+	x1, y1 := g.tl.TileCoords(Point{q.X + d, q.Y + d})
 	before := len(dst)
-	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			c := cy*g.nx + cx
-			for _, i := range g.cellItems[g.cellStart[c]:g.cellStart[c+1]] {
+	for ty := y0; ty <= y1; ty++ {
+		for tx := x0; tx <= x1; tx++ {
+			for _, i := range g.cells.Group(ty*g.tl.NX + tx) {
 				if Dist2(g.pts[i], q) <= d2 {
 					dst = append(dst, int(i))
 				}
@@ -129,12 +71,41 @@ func (g *Grid) Within(q Point, d float64, dst []int) []int {
 	return dst
 }
 
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+// Buckets is a CSR grouping of the indices [0, len(keys)) by an int32
+// key in [0, n): group k is Items[Start[k]:Start[k+1]], with indices
+// ascending inside each group. It is the one counting sort behind the
+// Grid's cells, the tiled scan's worker and task pools and the
+// matching's component split.
+type Buckets struct {
+	Start []int32 // n+1 offsets into Items
+	Items []int32 // the indices, grouped by key
 }
+
+// NewBuckets groups the indices of keys by key; every key must lie in
+// [0, n). Callers compute the keys in their own loop.
+func NewBuckets(keys []int32, n int) Buckets {
+	start := make([]int32, n+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+	// Place each index at its group's cursor, kept in start[k] itself:
+	// afterwards start[k] is group k's end, so shifting by one restores
+	// the offsets without a cursor copy.
+	items := make([]int32, len(keys))
+	for i, k := range keys {
+		items[start[k]] = int32(i)
+		start[k]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return Buckets{Start: start, Items: items}
+}
+
+// Group returns the indices with key k, ascending.
+func (b Buckets) Group(k int) []int32 { return b.Items[b.Start[k]:b.Start[k+1]] }
+
+// Len returns the size of group k.
+func (b Buckets) Len(k int) int { return int(b.Start[k+1] - b.Start[k]) }

@@ -11,9 +11,9 @@ import "math"
 // therefore get a complete candidate set from the halo alone — no
 // global scan, no per-pair tile negotiation.
 //
-// Unlike Grid, a Tiling stores no points; it is pure geometry shared by
-// several per-instant point bucketings. The zero value is not usable;
-// build one with NewTiling.
+// A Tiling stores no points; it is the one cell rule, shared by the
+// Grid and by the tiled scan's per-instant Buckets of workers and
+// tasks. The zero value is not usable; build one with NewTiling.
 type Tiling struct {
 	// Min is the lower-left corner of the covered rectangle.
 	Min Point
@@ -74,11 +74,27 @@ func (t Tiling) Tiles() int { return t.NX * t.NY }
 // the covered rectangle clamp to the border tiles, so the result is
 // always a valid index.
 func (t Tiling) TileOf(p Point) int {
-	tx := int(math.Floor((p.X - t.Min.X) / t.Size))
-	ty := int(math.Floor((p.Y - t.Min.Y) / t.Size))
-	tx = clampInt(tx, 0, t.NX-1)
-	ty = clampInt(ty, 0, t.NY-1)
+	tx, ty := t.TileCoords(p)
 	return ty*t.NX + tx
+}
+
+// TileCoords returns the (tx, ty) grid coordinates of the tile
+// containing p, under TileOf's rule.
+func (t Tiling) TileCoords(p Point) (tx, ty int) {
+	return clampTile((p.X-t.Min.X)/t.Size, t.NX), clampTile((p.Y-t.Min.Y)/t.Size, t.NY)
+}
+
+// clampTile floors a tile coordinate into [0, n). It clamps before the
+// int conversion, which would overflow for a point far outside the
+// covered rectangle; NaN maps to tile 0.
+func clampTile(v float64, n int) int {
+	if !(v > 0) {
+		return 0
+	}
+	if v >= float64(n-1) {
+		return n - 1
+	}
+	return int(v) // truncation is the floor of a positive value
 }
 
 // Coords returns the (tx, ty) grid coordinates of a tile index.
