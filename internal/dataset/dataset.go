@@ -23,8 +23,10 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -350,21 +352,48 @@ func Generate(p Params) (*Data, error) {
 		}
 		chunkCIs[c] = cis
 	})
-	total := 0
-	for _, cis := range chunkCIs {
-		total += len(cis)
-	}
-	d.CheckIns = make([]model.CheckIn, 0, total)
-	for _, cis := range chunkCIs {
-		d.CheckIns = append(d.CheckIns, cis...)
-	}
-	sort.SliceStable(d.CheckIns, func(i, j int) bool {
-		return d.CheckIns[i].Arrive < d.CheckIns[j].Arrive
-	})
+	d.CheckIns = mergeByArrive(chunkCIs)
 	for i, c := range d.CheckIns {
 		d.perUser[c.User] = append(d.perUser[c.User], int32(i))
 	}
 	return d, nil
+}
+
+// mergeByArrive returns the check-ins of all chunks, concatenated in
+// chunk order and then ordered by arrival time, stably: ties keep their
+// concatenated order, as sort.SliceStable by Arrive over the
+// concatenation kept it. It sorts (Arrive, chunk, offset) keys, which
+// never tie, and then moves each check-in once, where a stable merge
+// sort moves whole check-ins through its rotations.
+func mergeByArrive(chunks [][]model.CheckIn) []model.CheckIn {
+	type key struct {
+		at   float64
+		c, o int32
+	}
+	n := 0
+	for _, cis := range chunks {
+		n += len(cis)
+	}
+	keys := make([]key, 0, n)
+	for c, cis := range chunks {
+		for o, ci := range cis {
+			keys = append(keys, key{ci.Arrive, int32(c), int32(o)})
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if r := cmp.Compare(a.at, b.at); r != 0 {
+			return r
+		}
+		if r := cmp.Compare(a.c, b.c); r != 0 {
+			return r
+		}
+		return cmp.Compare(a.o, b.o)
+	})
+	out := make([]model.CheckIn, len(keys))
+	for i, k := range keys {
+		out[i] = chunks[k.c][k.o]
+	}
+	return out
 }
 
 // splitChunkStreams derives one independent stream per scheduling chunk

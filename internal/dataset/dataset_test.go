@@ -3,6 +3,9 @@ package dataset
 import (
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"dita/internal/model"
@@ -137,6 +140,40 @@ func TestCheckInsSortedAndInWorld(t *testing.T) {
 		}
 		if len(c.Categories) == 0 {
 			t.Fatalf("check-in %d has no categories", i)
+		}
+	}
+}
+
+// TestMergeByArriveMatchesSliceStable checks that Generate's check-in
+// order is the one sort.SliceStable by Arrive gives over the chunks'
+// concatenation. The input is the BK preset's check-ins regrouped by
+// user in chunks of genChunk users, as Generate's chunks hold them, once
+// with their own arrival times and once with the times cut to whole
+// hours, so that most keys tie and only stability decides the order.
+func TestMergeByArriveMatchesSliceStable(t *testing.T) {
+	d := generate(t, BrightkiteLike())
+	byUser := slices.Clone(d.CheckIns)
+	sort.SliceStable(byUser, func(i, j int) bool { return byUser[i].User < byUser[j].User })
+	for _, hours := range []bool{false, true} {
+		cis := slices.Clone(byUser)
+		if hours {
+			for i := range cis {
+				cis[i].Arrive = math.Floor(cis[i].Arrive)
+			}
+		}
+		var chunks [][]model.CheckIn
+		for lo := 0; lo < len(cis); {
+			hi := lo
+			for hi < len(cis) && int(cis[hi].User)/genChunk == int(cis[lo].User)/genChunk {
+				hi++
+			}
+			chunks = append(chunks, cis[lo:hi])
+			lo = hi
+		}
+		want := slices.Clone(cis)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Arrive < want[j].Arrive })
+		if got := mergeByArrive(chunks); !reflect.DeepEqual(got, want) {
+			t.Errorf("whole hours %v: mergeByArrive over %d chunks differs from sort.SliceStable", hours, len(chunks))
 		}
 	}
 }

@@ -19,10 +19,10 @@
 //
 // The two kinds of row use different kernels. An on-demand entry is
 // stored as a float32 and nothing reads more, so it comes from the
-// filtered kernel mobility.(*WorkerModel).Willingness32: one Exp and one
-// Log per term instead of a Pow, checked against a derived error bound,
-// with the exact kernel as fallback where the bound cannot decide the
-// float32. Its result is float32(Willingness) bit for bit, so filtering
+// filtered kernel mobility.(*WorkerModel).Willingness32: a table-driven
+// log2 and exp2 per term instead of a Pow, checked against a derived
+// error bound, with the exact kernel as fallback where the bound cannot
+// decide the float32. Its result is float32(Willingness) bit for bit, so filtering
 // changes no stored value; the session counts the fallbacks per instant.
 // Dense rows keep the exact float64 Willingness, because their column
 // sum adds the float64 values.

@@ -88,37 +88,44 @@ func (wm *WorkerModel) Willingness(loc geo.Point) float64 {
 	sum := 0.0
 	for i, p := range wm.Locs {
 		d := geo.Dist(p, loc)
-		sum += wm.Stationary[i] * math.Pow(d+1, -wm.Shape)
+		sum += float64(wm.Stationary[i] * math.Pow(d+1, -wm.Shape))
 	}
 	return sum
 }
 
 // wilRelErr is Willingness32's per-term relative error allowance r; the
-// derivation on Willingness32 bounds the true per-term error by 2⁻⁴⁰·⁹,
-// so r = 2⁻³⁶ leaves a 30× margin.
+// derivation on Willingness32 bounds the true per-term error by 2⁻⁴⁰·⁸,
+// so r = 2⁻³⁶ leaves a 29× margin.
 const wilRelErr = 0x1p-36
+
+// wilMinY is the lowest exponent y = −Shape·log2(d+1) inside
+// Willingness32's domain: 2^y ≥ 2⁻¹⁰¹⁰ is normal, and so is Pow's result.
+const wilMinY = -700 / math.Ln2
 
 // Willingness32 returns float32(wm.Willingness(loc)) bit for bit, and
 // whether it had to call Willingness to get it (the fallback).
 //
 // The fast path evaluates each term as
 //
-//	t_i = Stationary[i] · Exp(y_i),  y_i = −Shape · Log(Sqrt(dx²+dy²) + 1)
+//	t_i = Stationary[i] · 2^y_i,  y_i = −Shape · log2(Sqrt(dx²+dy²) + 1)
 //
-// — one Exp and one Log, where Pow spends an Exp, a Log, a Modf, a Frexp,
-// up to five squarings and an Ldexp — and sums s = Σ t_i and A = Σ |t_i|
-// in the same order as Willingness. With a proven bound E ≥ |s − v| on
-// the distance to the exact float64 v, v lies in [s−E, s+E]; conversion
-// to float32 is monotonic, so when both ends convert to the same float32
-// (same bits, so the sign of a zero agrees too) v converts to it as well.
-// Otherwise, and outside the domain the bound covers, it returns
-// float32(wm.Willingness(loc)). Either way the result is exact; the
-// fallback only costs time.
+// with the table-driven log2 and exp2 of wilterm.go (two table reads and
+// two degree-5 polynomials, where Pow spends an Exp, a Log, a Modf, a
+// Frexp, up to five squarings and an Ldexp), and sums s = Σ t_i and
+// A = Σ |t_i| in the same order as Willingness. With a proven bound
+// E ≥ |s − v| on the distance to the exact float64 v, v lies in
+// [s−E, s+E]; conversion to float32 is monotonic, so when both ends
+// convert to the same float32 (same bits, so the sign of a zero agrees
+// too) v converts to it as well. Otherwise, and outside the domain the
+// bound covers, it returns float32(wm.Willingness(loc)). Either way the
+// result is exact; the fallback only costs time.
 //
-// The bound, with u = 2⁻⁵³ and x = d+1 for the true distance d of the
-// float64 offsets dx, dy. It assumes the documented accuracy of Exp and
-// Log (error < 1 ulp, at most 2u relative) and the algorithm of the
-// standard library's pow (math/pow.go). Per term:
+// The bound, with u = 2⁻⁵³, x = d+1 for the true distance d of the
+// float64 offsets dx, dy, and y in log2 units, so that an absolute error
+// Δ in y is a relative error of at most ln2·Δ·(1+2⁻⁴⁰) in 2^y. It assumes
+// the documented accuracy of Exp and Log (error < 1 ulp, at most 2u
+// relative) and the algorithm of the standard library's pow
+// (math/pow.go). Per term:
 //
 //   - Distance. Hypot(dx, dy) is max·Sqrt(1+(min/max)²), within 4u of d;
 //     Sqrt(dx²+dy²) is within 2u. Adding 1 rounds each by u, so the two
@@ -128,28 +135,44 @@ const wilRelErr = 0x1p-36
 //   - Exact kernel. Pow(x, −Shape) splits Shape into yi + yf with
 //     |yf| ≤ 1/2 and yi ≤ 16, computes Exp(yf·Log(x)) and multiplies in
 //     x^yi by repeated squaring of the exact Frexp mantissa. An absolute
-//     error Δ in an exponent is a relative error of about Δ in the term.
-//     |yf·Log(x)| ≤ |y|, so Log's error and the product's rounding add at
-//     most 3u|y|; Exp adds 2u, the squarings and products that multiply
-//     in x^yi add yi·u ≤ 16u, the reciprocal u: (3|y| + 19)u in all, and
-//     u for the product with Stationary[i].
-//   - Fast path. Log's error and the rounding of −Shape·Log add 3u|y|,
-//     Exp 2u, the product with Stationary[i] u: (3|y| + 3)u.
+//     error Δ in a natural exponent is a relative error of about Δ in
+//     the term, and |yf·Log(x)| ≤ ln2·|y|, so Log's error and the
+//     product's rounding add at most 3 ln2·u|y| ≤ 2.08u|y|; Exp adds 2u,
+//     the squarings and products that multiply in x^yi add yi·u ≤ 16u,
+//     the reciprocal u and the product with Stationary[i] u:
+//     (2.08|y| + 20)u in all.
+//   - Fast log2. x = 2^e·m with |m·inv_k − 1| ≤ 2⁻⁸. The product m·inv_k
+//     rounds by at most u, which moves log2(1+r) by 1.45u; the table's
+//     −log2(inv_k) rounds by u/2; the degree-5 Taylor polynomial of
+//     log2(1+r) truncates by |r|⁶/(6 ln2 (1−|r|)) ≤ 7.8u, and Horner's
+//     roundings over |r| ≤ 2⁻⁸ add 0.05u; the two additions of
+//     (e + log) + p add u|log2 x| each. So log2 is within
+//     (2|log2 x| + 10)u, and with the rounding of Shape times it,
+//     ỹ = −Shape·log2 is within (3|y| + 160)u of y for Shape ≤ 16, which
+//     is a relative error of ln2·(3|y| + 160)u ≤ (2.08|y| + 111)u.
+//   - Fast exp2. ỹ = n/128 + f exactly, |f| ≤ 2⁻⁸. The table's 2^(j/128)
+//     rounds by u/2; the degree-5 Taylor polynomial of exp(z),
+//     z = f·ln2, truncates by less than 0.01u and its roundings add
+//     0.05u; t + t·p rounds by u; adding ⌊n/128⌋ into the exponent bits
+//     is exact for a normal result. With the product by Stationary[i]:
+//     (2.08|y| + 115)u for the fast path, below (2.1|y| + 115)u, the
+//     bound TestWillingnessTermErrorBound checks against math/big.
 //
-// The two terms therefore differ by at most (6|y| + 151)u relative, which
-// is 4351u < 2⁻⁴⁰·⁹ for |y| ≤ 700; r = 2⁻³⁶ covers it 30 times over, a
-// margin that also absorbs the rounding of s±E and an assembly Exp or
-// Log (amd64's accuracy is undocumented) a few ulps off the bound.
-// Summing n terms in order adds at most (n−1)u·A to each side, so
-// E = (r + n·2⁻⁵²)·A + δ. The relative bounds fail only for subnormal
-// results, whose rounding error is below 2⁻¹⁰⁷⁴ per operation;
-// δ = 2⁻¹⁰⁰⁰ covers them and cannot decide a float32 on its own, since
-// everything below 2⁻¹⁵⁰ converts to zero.
+// The two terms therefore differ by at most (4.2|y| + 263)u relative,
+// which is 4505u < 2⁻⁴⁰·⁸ for |y| ≤ 700/ln2; r = 2⁻³⁶ covers it 29 times
+// over, a margin that also absorbs the rounding of s±E and an assembly
+// Exp or Log in Pow (amd64's accuracy is undocumented) a few ulps off
+// the bound. Summing n terms in order adds at most (n−1)u·A to each
+// side, so E = (r + n·2⁻⁵²)·A + δ. The relative bounds fail only for
+// subnormal results, whose rounding error is below 2⁻¹⁰⁷⁴ per
+// operation; δ = 2⁻¹⁰⁰⁰ covers them and cannot decide a float32 on its
+// own, since everything below 2⁻¹⁵⁰ converts to zero.
 //
-// The domain: 0 < Shape ≤ 16 (the default fitting range) and every
-// y_i ≥ −700, so Exp and Pow return normal numbers. NaN and infinite
-// inputs fall outside it, or make s±E NaN and fail the comparison; both
-// fall back.
+// The domain: 0 < Shape ≤ 16 (the default fitting range), a finite base
+// x (dx²+dy² overflows where Hypot does not) and every y_i ≥ −700/ln2,
+// so exp2 and Pow return normal numbers.
+// NaN and infinite inputs fall outside it, or make s±E NaN and fail the
+// comparison; both fall back.
 func (wm *WorkerModel) Willingness32(loc geo.Point) (float32, bool) {
 	shape := wm.Shape
 	if !(shape > 0 && shape <= 16) {
@@ -158,15 +181,16 @@ func (wm *WorkerModel) Willingness32(loc geo.Point) (float32, bool) {
 	s, a := 0.0, 0.0
 	for i, p := range wm.Locs {
 		dx, dy := p.X-loc.X, p.Y-loc.Y
-		y := -shape * math.Log(math.Sqrt(dx*dx+dy*dy)+1)
-		if !(y >= -700) {
+		x := math.Sqrt(float64(dx*dx)+float64(dy*dy)) + 1
+		y := -float64(shape * log2(x))
+		if !(y >= wilMinY && x <= math.MaxFloat64) {
 			return float32(wm.Willingness(loc)), true
 		}
-		t := wm.Stationary[i] * math.Exp(y)
+		t := float64(wm.Stationary[i] * exp2(y))
 		s += t
 		a += math.Abs(t)
 	}
-	e := (wilRelErr+float64(len(wm.Locs))*0x1p-52)*a + 0x1p-1000
+	e := float64((wilRelErr+float64(float64(len(wm.Locs))*0x1p-52))*a) + 0x1p-1000
 	lo, hi := float32(s-e), float32(s+e)
 	if lo == hi && math.Float32bits(lo) == math.Float32bits(hi) {
 		return lo, false
@@ -391,7 +415,7 @@ func stationaryRWR(n int, seq []int, visits []float64, cfg Config) []float64 {
 		}
 		diff := 0.0
 		for i := 0; i < n; i++ {
-			v := c*(next[i]+dangling/float64(n)) + cfg.RestartProb*restart[i]
+			v := float64(c*(next[i]+dangling/float64(n))) + float64(cfg.RestartProb*restart[i])
 			diff += math.Abs(v - p[i])
 			next[i] = v
 		}

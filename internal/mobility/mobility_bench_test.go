@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dita/internal/dataset"
@@ -54,22 +55,20 @@ func BenchmarkWillingness(b *testing.B) {
 // wilSink keeps the benchmarked kernels' results live.
 var wilSink float32
 
-// BenchmarkWillingness32 measures one willingness entry with the exact
-// kernel (float32(Willingness)) and with the filtered kernel
-// (Willingness32) on the same real models: HA models fitted to the test
-// dataset's first five days and truncated to their top 8 locations, as
-// TopWillingnessLocations: 8 does, queried at the check-in locations of
-// its last day. The dataset is the BK-like test dataset (150 users, 180
-// venues) over all of its days rather than six, trained on all but the
-// last: six days leave most models a single location, where the
-// per-call overhead hides the per-term cost. It reports the filtered
-// kernel's fallbacks per entry and the mean locations per model.
-func BenchmarkWillingness32(b *testing.B) {
+// bkLikeEntries returns real willingness entries: HA models fitted to
+// the test dataset's first days and truncated to their top 8
+// locations, as TopWillingnessLocations: 8 does, and the check-in
+// locations of its last day to query them at. The dataset is the
+// BK-like test dataset (150 users, 180 venues) over all of its days
+// rather than six, trained on all but the last: six days leave most
+// models a single location, where the per-call overhead hides the
+// per-term cost.
+func bkLikeEntries(tb testing.TB) ([]*WorkerModel, []geo.Point) {
 	p := dataset.BrightkiteLike()
 	p.NumUsers, p.NumVenues, p.Seed = 150, 180, 23
 	data, err := dataset.Generate(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cutoff := float64(p.Days-1) * 24
 	m := Fit(data.HistoriesBefore(cutoff), Config{})
@@ -83,6 +82,18 @@ func BenchmarkWillingness32(b *testing.B) {
 	for _, c := range data.CheckIns[len(data.CheckInsBefore(cutoff)):] {
 		locs = append(locs, c.Loc)
 	}
+	return models, locs
+}
+
+// BenchmarkWillingness32 measures one willingness entry of
+// bkLikeEntries with the exact kernel (float32(Willingness)) and with
+// the filtered kernel (Willingness32), and the table-driven log2 and
+// exp2 of one term on their own (kernel=term, over the bases d+1 of
+// every location of every model at every query location, computed
+// beforehand). It reports the filtered kernel's fallbacks per entry and
+// the mean locations per model.
+func BenchmarkWillingness32(b *testing.B) {
+	models, locs := bkLikeEntries(b)
 	nLocs := 0
 	for _, wm := range models {
 		nLocs += len(wm.Locs)
@@ -116,6 +127,27 @@ func BenchmarkWillingness32(b *testing.B) {
 	b.Run("kernel=filtered", func(b *testing.B) {
 		n := run(b, (*WorkerModel).Willingness32)
 		b.ReportMetric(float64(n)/float64(b.N), "fallbacks/entry")
+	})
+	b.Run("kernel=term", func(b *testing.B) {
+		var xs, shapes []float64
+		for _, q := range locs {
+			for _, wm := range models {
+				for _, p := range wm.Locs {
+					dx, dy := p.X-q.X, p.Y-q.Y
+					xs = append(xs, math.Sqrt(float64(dx*dx)+float64(dy*dy))+1)
+					shapes = append(shapes, wm.Shape)
+				}
+			}
+		}
+		b.ResetTimer()
+		sum, j := 0.0, 0
+		for i := 0; i < b.N; i++ {
+			sum += exp2(-float64(shapes[j] * log2(xs[j])))
+			if j++; j == len(xs) {
+				j = 0
+			}
+		}
+		wilSink = float32(sum)
 	})
 }
 

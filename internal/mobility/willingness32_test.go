@@ -136,6 +136,7 @@ func FuzzWillingness32(f *testing.F) {
 	f.Add(-1e20, 3.0, 1.0, 1e-300, 0.0, 1e-310, 16.0, 0.0, 0.0)
 	f.Add(1.0, 2.0, -0.25, 1.0, 2.5, 0.25, 0.05, 1.0, 2.0) // cancelling weights
 	f.Add(1e154, -1e154, 1e300, 0.0, 0.0, 1e300, 0.5, 0.0, 0.0)
+	f.Add(1e154, -1e154, 1.0, 1e154, -1e154, 0.0, 0.05, 0.0, 0.0) // dx²+dy² overflows, Hypot does not
 	f.Fuzz(func(t *testing.T, x0, y0, s0, x1, y1, s1, shape, qx, qy float64) {
 		for _, v := range []float64{x0, y0, s0, x1, y1, s1, shape, qx, qy} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -157,4 +158,31 @@ func FuzzWillingness32(f *testing.F) {
 			t.Fatalf("Willingness32 %v (%#x, fell back %v), exact %v (%#x)", got, math.Float32bits(got), fellBack, want, math.Float32bits(want))
 		}
 	})
+}
+
+// TestWillingness32FallbackRate sweeps every model of bkLikeEntries at
+// every query location once: the filtered kernel must stay exact and
+// fall back on at most one entry in a thousand (the measured rate is
+// 0.0345%), so a bound grown loose or a term grown inaccurate shows up
+// here and not only as lost speed.
+func TestWillingness32FallbackRate(t *testing.T) {
+	models, locs := bkLikeEntries(t)
+	entries, fallbacks := 0, 0
+	for _, q := range locs {
+		for _, wm := range models {
+			got, fellBack := wm.Willingness32(q)
+			if want := float32(wm.Willingness(q)); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("Willingness32 %v, exact %v; model %+v at %v", got, want, *wm, q)
+			}
+			entries++
+			if fellBack {
+				fallbacks++
+			}
+		}
+	}
+	rate := float64(fallbacks) / float64(entries)
+	if rate > 0.001 {
+		t.Errorf("%d fallbacks in %d entries (%.4f%%), above 0.1%%", fallbacks, entries, 100*rate)
+	}
+	t.Logf("%d fallbacks in %d entries (%.4f%%)", fallbacks, entries, 100*rate)
 }
