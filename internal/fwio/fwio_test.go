@@ -330,6 +330,13 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 				a.Mobility.Workers[i].Shape = 2
 			}
 		}), "shape 2 outside [0.05, 1]"},
+		// LDA values the fold-in cannot sample from used to load: a
+		// negative φ entry breaks the running sums Infer's draw searches,
+		// and zero fold-in sweeps gave every task an all-zero mixture.
+		{"resealed-negative-phi", reseal(t, raw, func(a *artifact) { a.LDA.Phi[0][0] = -0.5 }), "phi[0][0] = -0.5"},
+		{"resealed-zero-alpha", reseal(t, raw, func(a *artifact) { a.LDA.Config.Alpha = 0 }), "alpha 0"},
+		{"resealed-negative-beta", reseal(t, raw, func(a *artifact) { a.LDA.Config.Beta = -0.01 }), "beta -0.01"},
+		{"resealed-zero-infer-iters", reseal(t, raw, func(a *artifact) { a.LDA.Config.InferIters = 0 }), "0 fold-in sweeps"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

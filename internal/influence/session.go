@@ -1,12 +1,19 @@
 // Session is the incremental online phase: where a cold rebuild treats
 // every assignment instant afresh — re-folding every task through LDA,
-// re-extracting every worker's RRR root list and computing willingness
-// again — a Session carries that per-entity state across instants. The
+// re-reading every worker's Ppro list and computing willingness again —
+// a Session carries that per-entity state across instants. The
 // streaming protocol of the paper (Section VI) keeps unassigned workers
 // online and unexpired tasks open between instants, so most of an
 // instant's state was already computed at an earlier one; a Session
 // computes influence state only for newly arrived tasks and workers and
 // evicts entries the moment their task or worker leaves the pool.
+//
+// Admission itself looks up what depends only on the framework: a
+// worker's distinct RRR roots and their set counts come from the
+// collection's per-user root index (rrr.Collection.RootCounts), and a
+// task's fold-in reads the LDA model's word-major φ and α·φ tables
+// (lda.(*Model).Infer), both built once when the framework is trained
+// or loaded.
 //
 // Willingness is filled on demand. if(ws, s) reads Pwil(wi, s) only at
 // the roots wi of the RRR sets covering ws, so under masks with both

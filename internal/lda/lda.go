@@ -26,6 +26,7 @@ package lda
 
 import (
 	"fmt"
+	"math"
 
 	"dita/internal/parallel"
 	"dita/internal/randx"
@@ -88,6 +89,35 @@ type Model struct {
 	phi [][]float64
 	// theta[d][t] = P(t|d) for each training document.
 	theta [][]float64
+	// Fold-in tables over word-major rows of K entries, derived from phi
+	// and Alpha when the model is built: wordPhi[w*K+t] = phi[t][w], and
+	// wordAlphaPhiSum[w*K+t] = Σ_{t'≤t} Alpha·phi[t'][w], added from 0
+	// in topic order, which is Infer's running total at topic t when no
+	// other token of the document holds a topic ≤ t.
+	wordPhi         []float64
+	wordAlphaPhiSum []float64
+}
+
+// newModel assembles a model and derives its fold-in tables. Every
+// table entry is the value Infer's sampling loop would compute from
+// phi and Alpha, so reading the table changes no result.
+func newModel(cfg Config, vocab int, phi, theta [][]float64) *Model {
+	K := cfg.Topics
+	m := &Model{
+		cfg: cfg, vocab: vocab, phi: phi, theta: theta,
+		wordPhi:         make([]float64, vocab*K),
+		wordAlphaPhiSum: make([]float64, vocab*K),
+	}
+	for w := 0; w < vocab; w++ {
+		sum := 0.0
+		for t := 0; t < K; t++ {
+			i := w*K + t
+			m.wordPhi[i] = phi[t][w]
+			sum += float64(cfg.Alpha * phi[t][w])
+			m.wordAlphaPhiSum[i] = sum
+		}
+	}
+	return m
 }
 
 // trainer is the chunked collapsed-Gibbs state shared by one Train run.
@@ -284,7 +314,7 @@ func (tr *trainer) accumulate(phiAcc, thetaAcc [][]float64) {
 	})
 	parallel.ForChunks(tr.workers, len(tr.docs), docChunk, func(_, _, lo, hi int) {
 		for d := lo; d < hi; d++ {
-			den := float64(len(tr.docs[d])) + float64(K)*tr.cfg.Alpha
+			den := float64(len(tr.docs[d])) + float64(float64(K)*tr.cfg.Alpha)
 			for t := 0; t < K; t++ {
 				thetaAcc[d][t] += (float64(tr.nDT[d][t]) + tr.cfg.Alpha) / den
 			}
@@ -334,24 +364,23 @@ func Train(docs [][]int32, vocab int, cfg Config) (*Model, error) {
 		samples = 1
 	}
 	cfg.Parallelism = 0 // runtime knob, not model identity
-	m := &Model{cfg: cfg, vocab: vocab, phi: phiAcc, theta: thetaAcc}
-	for t := range m.phi {
-		for v := range m.phi[t] {
-			m.phi[t][v] /= float64(samples)
+	for t := range phiAcc {
+		for v := range phiAcc[t] {
+			phiAcc[t][v] /= float64(samples)
 		}
 	}
-	for d := range m.theta {
+	for d := range thetaAcc {
 		if len(docs[d]) == 0 {
 			for t := 0; t < K; t++ {
-				m.theta[d][t] = 1 / float64(K)
+				thetaAcc[d][t] = 1 / float64(K)
 			}
 			continue
 		}
-		for t := range m.theta[d] {
-			m.theta[d][t] /= float64(samples)
+		for t := range thetaAcc[d] {
+			thetaAcc[d][t] /= float64(samples)
 		}
 	}
-	return m, nil
+	return newModel(cfg, vocab, phiAcc, thetaAcc), nil
 }
 
 // Topics returns the number of topics K.
@@ -366,6 +395,17 @@ func (m *Model) DocTopics(d int) []float64 { return m.theta[d] }
 // Infer folds an unseen document into the trained model and returns its
 // topic distribution. The topic-term distribution φ stays fixed; only the
 // document's own assignments are resampled. Deterministic given seed.
+//
+// Each draw weighs topic t by (n_t + α)·φ[t][w], n_t counting the
+// document's other tokens in t, and walks the running total of the
+// weights in topic order. A document has few tokens, so most topics are
+// empty: the running total up to the first topic another token holds
+// comes from the model's table, the walk keeps its partial sums from
+// there, and the draw is a binary search over them. An empty topic's
+// weight (0 + α)·φ[t][w] is α·φ[t][w] exactly, so every sum is added in
+// the same order from the same terms as a linear scan would, and the
+// result is the scan's bit for bit (the weights are finite and
+// non-negative, so the partial sums never decrease).
 func (m *Model) Infer(doc []int32, seed uint64) []float64 {
 	K := m.cfg.Topics
 	out := make([]float64, K)
@@ -383,7 +423,14 @@ func (m *Model) Infer(doc []int32, seed uint64) []float64 {
 		z[i] = t
 		cnt[t]++
 	}
-	probs := make([]float64, K)
+	alpha := m.cfg.Alpha
+	// share[c] is the θ estimate (c+α)/den of a topic holding c tokens.
+	den := float64(len(doc)) + float64(float64(K)*alpha)
+	share := make([]float64, len(doc)+1)
+	for c := range share {
+		share[c] = (float64(c) + alpha) / den
+	}
+	sums := make([]float64, K)
 	acc := make([]float64, K)
 	samples := 0
 	burn := m.cfg.InferIters / 2
@@ -391,22 +438,30 @@ func (m *Model) Infer(doc []int32, seed uint64) []float64 {
 		for i, w := range doc {
 			t := z[i]
 			cnt[t]--
+			first := K // the first topic another token holds
+			for j, tj := range z {
+				if j != i && tj < first {
+					first = tj
+				}
+			}
+			row := int(w) * K
+			phi := m.wordPhi[row : row+K]
+			alphaPhiSum := m.wordAlphaPhiSum[row : row+K]
 			total := 0.0
-			for k := 0; k < K; k++ {
-				p := (float64(cnt[k]) + m.cfg.Alpha) * m.phi[k][w]
-				probs[k] = p
-				total += p
+			if first > 0 {
+				total = alphaPhiSum[first-1]
+			}
+			for k := first; k < K; k++ {
+				total += float64((float64(cnt[k]) + alpha) * phi[k])
+				sums[k] = total
 			}
 			nt := K - 1
 			if total > 0 {
 				u := rng.Float64() * total
-				s := 0.0
-				for k := 0; k < K; k++ {
-					s += probs[k]
-					if u < s {
-						nt = k
-						break
-					}
+				if first > 0 && u < alphaPhiSum[first-1] {
+					nt = firstAbove(alphaPhiSum[:first], u)
+				} else if k := first + firstAbove(sums[first:], u); k < K {
+					nt = k
 				}
 			}
 			z[i] = nt
@@ -414,9 +469,8 @@ func (m *Model) Infer(doc []int32, seed uint64) []float64 {
 		}
 		if iter >= burn {
 			samples++
-			den := float64(len(doc)) + float64(K)*m.cfg.Alpha
-			for t := 0; t < K; t++ {
-				acc[t] += (float64(cnt[t]) + m.cfg.Alpha) / den
+			for t, c := range cnt {
+				acc[t] += share[c]
 			}
 		}
 	}
@@ -429,6 +483,21 @@ func (m *Model) Infer(doc []int32, seed uint64) []float64 {
 	return out
 }
 
+// firstAbove returns the first index k of the nondecreasing sums with
+// u < sums[k], or len(sums) when there is none.
+func firstAbove(sums []float64, u float64) int {
+	lo, hi := 0, len(sums)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < sums[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // Affinity returns Paff for two topic distributions: Σ_t θw[t]·θs[t].
 // It panics when the lengths differ (mixing models is a programming
 // error).
@@ -438,7 +507,7 @@ func Affinity(thetaW, thetaS []float64) float64 {
 	}
 	sum := 0.0
 	for t := range thetaW {
-		sum += thetaW[t] * thetaS[t]
+		sum += float64(thetaW[t] * thetaS[t])
 	}
 	return sum
 }
@@ -463,15 +532,25 @@ func (m *Model) Wire() Wire {
 }
 
 // FromWire rebuilds a trained model from its serialized form, validating
-// every dimension so a corrupt or hand-edited artifact cannot produce a
-// model that panics later. The Parallelism knob is forced to zero, as
-// Train does: it is a runtime choice, not model identity.
+// every dimension and value so a corrupt or hand-edited artifact cannot
+// produce a model that panics or samples differently later: Alpha and
+// Beta must be finite and positive, InferIters positive, every φ entry
+// finite and non-negative (Infer's binary-search draw needs weights
+// whose running sums never decrease) and every θ entry finite. The
+// Parallelism knob is forced to zero, as Train does: it is a runtime
+// choice, not model identity.
 func FromWire(w Wire) (*Model, error) {
 	if w.Config.Topics <= 0 {
 		return nil, fmt.Errorf("lda: wire form has %d topics", w.Config.Topics)
 	}
 	if w.Vocab <= 0 {
 		return nil, fmt.Errorf("lda: wire form has vocabulary size %d", w.Vocab)
+	}
+	if !finitePositive(w.Config.Alpha) || !finitePositive(w.Config.Beta) {
+		return nil, fmt.Errorf("lda: wire form has alpha %v and beta %v (both must be finite and > 0)", w.Config.Alpha, w.Config.Beta)
+	}
+	if w.Config.InferIters <= 0 {
+		return nil, fmt.Errorf("lda: wire form has %d fold-in sweeps", w.Config.InferIters)
 	}
 	if len(w.Phi) != w.Config.Topics {
 		return nil, fmt.Errorf("lda: wire form has %d phi rows for %d topics", len(w.Phi), w.Config.Topics)
@@ -480,13 +559,26 @@ func FromWire(w Wire) (*Model, error) {
 		if len(row) != w.Vocab {
 			return nil, fmt.Errorf("lda: phi row %d has %d entries for vocabulary %d", t, len(row), w.Vocab)
 		}
+		for v, p := range row {
+			if !(p >= 0) || math.IsInf(p, 1) {
+				return nil, fmt.Errorf("lda: phi[%d][%d] = %v is not finite and non-negative", t, v, p)
+			}
+		}
 	}
 	for d, row := range w.Theta {
 		if len(row) != w.Config.Topics {
 			return nil, fmt.Errorf("lda: theta row %d has %d entries for %d topics", d, len(row), w.Config.Topics)
 		}
+		for t, p := range row {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return nil, fmt.Errorf("lda: theta[%d][%d] = %v is not finite", d, t, p)
+			}
+		}
 	}
 	cfg := w.Config
 	cfg.Parallelism = 0
-	return &Model{cfg: cfg, vocab: w.Vocab, phi: w.Phi, theta: w.Theta}, nil
+	return newModel(cfg, w.Vocab, w.Phi, w.Theta), nil
 }
+
+// finitePositive reports whether x is finite and > 0.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }

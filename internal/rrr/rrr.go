@@ -93,6 +93,13 @@ type Collection struct {
 	// coverIDs[coverOff[w]:coverOff[w+1]], in ascending set-id order.
 	coverOff []int32
 	coverIDs []int32
+	// Root index, derived from the cover index: the distinct roots of
+	// the sets containing worker w are rootIDs[rootOff[w]:rootOff[w+1]]
+	// in ascending order, and rootSets[i] is how many of w's sets are
+	// rooted at rootIDs[i].
+	rootOff  []int32
+	rootIDs  []int32
+	rootSets []int32
 	stats    Stats
 }
 
@@ -235,6 +242,58 @@ func (b *builder) finish(c *Collection, st Stats) {
 
 	st.NumSets = numSets
 	c.stats = st
+	c.indexRoots()
+}
+
+// indexRoots builds the root index from the cover index in O(cover
+// entries). A counting sort groups the entries by root while a stamp
+// per root counts each worker's distinct roots; walking the groups in
+// root order then appends each worker's roots already ascending, into
+// exact-size arrays.
+func (c *Collection) indexRoots() {
+	n := int32(len(c.coverOff) - 1)
+	// group[r] starts the entries of root r, and ends them once filled.
+	group := make([]int32, n+1)
+	for _, id := range c.coverIDs {
+		group[c.roots[id]+1]++
+	}
+	for r := int32(1); r <= n; r++ {
+		group[r] += group[r-1]
+	}
+	users := make([]int32, len(c.coverIDs))
+	seen := make([]int32, n) // 1 + the last worker counted at each root
+	c.rootOff = make([]int32, n+1)
+	for w := int32(0); w < n; w++ {
+		for _, id := range c.cover(w) {
+			r := c.roots[id]
+			users[group[r]] = w
+			group[r]++
+			if seen[r] != w+1 {
+				seen[r] = w + 1
+				c.rootOff[w+1]++
+			}
+		}
+	}
+	for w := int32(1); w <= n; w++ {
+		c.rootOff[w] += c.rootOff[w-1]
+	}
+	c.rootIDs = make([]int32, c.rootOff[n])
+	c.rootSets = make([]int32, c.rootOff[n])
+	next := seen // reused: the next free slot of each worker's range
+	copy(next, c.rootOff[:n])
+	lo := int32(0)
+	for r := int32(0); r < n; r++ {
+		for _, w := range users[lo:group[r]] {
+			if i := next[w]; i > c.rootOff[w] && c.rootIDs[i-1] == r {
+				c.rootSets[i-1]++
+			} else {
+				c.rootIDs[i] = r
+				c.rootSets[i] = 1
+				next[w]++
+			}
+		}
+		lo = group[r]
+	}
 }
 
 // Build runs the full RPO procedure (Algorithm 1) over g and returns the
@@ -250,6 +309,7 @@ func Build(g *socialgraph.Graph, p Params) *Collection {
 		// Zero or one worker: nothing can propagate anywhere. The
 		// forward index is still present, over zero sets.
 		c.setOff = []int32{0}
+		c.indexRoots()
 		return c
 	}
 	rng := randx.New(p.Seed)
@@ -363,37 +423,22 @@ func (c *Collection) Propagation(ws int32) []float64 {
 // Probabilities cannot exceed 1, but the unbiased estimator can overshoot
 // on small N, hence the clamp. The self root ws is included. Roots come
 // sorted ascending, so float accumulation over the result is
-// deterministic. This is the one definition of Ppro: Propagation,
-// PropagationSum, InformedRange and the influence evaluator all read it.
+// deterministic. The roots are a view of the collection's root index,
+// capped at their length: callers must treat them as read-only. Only
+// ppro is freshly allocated. This is the one definition of Ppro:
+// Propagation, PropagationSum, InformedRange and the influence
+// evaluator all read it.
 func (c *Collection) RootCounts(ws int32) (roots []int32, ppro []float64) {
-	ids := c.cover(ws)
-	if len(ids) == 0 {
+	lo, hi := c.rootOff[ws], c.rootOff[ws+1]
+	if lo == hi {
 		return nil, nil
 	}
-	rs := make([]int32, len(ids))
-	for i, id := range ids {
-		rs[i] = c.roots[id]
-	}
-	slices.Sort(rs)
-	distinct := 1
-	for i := 1; i < len(rs); i++ {
-		if rs[i] != rs[i-1] {
-			distinct++
-		}
-	}
 	scale := float64(c.g.N()) / float64(len(c.roots))
-	roots = make([]int32, 0, distinct)
-	ppro = make([]float64, 0, distinct)
-	for i := 0; i < len(rs); {
-		j := i
-		for j < len(rs) && rs[j] == rs[i] {
-			j++
-		}
-		roots = append(roots, rs[i])
-		ppro = append(ppro, min(1, scale*float64(j-i)))
-		i = j
+	ppro = make([]float64, hi-lo)
+	for i, cnt := range c.rootSets[lo:hi] {
+		ppro[i] = min(1, scale*float64(cnt))
 	}
-	return roots, ppro
+	return c.rootIDs[lo:hi:hi], ppro
 }
 
 // PropagationSum returns Σ_{wi ≠ ws} Ppro(ws, wi) without materializing
@@ -531,6 +576,15 @@ func FromWire(g *socialgraph.Graph, w Wire) (*Collection, error) {
 			return nil, fmt.Errorf("rrr: wire cover entry %d names set %d outside [0,%d)", i, id, numSets)
 		}
 	}
+	// A repeated set id would count that set twice into Ppro.
+	for u := 0; u < n; u++ {
+		ids := w.CoverIDs[w.CoverOff[u]:w.CoverOff[u+1]]
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				return nil, fmt.Errorf("rrr: wire cover list of worker %d is not strictly ascending at entry %d (set %d after %d)", u, i, ids[i], ids[i-1])
+			}
+		}
+	}
 	if len(w.SetOff) != numSets+1 {
 		return nil, fmt.Errorf("rrr: wire forward index has %d offsets for %d sets (want %d)", len(w.SetOff), numSets, numSets+1)
 	}
@@ -542,7 +596,7 @@ func FromWire(g *socialgraph.Graph, w Wire) (*Collection, error) {
 			return nil, fmt.Errorf("rrr: wire set member %d is worker %d outside [0,%d)", i, m, n)
 		}
 	}
-	return &Collection{
+	c := &Collection{
 		g:          g,
 		roots:      w.Roots,
 		setOff:     w.SetOff,
@@ -550,5 +604,7 @@ func FromWire(g *socialgraph.Graph, w Wire) (*Collection, error) {
 		coverOff:   w.CoverOff,
 		coverIDs:   w.CoverIDs,
 		stats:      w.Stats,
-	}, nil
+	}
+	c.indexRoots()
+	return c, nil
 }

@@ -79,3 +79,15 @@ func BenchmarkBuildParallelism(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRootCounts measures one worker's Ppro list, the per-worker
+// cost of admitting a worker to an influence session.
+func BenchmarkRootCounts(b *testing.B) {
+	g := socialgraph.GeneratePreferentialAttachment(2400, 3, randx.New(1))
+	c := Build(g, Params{Seed: 2})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.RootCounts(int32(i % g.N()))
+	}
+}

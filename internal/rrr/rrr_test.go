@@ -269,3 +269,78 @@ func TestRootCountsMatchesCover(t *testing.T) {
 		}
 	}
 }
+
+// rootCountsReference is RootCounts as it was before the root index:
+// gather the roots of ws's cover, sort them and count each run.
+func rootCountsReference(c *Collection, ws int32) (roots []int32, ppro []float64) {
+	ids := c.cover(ws)
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	rs := make([]int32, len(ids))
+	for i, id := range ids {
+		rs[i] = c.roots[id]
+	}
+	slices.Sort(rs)
+	scale := float64(c.g.N()) / float64(len(c.roots))
+	for i := 0; i < len(rs); {
+		j := i
+		for j < len(rs) && rs[j] == rs[i] {
+			j++
+		}
+		roots = append(roots, rs[i])
+		ppro = append(ppro, min(1, scale*float64(j-i)))
+		i = j
+	}
+	return roots, ppro
+}
+
+// TestRootCountsMatchesReference: the root index answers every worker
+// of a built collection, and of the same collection decoded from its
+// wire form, exactly as sorting the cover's roots does, down to the
+// float64 bits, on degenerate graphs too.
+func TestRootCountsMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		g *socialgraph.Graph
+		p Params
+	}{
+		{socialgraph.MustNew(0, nil), Params{Seed: 1}},
+		{socialgraph.MustNew(1, nil), Params{Seed: 1}},
+		{socialgraph.GeneratePreferentialAttachment(2, 1, randx.New(3)), Params{Seed: 4, MaxSets: 50}},
+		{socialgraph.GeneratePreferentialAttachment(60, 2, randx.New(25)), Params{Seed: 26, MaxSets: 3000}},
+		// Few sets on many workers: most workers have an empty cover, and
+		// the clamp min(1, ·) is reached by every counted root.
+		{socialgraph.GeneratePreferentialAttachment(400, 3, randx.New(5)), Params{Seed: 6, MaxSets: 30}},
+		{socialgraph.GeneratePreferentialAttachment(400, 3, randx.New(7)), Params{Seed: 8}},
+	} {
+		built := Build(tc.g, tc.p)
+		decoded, err := FromWire(tc.g, built.Wire())
+		if err != nil {
+			t.Fatalf("%d-worker graph: %v", tc.g.N(), err)
+		}
+		for _, side := range []struct {
+			name string
+			c    *Collection
+		}{{"built", built}, {"decoded", decoded}} {
+			name, c := side.name, side.c
+			for ws := int32(0); ws < int32(tc.g.N()); ws++ {
+				roots, ppro := c.RootCounts(ws)
+				wantRoots, wantPpro := rootCountsReference(c, ws)
+				if !slices.Equal(roots, wantRoots) || (roots == nil) != (wantRoots == nil) {
+					t.Fatalf("%s %d-worker graph: RootCounts(%d) roots %v, reference %v", name, tc.g.N(), ws, roots, wantRoots)
+				}
+				if len(ppro) != len(wantPpro) {
+					t.Fatalf("%s %d-worker graph: RootCounts(%d) has %d ppro, reference %d", name, tc.g.N(), ws, len(ppro), len(wantPpro))
+				}
+				for i := range ppro {
+					if math.Float64bits(ppro[i]) != math.Float64bits(wantPpro[i]) {
+						t.Fatalf("%s %d-worker graph: RootCounts(%d) ppro[%d] = %v, reference %v", name, tc.g.N(), ws, i, ppro[i], wantPpro[i])
+					}
+				}
+				if cap(roots) != len(roots) {
+					t.Fatalf("%s: RootCounts(%d) roots have cap %d > len %d: an append would write into the index", name, ws, cap(roots), len(roots))
+				}
+			}
+		}
+	}
+}

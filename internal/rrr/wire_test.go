@@ -70,6 +70,8 @@ func TestFromWireRejectsMalformed(t *testing.T) {
 		{"root past graph", func(w *Wire) { w.Roots[len(w.Roots)-1] = n }, "has root"},
 		{"cover id negative", func(w *Wire) { w.CoverIDs[0] = -1 }, "names set"},
 		{"cover id past sets", func(w *Wire) { w.CoverIDs[0] = int32(len(w.Roots)) }, "names set"},
+		{"cover list repeats a set", func(w *Wire) { w.CoverIDs[1] = w.CoverIDs[0] }, "not strictly ascending"},
+		{"cover list descending", func(w *Wire) { w.CoverIDs[0], w.CoverIDs[1] = w.CoverIDs[1], w.CoverIDs[0] }, "not strictly ascending"},
 		{"forward index absent", func(w *Wire) { w.SetOff, w.SetMembers = nil, nil }, "forward index has 0 offsets"},
 		{"set offsets short", func(w *Wire) { w.SetOff = w.SetOff[:len(w.SetOff)-1] }, "forward index has"},
 		{"set offsets not from zero", func(w *Wire) { w.SetOff[0] = 1 }, "forward-index offsets"},
@@ -96,7 +98,8 @@ func TestFromWireRejectsMalformed(t *testing.T) {
 }
 
 // FuzzFromWire: any wire FromWire accepts must answer every query
-// without panicking.
+// without panicking, and its root index must agree with sorting the
+// cover's roots.
 func FuzzFromWire(f *testing.F) {
 	g, w := wireFixture(f)
 	seed, err := json.Marshal(w)
@@ -105,6 +108,9 @@ func FuzzFromWire(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(`{"roots":[],"set_off":[0],"cover_off":[0,0,0,0,0,0,0,0,0,0,0,0,0],"cover_ids":[]}`))
+	// Worker 0 lists set 0 twice; FromWire must refuse it rather than
+	// count the set twice into Ppro.
+	f.Add([]byte(`{"roots":[0],"set_off":[0,1],"set_members":[0],"cover_off":[0,2,2,2,2,2,2,2,2,2,2,2,2],"cover_ids":[0,0]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var w Wire
 		if json.Unmarshal(raw, &w) != nil {
@@ -118,7 +124,11 @@ func FuzzFromWire(f *testing.F) {
 			c.Propagation(ws)
 			c.PropagationSum(ws)
 			c.InformedRange(ws)
-			c.RootCounts(ws)
+			roots, ppro := c.RootCounts(ws)
+			wantRoots, wantPpro := rootCountsReference(c, ws)
+			if !slices.Equal(roots, wantRoots) || !slices.Equal(ppro, wantPpro) {
+				t.Fatalf("RootCounts(%d) = %v %v, reference %v %v", ws, roots, ppro, wantRoots, wantPpro)
+			}
 		}
 		for id := int32(0); id < int32(c.NumSets()); id++ {
 			c.SetMembers(id)
